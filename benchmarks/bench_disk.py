@@ -85,8 +85,18 @@ def _run_both(vdoc) -> float:
 
 
 def _io_delta(pool, before: dict) -> dict:
+    """Counter deltas since ``before``.  ``hit_rate`` and
+    ``compression_ratio`` are ratios *of* counters, so they are recomputed
+    from the differenced counters (``None`` when the window saw no pin /
+    materialized no column) rather than subtracted."""
     now = pool.stats.as_dict()
-    return {k: now[k] - before[k] for k in before}
+    delta = {k: now[k] - before[k] for k in before}
+    pins = delta["hits"] + delta["misses"]
+    delta["hit_rate"] = round(delta["hits"] / pins, 4) if pins else None
+    logical = delta["logical_bytes"]
+    delta["compression_ratio"] = \
+        round(delta["physical_bytes"] / logical, 4) if logical else None
+    return delta
 
 
 #: shared-pool repository regime: member document sizes (people per doc)

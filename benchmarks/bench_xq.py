@@ -12,11 +12,10 @@ workload of paper §4) run two ways:
   Gr with stepwise hash-cons compression — zero decompression and at most
   one scan per touched vector, both machine-asserted by the engine.
 
-Two further regimes ride along: batched vs per-combo execution on
-many-path documents, and **index probes vs column scans** — selective
-queries on a disk-backed document with persistent value indexes, columns
-dropped between runs, asserting byte-identical answers and the
-``INDEXED_MIN_*`` speedup floors at the largest size.
+One further regime rides along: **index probes vs column scans** —
+selective queries on a disk-backed document with persistent value
+indexes, columns dropped between runs, asserting byte-identical answers
+and the ``INDEXED_MIN_*`` speedup floors at the largest size.
 
 Answers are checked byte-identical (after serialization) before timing.
 Results go to BENCH_xq.json.  Exits nonzero if reduction does not beat
@@ -41,7 +40,7 @@ from repro import __version__  # noqa: E402
 from repro.core.engine import eval_xq  # noqa: E402
 from repro.core.vdoc import VectorizedDocument  # noqa: E402
 from repro.core.xquery.parser import parse_xq  # noqa: E402
-from repro.datasets.synth import manypath_xml, xmark_like_xml  # noqa: E402
+from repro.datasets.synth import xmark_like_xml  # noqa: E402
 from repro.storage.vdocfile import open_vdoc, save_vdoc  # noqa: E402
 from repro.util import Timer, best_of, fmt_table, human_count  # noqa: E402
 
@@ -64,21 +63,6 @@ QUERIES = {
         "for $p in /site/people/person, $i in $p/profile/interest "
         "where $i = 'databases' return <fan>{$p/@id}</fan>",
 }
-
-
-#: batched-vs-per-combo regime: a structurally wide document (many region
-#: labels, so ``//item`` expands to many concrete paths) and a two-variable
-#: query whose combo table is the cross product of those paths.  The
-#: per-combo baseline re-runs the plan once per combo; batched execution
-#: runs it once over the whole table.  Batched must be at least this much
-#: faster at the largest configuration.
-BATCHED_MIN_SPEEDUP = 2.0
-BATCHED_XQ = (
-    "for $i in //item, $j in //item "
-    "where $i/quantity > '8' and $i/location = 'Kenya' "
-    "and $j/quantity > '8' and $j/location = 'Kenya' "
-    "return <pair>{$i/name}{$j/name}</pair>"
-)
 
 
 #: indexed regime: selective queries on a *disk-backed* document whose
@@ -169,51 +153,8 @@ def run_indexed_regime(sizes: list[int], repeat: int,
     return records, mins
 
 
-def run_batched_regime(configs: list[tuple[int, int]], repeat: int,
-                       check_naive: bool) -> tuple[list[dict], float]:
-    """Time BATCHED_XQ batched vs. per-combo on many-path documents;
-    returns (records, min speedup at the largest configuration)."""
-    records = []
-    xq = parse_xq(BATCHED_XQ)
-    print("\n== batched combo execution (many-path documents) ==")
-    for n_people, n_regions in configs:
-        vdoc = VectorizedDocument.from_xml(
-            manypath_xml(n_people, n_regions=n_regions, seed=42))
-        batched = eval_xq(vdoc, xq, batched=True)
-        per_combo = eval_xq(vdoc, xq, batched=False)
-        assert batched.to_xml() == per_combo.to_xml(), "executors diverge"
-        if check_naive:  # the nested-loop cross product is quadratic
-            naive = eval_xq(vdoc, xq, mode="naive")
-            assert batched.to_xml() == naive.to_xml(), "naive diverges"
-        n_combos = len(batched.table.combos)
-        t_batched = best_of(lambda: eval_xq(vdoc, xq, batched=True), repeat)
-        t_percombo = best_of(lambda: eval_xq(vdoc, xq, batched=False),
-                             repeat)
-        speedup = t_percombo / t_batched if t_batched > 0 else float("inf")
-        print(f"  people={n_people} regions={n_regions} combos={n_combos}"
-              f" tuples={batched.n_tuples}"
-              f"  batched {t_batched * 1e3:.1f}ms"
-              f"  per-combo {t_percombo * 1e3:.1f}ms"
-              f"  speedup {speedup:.2f}x")
-        records.append({
-            "n_people": n_people,
-            "n_regions": n_regions,
-            "n_combos": n_combos,
-            "result_tuples": batched.n_tuples,
-            "xq": BATCHED_XQ,
-            "t_batched_s": t_batched,
-            "t_per_combo_s": t_percombo,
-            "speedup": speedup,
-        })
-    largest = max(configs)
-    at_largest = [r for r in records
-                  if (r["n_people"], r["n_regions"]) == largest]
-    return records, min(r["speedup"] for r in at_largest)
-
-
 def run(sizes: list[int], repeat: int, out_path: str, do_assert: bool,
-        batched_configs: list[tuple[int, int]],
-        check_naive_batched: bool, indexed_sizes: list[int]) -> int:
+        indexed_sizes: list[int]) -> int:
     records = []
     for n_people in sizes:
         with Timer() as t_gen:
@@ -268,9 +209,6 @@ def run(sizes: list[int], repeat: int, out_path: str, do_assert: bool,
     print(f"\nlargest size: min speedup {min_speedup:.1f}x, "
           f"geomean {geo:.1f}x over {len(at_largest)} queries")
 
-    batched_records, batched_speedup = run_batched_regime(
-        batched_configs, repeat, check_naive_batched)
-
     with tempfile.TemporaryDirectory(prefix="bench-ix-") as workdir:
         indexed_records, indexed_mins = run_indexed_regime(
             indexed_sizes, repeat, workdir)
@@ -286,11 +224,6 @@ def run(sizes: list[int], repeat: int, out_path: str, do_assert: bool,
             "min_speedup": min_speedup,
             "geomean_speedup": geo,
         },
-        "batched_regime": {
-            "records": batched_records,
-            "min_speedup_at_largest": batched_speedup,
-            "threshold": BATCHED_MIN_SPEEDUP,
-        },
         "indexed_regime": {
             "records": indexed_records,
             "min_speedup_at_largest": indexed_mins,
@@ -305,12 +238,6 @@ def run(sizes: list[int], repeat: int, out_path: str, do_assert: bool,
     if do_assert and min_speedup < 1.0:
         print(f"FAIL: expected reduction to beat naive on every query at "
               f"the largest size, got {min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    if do_assert and batched_speedup < BATCHED_MIN_SPEEDUP:
-        print(f"FAIL: expected batched combo execution to be at least "
-              f"{BATCHED_MIN_SPEEDUP:.0f}x faster than the per-combo "
-              f"baseline on the many-path document, got "
-              f"{batched_speedup:.2f}x", file=sys.stderr)
         return 1
     for kind, floor in (("sel", INDEXED_MIN_SEL_SPEEDUP),
                         ("join", INDEXED_MIN_JOIN_SPEEDUP)):
@@ -343,18 +270,9 @@ def main(argv: list[str] | None = None) -> int:
         sizes = [50, 200, 800]
     else:
         sizes = [500, 2000, 4000]
-    if args.smoke:
-        batched_configs = [(200, 16), (500, 24)]
-        indexed_sizes = [2000, 20000]
-    else:
-        batched_configs = [(2000, 32), (4000, 48)]
-        indexed_sizes = [2000, 8000, 20000]
+    indexed_sizes = [2000, 20000] if args.smoke else [2000, 8000, 20000]
     do_assert = not (args.no_assert or args.smoke)
-    # the naive nested-loop check of the cross-product query is quadratic;
-    # only run it at smoke sizes
-    return run(sizes, args.repeat, args.out, do_assert,
-               batched_configs, check_naive_batched=args.smoke,
-               indexed_sizes=indexed_sizes)
+    return run(sizes, args.repeat, args.out, do_assert, indexed_sizes)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ Both files are ``bench_xq.py`` payloads.  Every record that appears in
 document/configuration size) — contributes the ratio ``fresh speedup /
 baseline speedup``; the gate fails when the **geomean** of those ratios
 drops below ``1 - GATE_TOLERANCE``.  Comparing speedups (naive/vx,
-per-combo/batched, scan/indexed — each a ratio of two timings taken on
-the same machine in the same run) rather than wall-clock times is what
+scan/indexed — each a ratio of two timings taken on the same machine
+in the same run) rather than wall-clock times is what
 makes the gate non-flaky on shared CI runners: a uniformly slower
 machine scales both sides of each ratio and cancels out.
 
@@ -53,7 +53,6 @@ GATE_TOLERANCE = 0.20
 #: regime -> (payload path, identifying record keys)
 REGIMES = {
     "reduction": (("records",), ("query", "n_people")),
-    "batched": (("batched_regime", "records"), ("n_people", "n_regions")),
     "indexed": (("indexed_regime", "records"), ("query", "n_people")),
     # bench_serve.py: ``speedup`` is QPS at n_clients over single-client
     # QPS in the same closed-loop (think-time) run — a machine-relative

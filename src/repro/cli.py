@@ -5,10 +5,8 @@ Subcommands::
     repro-xq stats FILE [--pool N]           vectorization statistics
     repro-xq query FILE QUERY [--mode vx|naive] [--values] [--canonical]
                               [--plan] [--pool N] [--io-stats]
-                              [--no-codec-eval]
     repro-xq reconstruct FILE [--pool N]     vectorize then decompress back
-    repro-xq save FILE OUT [--page-size B] [--format 3|4]
-                                             write the on-disk vdoc format
+    repro-xq save FILE OUT [--page-size B]   write the on-disk vdoc format
     repro-xq open FILE [--pool N]            print a saved vdoc's catalog
     repro-xq check TARGET [--deep]           verify a .vdoc or a repository
     repro-xq gen N [--seed S]                synthetic XMark-like document
@@ -18,7 +16,7 @@ Subcommands::
     repro-xq repo init DIR --name NAME       create an empty repository
     repro-xq repo add DIR FILE [--name N]    add an XML or .vdoc member
     repro-xq repo ls DIR                     members, catalog + compression
-    repro-xq repo query DIR QUERY [--pool N] [--io-stats] [--per-combo]
+    repro-xq repo query DIR QUERY [--pool N] [--io-stats]
     repro-xq serve DIR [--port P] [--pool N] [--workers W]
 
 ``FILE`` may be XML text or a saved ``.vdoc`` page file (sniffed by
@@ -124,8 +122,7 @@ def _index_cmd(args) -> int:
                       f"ratio={comp['compression_ratio']}")
             handles = sorted(vdoc._vindexes.items())
             if not handles:
-                print(f"{args.file}: no index segments (format v2 or "
-                      f"unindexed)")
+                print(f"{args.file}: no index segments (unindexed)")
             else:
                 print("indexes:")
             for vpath, h in handles:
@@ -183,16 +180,10 @@ def _repo_cmd(args) -> int:
             try:
                 text = args.query.lstrip()
                 if text.startswith("/"):
-                    for name, res in repo.xpath(
-                            text, deadline=args.deadline,
-                            use_codecs=not args.no_codec_eval):
+                    for name, res in repo.xpath(text, deadline=args.deadline):
                         print(f"{name}: count {res.count()}")
                 else:
-                    result = repo.xq(text, batched=not args.per_combo,
-                                     prune=not args.no_prune,
-                                     use_indexes=not args.no_index,
-                                     use_codecs=not args.no_codec_eval,
-                                     deadline=args.deadline)
+                    result = repo.xq(text, deadline=args.deadline)
                     if result.pruned:
                         print("pruned (catalog, zero I/O): "
                               + " ".join(result.pruned), file=sys.stderr)
@@ -233,14 +224,6 @@ def main(argv: list[str] | None = None) -> int:
     p_query.add_argument("--plan", action="store_true",
                          help="XQ only: print the heuristic reduction plan "
                               "(per-op cost estimates and access paths)")
-    p_query.add_argument("--no-index", action="store_true",
-                         help="XQ only: forbid index probes (plan every op "
-                              "as a scan)")
-    p_query.add_argument("--no-codec-eval", action="store_true",
-                         help="forbid code-space predicate evaluation over "
-                              "dictionary-coded vectors; predicates run "
-                              "over the decoded string columns instead "
-                              "(byte-identical results)")
     p_query.add_argument("--deadline", type=float, default=None,
                          metavar="SEC",
                          help="cooperative deadline in seconds; an "
@@ -263,10 +246,6 @@ def main(argv: list[str] | None = None) -> int:
     p_save.add_argument("out")
     p_save.add_argument("--page-size", type=int, default=None,
                         help="page size in bytes (default 4096)")
-    p_save.add_argument("--format", type=int, choices=(3, 4), default=None,
-                        help="on-disk format: 4 (default) picks a "
-                             "compression codec per vector; 3 writes the "
-                             "uncompressed legacy layout")
 
     p_open = sub.add_parser("open",
                             help="open a saved vdoc and print its on-disk "
@@ -294,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
 
     i_build = isub.add_parser("build",
                               help="build value-index segments inside a "
-                                   ".vdoc (atomic rewrite, format v3)")
+                                   ".vdoc (atomic rewrite)")
     i_build.add_argument("file")
     i_build.add_argument("--path", action="append", default=None,
                          metavar="P",
@@ -340,19 +319,6 @@ def main(argv: list[str] | None = None) -> int:
     r_query.add_argument("--io-stats", action="store_true",
                          help="print per-member and pool-wide I/O "
                               "counters on stderr, even on failure")
-    r_query.add_argument("--per-combo", action="store_true",
-                         help="use the per-combo baseline executor "
-                              "instead of batched execution")
-    r_query.add_argument("--no-prune", action="store_true",
-                         help="disable catalog pruning (open and evaluate "
-                              "every member)")
-    r_query.add_argument("--no-index", action="store_true",
-                         help="forbid index probes (plan every op as a "
-                              "scan)")
-    r_query.add_argument("--no-codec-eval", action="store_true",
-                         help="forbid code-space predicate evaluation "
-                              "over dictionary-coded vectors "
-                              "(byte-identical results)")
     r_query.add_argument("--deadline", type=float, default=None,
                          metavar="SEC",
                          help="cooperative deadline in seconds spanning "
@@ -412,9 +378,6 @@ def main(argv: list[str] | None = None) -> int:
             if is_xpath and args.plan:
                 return _usage_error(
                     "--plan is only valid for XQ queries, not XPath")
-            if is_xpath and args.no_index:
-                return _usage_error(
-                    "--no-index is only valid for XQ queries, not XPath")
             if not is_xpath:
                 for flag, on in (("--values", args.values),
                                  ("--canonical", args.canonical)):
@@ -435,9 +398,7 @@ def main(argv: list[str] | None = None) -> int:
                 ctx.set_deadline(args.deadline)
             try:
                 if is_xpath:
-                    result = eval_query(vdoc, text, mode=args.mode,
-                                        ctx=ctx,
-                                        use_codecs=not args.no_codec_eval)
+                    result = eval_query(vdoc, text, mode=args.mode, ctx=ctx)
                     print(f"count {result.count()}")
                     if args.values:
                         for v in result.text_values():
@@ -446,10 +407,7 @@ def main(argv: list[str] | None = None) -> int:
                         for item in result.canonical():
                             print(item)
                 else:
-                    result = eval_xq(vdoc, text, mode=args.mode,
-                                     use_indexes=not args.no_index,
-                                     use_codecs=not args.no_codec_eval,
-                                     ctx=ctx)
+                    result = eval_xq(vdoc, text, mode=args.mode, ctx=ctx)
                     if args.plan and isinstance(result, XQVXResult):
                         print(result.plan.explain(), file=sys.stderr)
                     print(result.to_xml())
@@ -463,8 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "save":
             with open(args.file, "r", encoding="utf-8") as f:
                 vdoc = VectorizedDocument.from_xml(f.read())
-            summary = vdoc.save(args.out, page_size=args.page_size,
-                                fmt=args.format)
+            summary = vdoc.save(args.out, page_size=args.page_size)
             for k, v in summary.items():
                 print(f"{k:16} {v}")
         elif args.cmd == "open":

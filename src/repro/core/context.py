@@ -22,9 +22,7 @@ Invariants enforced here (all machine checks, not comments):
 * **one pass per plan operation** — batched combo execution promises each
   data vector is swept at most once per plan *operation* across all
   concrete-path combos; full-column kernel sweeps register through
-  :meth:`note_pass` and are asserted ``<= 1`` per ``(operation, vector)``
-  (the per-combo baseline keeps counting but skips the assertion — that
-  contrast is what the batched benchmark regime measures);
+  :meth:`note_pass` and are asserted ``<= 1`` per ``(operation, vector)``;
 * **zero leaked pins** — after the query (successful or not), every buffer
   pool reachable from the documents has ``pinned_total() == 0``.
 
@@ -66,10 +64,10 @@ class VectorCache:
     the float view — all derived from the same single chain pass.  The
     cache funnels them through one logical **touch** per vector
     (:meth:`Vector.note_touch`), so the scan-once invariant counts
-    physical passes, not representations.  ``codec_eval=False`` is the
-    ``--no-codec-eval`` escape hatch: :meth:`dict_codes` then always
-    returns ``None`` and every predicate degrades to the plain string
-    column, byte-identically."""
+    physical passes, not representations.  With ``codec_eval=False``
+    (``use_codecs=False``, the differential tests' reference side)
+    :meth:`dict_codes` always returns ``None`` and every predicate
+    degrades to the plain string column, byte-identically."""
 
     def __init__(self, vectors: dict[tuple, Vector],
                  codec_eval: bool = True):
@@ -116,19 +114,12 @@ class VectorCache:
 
 
 class EvalContext:
-    """Evaluation state for one query (or one repository query).
+    """Evaluation state for one query (or one repository query)."""
 
-    ``strict_passes`` arms the once-per-plan-operation assertion; the
-    per-combo baseline evaluates with it off (it violates the invariant by
-    construction — that is the regression the batched executor fixes).
-    """
-
-    def __init__(self, docs=(), strict_passes: bool = True,
-                 codec_eval: bool = True):
+    def __init__(self, docs=(), codec_eval: bool = True):
         self.docs: list = list(docs)
-        self.strict_passes = strict_passes
         #: evaluate predicates over dictionary codes where possible
-        #: (``--no-codec-eval`` clears this; results are byte-identical)
+        #: (``use_codecs=False`` clears this; results are byte-identical)
         self.codec_eval = codec_eval
         self._caches: dict[int, VectorCache] = {}
         self._passes: dict[tuple, int] = {}
@@ -151,8 +142,8 @@ class EvalContext:
         self.expire_at_checkpoint: int | None = None
 
     @classmethod
-    def for_doc(cls, vdoc, strict_passes: bool = True) -> "EvalContext":
-        return cls([vdoc], strict_passes=strict_passes)
+    def for_doc(cls, vdoc) -> "EvalContext":
+        return cls([vdoc])
 
     def add(self, vdoc) -> None:
         """Bring another document into scope (repository members join the
@@ -295,8 +286,6 @@ class EvalContext:
                 )
 
     def check_passes(self) -> None:
-        if not self.strict_passes:
-            return
         over = [k for k, v in self._passes.items() if v > 1]
         if over:
             detail = ", ".join(

@@ -11,12 +11,9 @@ inside an :class:`~repro.core.context.EvalContext` guard:
   scanned at most once ("each data vector is scanned at most once"),
   logically and against physical page I/O, with zero leaked pins
   pool-wide;
-* XQ runs the reduction plan *batched* by default — one plan execution
-  over the whole concrete-path combo table — and the context additionally
-  asserts at most one full-column sweep per plan operation per vector.
-  ``batched=False`` selects the per-combo baseline executor (benchmarks
-  only; the sweep assertion is disarmed because the baseline violates it
-  by construction).
+* XQ runs the reduction plan once over the whole concrete-path combo
+  table, and the context additionally asserts at most one full-column
+  sweep per plan operation per vector.
 
 ``mode="naive"`` is the baseline the paper argues against: reconstruct the
 full document tree (linear in |T|, counted by the decompression hook), then
@@ -70,10 +67,10 @@ def eval_query(vdoc: VectorizedDocument, query: str | Path, mode: str = "vx",
                ctx: EvalContext | None = None, use_codecs: bool = True):
     """Evaluate ``query`` (an XPath string or parsed :class:`Path`).
 
-    ``use_codecs=False`` (the ``--no-codec-eval`` escape hatch) forbids
-    code-space predicate evaluation over dictionary-coded vectors —
-    every predicate then runs over the decoded string column, with
-    byte-identical results."""
+    ``use_codecs=False`` forbids code-space predicate evaluation over
+    dictionary-coded vectors — every predicate then runs over the
+    decoded string column, with byte-identical results (the reference
+    side of the codec differential tests)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     path = query if isinstance(query, Path) else parse_xpath(query)
@@ -126,22 +123,22 @@ class XQVXResult:
 
 
 def eval_xq(vdoc: VectorizedDocument, query: str | XQuery, mode: str = "vx",
-            batched: bool = True, ctx: EvalContext | None = None,
+            ctx: EvalContext | None = None,
             use_indexes: bool = True, use_codecs: bool = True):
     """Evaluate an XQ query (string or parsed :class:`XQuery`).
 
     ``vx`` compiles to (Gq, Gr), plans, reduces over extended vectors and
     constructs the result — all inside the context guard (no
-    decompression, scan-at-most-once, zero leaked pins; batched mode adds
-    the one-sweep-per-plan-operation assertion).  ``naive`` reconstructs
-    the tree and runs the nested-loop reference evaluator.
+    decompression, scan-at-most-once, one sweep per plan operation, zero
+    leaked pins).  ``naive`` reconstructs the tree and runs the
+    nested-loop reference evaluator.
 
     ``use_indexes=False`` forbids index probes (the planner prices every
     op as a scan) — the measured baseline of the indexed benchmark regime
     and the reference side of the indexed-vs-scan identity tests.
     ``use_codecs=False`` likewise forbids code-space evaluation over
-    dictionary-coded vectors (the ``--no-codec-eval`` escape hatch);
-    results are byte-identical with any combination.
+    dictionary-coded vectors; results are byte-identical with any
+    combination.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -154,13 +151,11 @@ def eval_xq(vdoc: VectorizedDocument, query: str | XQuery, mode: str = "vx",
         return XQTreeResult(out)
 
     if ctx is None:
-        ctx = EvalContext.for_doc(vdoc, strict_passes=batched)
-    else:
-        ctx.strict_passes = batched
+        ctx = EvalContext.for_doc(vdoc)
     ctx.codec_eval = use_codecs
     with ctx.guard(vdoc):
         plan = plan_query(gq, vdoc, use_indexes=use_indexes,
                           use_codecs=use_codecs)
-        table = reduce_query(vdoc, gq, plan, ctx, batched=batched)
+        table = reduce_query(vdoc, gq, plan, ctx)
         out = build_result(vdoc, gr, table, ctx)
     return XQVXResult(out, plan, table)

@@ -18,17 +18,14 @@ planner's operations reduce ``Gq`` edge by edge:
 Variables range over *concrete* label paths, so a query with wildcard or
 descendant bindings is a union over concrete-path *combos* — one per
 assignment of variables to dataguide paths, exactly the paper's expansion
-of ``//`` against the skeleton.  The default executor is **batched**: the
-plan runs *once* over the union table, with a per-row combo-id column
-(``cid``) and one concrete path per (variable, combo).  Each operation
-partitions its rows by the distinct concrete paths involved — not by
-combo — so every full-column kernel (predicate mask, prefix sum) runs at
-most once per plan operation per vector no matter how many combos the
-dataguide yields; the :class:`~repro.core.context.EvalContext` counts
-those sweeps and the engine asserts the bound.  The pre-existing
-combo-at-a-time executor is kept as ``batched=False`` — it re-sweeps per
-combo and exists as the measured baseline of the batched benchmark
-regime.
+of ``//`` against the skeleton.  Execution is **batched**: the plan runs
+*once* over the union table, with a per-row combo-id column (``cid``) and
+one concrete path per (variable, combo).  Each operation partitions its
+rows by the distinct concrete paths involved — not by combo — so every
+full-column kernel (predicate mask, prefix sum) runs at most once per
+plan operation per vector no matter how many combos the dataguide
+yields; the :class:`~repro.core.context.EvalContext` counts those sweeps
+and the engine asserts the bound.
 
 Each touched vector is loaded through the context's per-document cache
 (scanned at most once for the whole query) and the skeleton is never
@@ -126,7 +123,7 @@ def _combo_groups(cid: np.ndarray, assigns: list[dict], key):
     """Partition row indices by ``key(assign)`` of their combo.
 
     Yields ``(rows, representative assignment)`` per distinct key with at
-    least one surviving row — the batched executor's unit of kernel work
+    least one surviving row — the reducer's unit of kernel work
     (distinct concrete paths, *not* combos)."""
     by: dict = {}
     for ci, a in enumerate(assigns):
@@ -143,22 +140,21 @@ def _combo_groups(cid: np.ndarray, assigns: list[dict], key):
             yield rows, rep
 
 
-def _existential_keep(mask: np.ndarray, starts: np.ndarray,
-                      lengths: np.ndarray) -> np.ndarray:
-    """Per-row ∃: does any ordinal in ``[start, start+length)`` satisfy
-    ``mask``?  One prefix sum, no per-row loop."""
-    cum = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
-    return cum[starts + lengths] > cum[starts]
+class _Reducer:
+    """One plan execution over the whole combo table.
 
-
-class _SideResolver:
-    """Shared operand resolution for both executors."""
+    Rows carry a combo id; every operation groups rows by the distinct
+    concrete path(s) it touches.  Full-column sweeps (mask + prefix sum)
+    are keyed by (plan operation, vector path) and cached, so each data
+    vector is swept at most once per plan operation across all combos —
+    the invariant ``EvalContext.check_passes`` asserts."""
 
     def __init__(self, vdoc, ctx: EvalContext):
         self.vdoc = vdoc
         self.catalog = vdoc.catalog
         self.ctx = ctx
         self.cache = ctx.cache(vdoc)
+        self._cums: dict[tuple, np.ndarray] = {}
 
     def _side(self, cpath: tuple, col: np.ndarray, rel: tuple):
         """Resolve one comparison operand to per-row contiguous ranges in
@@ -211,20 +207,6 @@ class _SideResolver:
         r1, g1 = side(parts1)
         r2, g2 = side(parts2)
         return r1, g1, r2, g2, max(m, 1)
-
-
-class _BatchReducer(_SideResolver):
-    """One plan execution over the whole combo table.
-
-    Rows carry a combo id; every operation groups rows by the distinct
-    concrete path(s) it touches.  Full-column sweeps (mask + prefix sum)
-    are keyed by (plan operation, vector path) and cached, so each data
-    vector is swept at most once per plan operation across all combos —
-    the invariant ``EvalContext.check_passes`` asserts."""
-
-    def __init__(self, vdoc, ctx: EvalContext):
-        super().__init__(vdoc, ctx)
-        self._cums: dict[tuple, np.ndarray] = {}
 
     def _cum_mask(self, op_idx: int, qpath: tuple, op: str,
                   value: str) -> np.ndarray:
@@ -378,7 +360,7 @@ class _BatchReducer(_SideResolver):
 
     # -- the one plan execution --------------------------------------------
 
-    def run(self, plan: Plan, gq: QueryGraph, assigns: list[dict]):
+    def run(self, plan: Plan, assigns: list[dict]):
         cid = np.arange(len(assigns), dtype=np.int64)
         cols: dict[str, np.ndarray] = {}
         for op_idx, op in enumerate(plan.ops):
@@ -398,154 +380,6 @@ class _BatchReducer(_SideResolver):
                 cid = cid[keep]
                 cols = {v: c[keep] for v, c in cols.items()}
         return cid, cols
-
-
-class _ComboReducer(_SideResolver):
-    """The pre-batching executor: re-run the plan once per combo.
-
-    Kept as the measured baseline — its full-column prefix sums repeat per
-    combo (the pass counters show > 1 sweep per operation), which is the
-    regression batching removes; the engine only arms the strict pass
-    assertion in batched mode."""
-
-    def __init__(self, vdoc, ctx: EvalContext):
-        super().__init__(vdoc, ctx)
-        self._masks: dict[tuple, np.ndarray] = {}
-
-    def _mask(self, qpath: tuple, op: str, value: str) -> np.ndarray:
-        key = (qpath, op, value)
-        m = self._masks.get(key)
-        if m is None:
-            m = pred_mask(self.cache, qpath, op, value)
-            self._masks[key] = m
-        return m
-
-    def select_keep(self, op_idx: int, sel: ConstEdge, cpath: tuple,
-                    col: np.ndarray,
-                    access: str = "scan") -> np.ndarray:
-        side = self._side(cpath, col, sel.rel)
-        if side is None:
-            return np.zeros(len(col), dtype=bool)
-        qpath, starts, lengths = side
-        vi = self._vindex(qpath, access)
-        if vi is not None:
-            return vindex_select_keep(vi, sel.op, sel.value, starts,
-                                      lengths)
-        # one full prefix-sum sweep *per combo* — the cost being benchmarked
-        self.ctx.note_pass(self.vdoc, (op_idx, qpath))
-        return _existential_keep(self._mask(qpath, sel.op, sel.value),
-                                 starts, lengths)
-
-    def join_keep(self, join: EqEdge, n: int, side1, side2,
-                  access: str = "scan") -> np.ndarray:
-        if side1 is None or side2 is None:
-            return np.zeros(n, dtype=bool)
-        q1, s1, l1 = side1
-        q2, s2, l2 = side2
-        cache = self.cache
-        op = join.op
-        if op in ("=", "!="):
-            parts1 = [(np.repeat(np.arange(n, dtype=np.int64), l1), q1,
-                       ranges_to_ordinals(s1, l1))]
-            parts2 = [(np.repeat(np.arange(n, dtype=np.int64), l2), q2,
-                       ranges_to_ordinals(s2, l2))]
-            coded = self._index_join_codes(parts1, parts2, access)
-            if coded is not None:
-                r1, g1, r2, g2, m = coded
-                k1 = r1 * m + g1
-                k2 = r2 * m + g2
-                if op == "=":
-                    keep = np.zeros(n, dtype=bool)
-                    keep[np.intersect1d(k1, k2) // m] = True
-                    return keep
-                distinct = np.bincount(
-                    np.unique(np.concatenate([k1, k2])) // m, minlength=n)
-                return (l1 > 0) & (l2 > 0) & (distinct >= 2)
-            c1, c2 = cache.column(q1), cache.column(q2)
-            if np.all(l1 == 1) and np.all(l2 == 1):
-                # singleton sets on both sides: direct elementwise compare
-                return c1[s1] == c2[s2] if op == "=" else c1[s1] != c2[s2]
-            o1, o2 = ranges_to_ordinals(s1, l1), ranges_to_ordinals(s2, l2)
-            r1 = np.repeat(np.arange(n, dtype=np.int64), l1)
-            r2 = np.repeat(np.arange(n, dtype=np.int64), l2)
-            v1, v2 = c1[o1], c2[o2]
-            uniq, codes = np.unique(np.concatenate([v1, v2]),
-                                    return_inverse=True)
-            m = max(len(uniq), 1)
-            k1 = r1 * m + codes[: len(v1)]
-            k2 = r2 * m + codes[len(v1):]
-            if op == "=":
-                keep = np.zeros(n, dtype=bool)
-                keep[np.intersect1d(k1, k2) // m] = True
-                return keep
-            # ∃ a≠b  ⟺  both sides non-empty and the union holds ≥2 values
-            distinct = np.bincount(
-                np.unique(np.concatenate([k1, k2])) // m, minlength=n)
-            return (l1 > 0) & (l2 > 0) & (distinct >= 2)
-
-        # ordering operators: existential reduces to min/max of the numeric
-        # values per row (fmin/fmax skip NaN = non-numeric text)
-        f1, f2 = cache.floats(q1), cache.floats(q2)
-        o1, o2 = ranges_to_ordinals(s1, l1), ranges_to_ordinals(s2, l2)
-        r1 = np.repeat(np.arange(n, dtype=np.int64), l1)
-        r2 = np.repeat(np.arange(n, dtype=np.int64), l2)
-        v1, v2 = f1[o1], f2[o2]
-        num1 = np.bincount(r1[~np.isnan(v1)], minlength=n) > 0
-        num2 = np.bincount(r2[~np.isnan(v2)], minlength=n) > 0
-        if op in ("<", "<="):
-            a1 = np.full(n, np.inf)
-            np.fmin.at(a1, r1, v1)       # min over side 1
-            a2 = np.full(n, -np.inf)
-            np.fmax.at(a2, r2, v2)       # max over side 2
-            keep = a1 < a2 if op == "<" else a1 <= a2
-        else:
-            a1 = np.full(n, -np.inf)
-            np.fmax.at(a1, r1, v1)       # max over side 1
-            a2 = np.full(n, np.inf)
-            np.fmin.at(a2, r2, v2)       # min over side 2
-            keep = a1 > a2 if op == ">" else a1 >= a2
-        return keep & num1 & num2
-
-    def run_combo(self, plan: Plan, gq: QueryGraph, assign: dict):
-        catalog = self.catalog
-        cols: dict[str, np.ndarray] = {}
-        n = 1
-        for op_idx, op in enumerate(plan.ops):
-            if n == 0:
-                return None
-            self.ctx.checkpoint()   # per combo *and* per op: the baseline
-            edge = op.payload       # executor's loops nest both ways
-            if op.kind == "instantiate":
-                cpath, ids = assign[edge.var]
-                if edge.parent is None:
-                    m = len(ids)
-                    cols = {v: np.repeat(c, m) for v, c in cols.items()}
-                    cols[edge.var] = np.tile(ids, n)
-                    n *= m
-                else:
-                    pcp = assign[edge.parent][0]
-                    starts, lengths = catalog.extension_ranges(
-                        pcp, cols[edge.parent], cpath[len(pcp):])
-                    cols = {v: np.repeat(c, lengths)
-                            for v, c in cols.items()}
-                    cols[edge.var] = ranges_to_ordinals(starts, lengths)
-                    n = len(cols[edge.var])
-            elif op.kind == "select":
-                keep = self.select_keep(op_idx, edge, assign[edge.var][0],
-                                        cols[edge.var], op.access)
-                cols = {v: c[keep] for v, c in cols.items()}
-                n = len(cols[edge.var])
-            else:
-                side1 = self._side(assign[edge.var1][0], cols[edge.var1],
-                                   edge.rel1)
-                side2 = self._side(assign[edge.var2][0], cols[edge.var2],
-                                   edge.rel2)
-                keep = self.join_keep(edge, n, side1, side2, op.access)
-                cols = {v: c[keep] for v, c in cols.items()}
-                n = len(cols[edge.var1])
-        if n == 0:
-            return None
-        return {v: assign[v][0] for v in gq.variables}, cols, n
 
 
 def _order_table(vdoc, gq: QueryGraph,
@@ -573,31 +407,20 @@ def _order_table(vdoc, gq: QueryGraph,
 
 
 def reduce_query(vdoc, gq: QueryGraph, plan: Plan,
-                 ctx: EvalContext | None = None,
-                 batched: bool = True) -> ReducedTable:
+                 ctx: EvalContext | None = None) -> ReducedTable:
     """Reduce ``Gq`` to its binding-tuple table, globally ordered."""
     if ctx is None:
-        ctx = EvalContext.for_doc(vdoc, strict_passes=batched)
+        ctx = EvalContext.for_doc(vdoc)
     assigns = _enumerate_combos(gq, vdoc, ctx, plan)
-
-    if batched:
-        cid, cols = _BatchReducer(vdoc, ctx).run(plan, gq, assigns)
-        raw = []
-        for ci in range(len(assigns)):
-            ctx.checkpoint()
-            rows = np.flatnonzero(cid == ci)
-            if len(rows) == 0:
-                continue
-            a = assigns[ci]
-            raw.append(({v: a[v][0] for v in gq.variables},
-                        {v: cols[v][rows] for v in gq.variables},
-                        len(rows)))
-        return _order_table(vdoc, gq, raw)
-
-    reducer = _ComboReducer(vdoc, ctx)
+    cid, cols = _Reducer(vdoc, ctx).run(plan, assigns)
     raw = []
-    for assign in assigns:
-        combo = reducer.run_combo(plan, gq, assign)
-        if combo is not None:
-            raw.append(combo)
+    for ci in range(len(assigns)):
+        ctx.checkpoint()
+        rows = np.flatnonzero(cid == ci)
+        if len(rows) == 0:
+            continue
+        a = assigns[ci]
+        raw.append(({v: a[v][0] for v in gq.variables},
+                    {v: cols[v][rows] for v in gq.variables},
+                    len(rows)))
     return _order_table(vdoc, gq, raw)

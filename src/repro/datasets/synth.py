@@ -19,23 +19,18 @@ _EDUCATION = ("High School", "College", "Graduate School")
 _INTERESTS = ("auctions", "astronomy", "databases", "music", "hiking")
 
 
-def xmark_like_xml(n_people: int, seed: int = 0,
-                   regions: tuple[str, ...] = _REGIONS) -> str:
+def xmark_like_xml(n_people: int, seed: int = 0) -> str:
     """An auction-site document with ``n_people`` people, a proportional
-    number of items and closed auctions (~13 nodes per person overall).
-
-    ``regions`` controls how many distinct region labels the items are
-    spread over — each label is a distinct concrete path in the dataguide,
-    so more regions means more path combos for a ``//item`` variable."""
+    number of items and closed auctions (~13 nodes per person overall)."""
     rng = random.Random(seed)
     n_items = max(1, n_people // 2)
     n_auctions = max(1, n_people // 4)
     out: list[str] = ["<site>"]
 
     out.append("<regions>")
-    for r, region in enumerate(regions):
+    for r, region in enumerate(_REGIONS):
         out.append(f"<{region}>")
-        for i in range(r, n_items, len(regions)):
+        for i in range(r, n_items, len(_REGIONS)):
             location = _LOCATIONS[rng.randrange(len(_LOCATIONS))]
             quantity = rng.randint(1, 9)
             out.append(
@@ -89,13 +84,3 @@ def xmark_like_xml(n_people: int, seed: int = 0,
     out.append("</site>")
     return "".join(out)
 
-
-def manypath_xml(n_people: int, n_regions: int = 16, seed: int = 0) -> str:
-    """A structurally wide document: items spread over ``n_regions``
-    distinct region labels, so descendant variables (``//item``) expand to
-    ``n_regions`` concrete paths and a multi-variable query's combo table
-    multiplies accordingly.  This is the regime where batched combo
-    execution pays: shared vectors would otherwise be swept once per
-    combo."""
-    regions = tuple(f"region{r:02d}" for r in range(n_regions))
-    return xmark_like_xml(n_people, seed=seed, regions=regions)

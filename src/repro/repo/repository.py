@@ -4,7 +4,7 @@ A repository is a directory::
 
     myrepo/
       repo.json     <- manifest + persisted path catalog
-      a.vdoc        <- member documents (format v2 page files)
+      a.vdoc        <- member documents (checksummed page files)
       b.vdoc
 
 ``repo.json`` carries the manifest — format tag, collection name, members
@@ -66,7 +66,7 @@ import tempfile
 import threading
 
 from ..core.context import EvalContext
-from ..core.engine import XQVXResult, eval_query, eval_xq
+from ..core.engine import eval_query, eval_xq
 from ..core.planner import match_estimate, member_can_match
 from ..core.qgraph import compile_query
 from ..core.vdoc import VectorizedDocument
@@ -533,22 +533,21 @@ class Repository:
 
     # -- queries -----------------------------------------------------------
 
-    def _cache_key(self, name: str, kind: str, qtext: str,
-                   flags: tuple) -> tuple | None:
+    def _cache_key(self, name: str, tail: tuple) -> tuple | None:
         """The result-cache key of ``(member, query)`` — ``None`` when the
         member file cannot be stat'ed.  Keyed on the file's identity
-        (name, mtime_ns, size), the *normalized* query text (whitespace
-        around the query carries no meaning; whitespace inside it may —
-        string literals — so normalization is ``strip()`` only) and the
-        evaluation flags, so any change to the underlying file or to how
-        the query is evaluated changes the key."""
+        (name, mtime_ns, size) plus ``tail``: the query kind, the
+        *normalized* query text (whitespace around the query carries no
+        meaning; whitespace inside it may — string literals — so
+        normalization is ``strip()`` only) and the evaluation flags, so
+        any change to the underlying file or to how the query is
+        evaluated changes the key."""
         entry = self._entry(name)
         try:
             st = os.stat(os.path.join(self.dirpath, entry["file"]))
         except OSError:
             return None
-        return (entry["file"], st.st_mtime_ns, st.st_size,
-                kind, qtext, *flags)
+        return (entry["file"], st.st_mtime_ns, st.st_size, *tail)
 
     def _memoized(self, key: tuple | None, compute):
         """Planning memo lookup: pure manifest math keyed by query text
@@ -581,9 +580,49 @@ class Repository:
         survivors.sort()
         return [name for _, _, name in survivors], pruned
 
-    def xq(self, query: str | XQuery, batched: bool = True,
-           prune: bool = True, use_indexes: bool = True,
-           use_codecs: bool = True, deadline: float | None = None,
+    def _each_member(self, names, skipped: list, key_tail: tuple | None,
+                     evaluate, pack):
+        """The one member loop under :meth:`xq` and :meth:`xpath`: yields
+        ``(name, result)`` for each of ``names``, in order.  Quarantined
+        members are counted and appended to ``skipped`` instead.  With
+        the result cache on and a ``key_tail`` (``None`` when the query
+        has no stable text), a hit is yielded without opening the member
+        and a miss stores ``pack(result)`` — ``(stand-in, bytes)``.  A
+        :class:`StorageError` from the open or from ``evaluate(vdoc)``
+        quarantines the member and propagates, naming it."""
+        cache = self.result_cache if key_tail is not None else None
+        for name in names:
+            if self.quarantine.is_quarantined(name):
+                self.quarantine.note_skip()
+                skipped.append(name)
+                continue
+            key = None
+            if cache is not None:
+                key = self._cache_key(name, key_tail)
+                if key is None:
+                    cache.note_uncacheable()
+                else:
+                    hit = cache.get(key)
+                    if hit is not None:
+                        yield name, hit
+                        continue
+            try:
+                vdoc = self.member(name)
+            except StorageError as exc:
+                self._note_quarantine(name, exc)
+                raise
+            try:
+                res = evaluate(vdoc)
+            except StorageError as exc:
+                self._note_quarantine(name, exc)
+                raise StorageError(f"member {name!r}: {exc}") from exc
+            if key is not None:
+                cache.put(key, *pack(res))
+            yield name, res
+
+    def xq(self, query: str | XQuery, prune: bool = True,
+           use_indexes: bool = True, use_codecs: bool = True,
+           deadline: float | None = None,
            ctx: EvalContext | None = None) -> RepoXQResult:
         """Evaluate an XQ query over every member, in member order.
 
@@ -594,14 +633,12 @@ class Repository:
         tuples, so results are exactly the concatenation of per-member
         evaluations, interleaved in (member, document-order) order.
 
-        ``prune=True`` (default) skips members whose cataloged paths prove
-        them empty for this query — zero page I/O for skipped members —
-        and evaluates survivors most-selective-first; the returned results
-        are reassembled in manifest order either way, so output is
-        byte-identical with pruning on or off.  ``use_codecs=False``
-        forbids code-space predicate evaluation over dictionary-coded
-        vectors (the ``--no-codec-eval`` escape hatch) — also
-        byte-identical.
+        Members whose cataloged paths prove them empty for this query are
+        skipped with zero page I/O, and survivors are evaluated
+        most-selective-first; results are reassembled in manifest order.
+        ``prune=False``, ``use_indexes=False`` and ``use_codecs=False``
+        are the byte-identical reference paths of the differential tests
+        (no pruning / no index probes / no code-space predicates).
 
         ``deadline`` arms a cooperative budget (seconds) spanning *all*
         members of this query; expiry raises
@@ -620,9 +657,7 @@ class Repository:
             raise XQCompileError(
                 f"query ranges over collection {gq.collection!r} but this "
                 f"repository is {self.name!r}")
-        cache = self.result_cache
         qtext = query.strip() if isinstance(query, str) else None
-        flags = (batched, use_indexes, use_codecs)
         if prune:
             order, pruned = self._memoized(
                 ("xq-order", qtext) if qtext is not None else None,
@@ -630,41 +665,22 @@ class Repository:
         else:
             order, pruned = self.members(), []
         if ctx is None:
-            ctx = EvalContext(strict_passes=batched)
+            ctx = EvalContext()
         if deadline is not None:
             ctx.set_deadline(deadline)
-        by_name: dict[str, object] = {}
+
+        def pack(res):
+            frag = res.fragment()
+            return CachedXQMember(frag, res.n_tuples), len(frag)
+
         quarantined: list[str] = []
-        for name in order:
-            if self.quarantine.is_quarantined(name):
-                quarantined.append(name)
-                self.quarantine.note_skip()
-                continue
-            key = (self._cache_key(name, "xq", qtext, flags)
-                   if cache is not None and qtext is not None else None)
-            if key is not None:
-                hit = cache.get(key)
-                if hit is not None:
-                    by_name[name] = CachedXQMember(*hit)
-                    continue
-            elif cache is not None and qtext is not None:
-                cache.note_uncacheable()
-            try:
-                vdoc = self.member(name)
-            except StorageError as exc:
-                self._note_quarantine(name, exc)
-                raise
-            try:
-                res = eval_xq(vdoc, xq, batched=batched, ctx=ctx,
-                              use_indexes=use_indexes,
-                              use_codecs=use_codecs)
-            except StorageError as exc:
-                self._note_quarantine(name, exc)
-                raise StorageError(f"member {name!r}: {exc}") from exc
-            if key is not None:
-                frag = res.fragment()
-                cache.put(key, (frag, res.n_tuples), len(frag))
-            by_name[name] = res
+        by_name = dict(self._each_member(
+            order, quarantined,
+            None if qtext is None
+            else ("xq", qtext, use_indexes, use_codecs),
+            lambda vdoc: eval_xq(vdoc, xq, ctx=ctx, use_indexes=use_indexes,
+                                 use_codecs=use_codecs),
+            pack))
         results = [(name, by_name[name]) for name in self.members()
                    if name in by_name]
         return RepoXQResult(xq.root_tag, results, pruned,
@@ -689,7 +705,6 @@ class Repository:
         silently hiding the degradation.  ``deadline`` / ``ctx`` behave
         as in :meth:`xq`."""
         path: Path = parse_xpath(query)
-        cache = self.result_cache
         qtext = query.strip()
         if ctx is None:
             ctx = EvalContext()
@@ -701,41 +716,20 @@ class Repository:
                 m["name"] for m in self.manifest["members"]
                 if not any(_alignments(path.steps, tuple(p))
                            for p, _ in m["paths"])))
-        out: list[tuple[str, object]] = []
-        for m in self.manifest["members"]:
-            name = m["name"]
-            if self.quarantine.is_quarantined(name):
-                self.quarantine.note_skip()
-                if skipped is not None:
-                    skipped.append(name)
-                continue
-            if name in prunable:
-                out.append((name, VXResult(None, [])))
-                continue
-            key = (self._cache_key(name, "xpath", qtext, (use_codecs,))
-                   if cache is not None else None)
-            if key is not None:
-                hit = cache.get(key)
-                if hit is not None:
-                    out.append((name, CachedCount(hit)))
-                    continue
-            elif cache is not None:
-                cache.note_uncacheable()
-            try:
-                vdoc = self.member(name)
-            except StorageError as exc:
-                self._note_quarantine(name, exc)
-                raise
-            try:
-                res = eval_query(vdoc, path, ctx=ctx,
-                                 use_codecs=use_codecs)
-            except StorageError as exc:
-                self._note_quarantine(name, exc)
-                raise StorageError(f"member {name!r}: {exc}") from exc
-            if key is not None:
-                cache.put(key, res.count(), 32)
-            out.append((name, res))
-        return out
+        # a quarantined member still goes to the loop when prunable: it is
+        # skipped and reported, not answered from its manifest entry
+        names = [n for n in self.members() if n not in prunable
+                 or self.quarantine.is_quarantined(n)]
+        gone: list[str] = []
+        by_name = dict(self._each_member(
+            names, gone, ("xpath", qtext, use_codecs),
+            lambda vdoc: eval_query(vdoc, path, ctx=ctx,
+                                    use_codecs=use_codecs),
+            lambda res: (CachedCount(res.count()), 32)))
+        if skipped is not None:
+            skipped.extend(gone)
+        return [(n, by_name[n] if n in by_name else VXResult(None, []))
+                for n in self.members() if n not in gone]
 
     # -- reporting ---------------------------------------------------------
 

@@ -6,7 +6,7 @@ whole, and queries should touch the compressed form with minimal
 decoding.  Until format v4 the heap chains stored one plain UTF-8 record
 per value — this module is the pluggable layer that replaces it:
 
-* ``identity`` — one UTF-8 record per value (the v2/v3 layout; also the
+* ``identity`` — one UTF-8 record per value (the v3 layout; also the
   universal fallback, so a v4 file is never *worse* than v3);
 * ``dict``     — dictionary coding for low-cardinality vectors: the
   sorted distinct keys (the exact ``np.unique`` order the value indexes

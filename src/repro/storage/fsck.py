@@ -290,7 +290,7 @@ def verify_vdoc(path: str, deep: bool = False) -> list[Finding]:
                                      f"the skeleton chain", page=pid)
 
         # -- vectors -------------------------------------------------------
-        fmt = meta.get("format", 2)
+        fmt = meta["format"]
         #: deep-decoded columns, reused by the index staleness check
         vcolumns: dict[tuple, object] = {}
         for entry in meta["vectors"]:

@@ -66,11 +66,11 @@ from .pages import DEFAULT_PAGE_SIZE
 #: per value; the catalog entry gains ``codec``/``lbytes``/``pbytes``).
 #: v3 = v2 + optional per-vector value-index segments (two extra heap
 #: chains per indexed vector, announced by an ``"index"`` object on the
-#: vector's catalog entry).  v2 and v3 files still open and query
-#: unchanged; ``save_vdoc(..., fmt=3)`` still writes the v3 layout.
+#: vector's catalog entry).  v3 files still open and query unchanged,
+#: and ``save_vdoc(..., fmt=3)`` still writes the v3 layout; a v2
+#: catalog (no writer since the index layer) is rejected as unsupported.
 VDOC_FORMAT = 4
-VDOC_FORMATS = (2, 3, 4)
-WRITABLE_FORMATS = (3, 4)
+VDOC_FORMATS = (3, 4)
 
 _RUN = struct.Struct("<qq")
 
@@ -429,10 +429,10 @@ def _resolve_index_paths(vdoc: VectorizedDocument, index_paths) -> set:
 def _write_vdoc(vdoc: VectorizedDocument, file: PageFile,
                 index_paths=None, fmt: int = VDOC_FORMAT) -> dict:
     """Write the heaps + catalog into ``file`` and return the meta dict."""
-    if fmt not in WRITABLE_FORMATS:
+    if fmt not in VDOC_FORMATS:
         raise StorageError(
             f"cannot write vdoc format {fmt!r} "
-            f"(writable: {', '.join(map(str, WRITABLE_FORMATS))})")
+            f"(writable: {', '.join(map(str, VDOC_FORMATS))})")
     pool = BufferPool(file, capacity=None)  # writer: keep all resident
     indexed = _resolve_index_paths(vdoc, index_paths)
     catalog = []
@@ -507,8 +507,8 @@ def save_vdoc(vdoc: VectorizedDocument, path: str,
     (``"all"`` or an iterable of vector paths) additionally builds and
     persists value-index segments for those vectors.  ``fmt=3`` writes
     the uncompressed v3 layout (one UTF-8 record per value, no codec
-    catalog fields) — the compatibility escape hatch and the baseline
-    the compression benchmarks compare against.
+    catalog fields) — the uncompressed twin the compression benchmarks
+    and the v3-vs-v4 differential tests compare against.
 
     The document is written to a temp file in the same directory, fsynced,
     then renamed over ``path`` (``os.replace``) with a directory fsync —
@@ -626,9 +626,6 @@ def _check_catalog(meta, path: str, n_pages: int) -> None:
         ix = entry.get("index")
         if ix is None:
             continue
-        if fmt == 2:
-            raise CorruptDataError(
-                f"{path}: v2 catalog carries an index entry for {name}")
         if not isinstance(ix, dict):
             raise CorruptDataError(
                 f"{path}: index entry of {name} is not an object")

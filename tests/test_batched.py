@@ -3,9 +3,10 @@
 The invariant under test — each data vector is swept at most once per plan
 *operation* regardless of how many concrete-path combos the dataguide
 yields — is machine-asserted by ``EvalContext.check_passes``; these tests
-exercise both sides of it: the batched executor satisfies it, the
-per-combo baseline measurably violates it, and the assertion itself has
-teeth."""
+exercise both sides of it: the executor satisfies it, and the assertion
+itself has teeth and cannot be disarmed."""
+
+import inspect
 
 import pytest
 
@@ -16,8 +17,8 @@ from repro.datasets.synth import xmark_like_xml
 from repro.errors import EngineInvariantError
 
 # //item expands to one concrete path per region (4 combos for $i); the
-# selection on $p's age vector is shared by every combo, so the per-combo
-# baseline sweeps it once per combo where batched sweeps it once total.
+# selection on $p's age vector is shared by every combo and must still
+# be swept once in total.
 MULTI_COMBO_XQ = (
     "for $i in /site//item, $p in /site/people/person "
     "where $i/quantity > '5' and $p/profile/age > '60' "
@@ -35,42 +36,22 @@ def vdoc():
     return VectorizedDocument.from_xml(xmark_like_xml(20, seed=3))
 
 
-def test_batched_matches_per_combo_and_naive(vdoc):
+def test_batched_matches_naive(vdoc):
     for q in (MULTI_COMBO_XQ, JOIN_XQ):
-        batched = eval_xq(vdoc, q, batched=True)
-        per_combo = eval_xq(vdoc, q, batched=False)
+        batched = eval_xq(vdoc, q)
         naive = eval_xq(vdoc, q, mode="naive")
-        assert batched.to_xml() == per_combo.to_xml() == naive.to_xml()
-        assert batched.n_tuples == per_combo.n_tuples > 0
+        assert batched.to_xml() == naive.to_xml()
+        assert batched.n_tuples > 0
 
 
 def test_batched_one_sweep_per_operation(vdoc):
     """Machine assertion of the acceptance bar: across all combos, batched
     execution sweeps every data vector at most once per plan operation
-    (and the run completes with ``strict_passes`` armed)."""
+    (and the run completes under the unconditional assertion)."""
     ctx = EvalContext()
-    eval_xq(vdoc, MULTI_COMBO_XQ, batched=True, ctx=ctx)
+    eval_xq(vdoc, MULTI_COMBO_XQ, ctx=ctx)
     counts = ctx.pass_counts()
     assert counts and all(v == 1 for v in counts.values())
-
-
-def test_per_combo_baseline_violates_the_invariant(vdoc):
-    """The regression the batched executor removes: the per-combo baseline
-    sweeps shared vectors once per combo.  //item yields 4 concrete paths,
-    so the age selection runs once per combo surviving to it (>1) over the
-    very same vector."""
-    ctx = EvalContext(strict_passes=False)
-    eval_xq(vdoc, MULTI_COMBO_XQ, batched=False, ctx=ctx)
-    counts = ctx.pass_counts()
-    age = [(k, v) for k, v in counts.items()
-           if k[-1] == ("site", "people", "person", "profile", "age", "#")]
-    assert age and all(v > 1 for _, v in age)
-    assert max(counts.values()) > 1
-    # the recorded counts are exactly what the armed assertion refuses
-    # (the engine disarms it for the baseline — that is the measured gap)
-    ctx.strict_passes = True
-    with pytest.raises(EngineInvariantError, match="more than once per"):
-        ctx.check_passes()
 
 
 def test_check_passes_has_teeth(vdoc):
@@ -81,18 +62,20 @@ def test_check_passes_has_teeth(vdoc):
     ctx.note_pass(vdoc, key)
     with pytest.raises(EngineInvariantError, match="person/name"):
         ctx.check_passes()
-    # disarmed contexts count but do not raise
-    ctx.strict_passes = False
-    ctx.check_passes()
+    # the paper states the invariant without exceptions: the context has
+    # nothing but documents and the codec switch to configure
+    assert list(inspect.signature(EvalContext).parameters) == \
+        ["docs", "codec_eval"]
+    assert list(inspect.signature(EvalContext.for_doc).parameters) == ["vdoc"]
 
 
 def test_begin_opens_a_fresh_window(vdoc):
     """Consecutive queries through one context (the repository pattern)
     must not see each other's pass counts or cached columns."""
     ctx = EvalContext()
-    eval_xq(vdoc, MULTI_COMBO_XQ, batched=True, ctx=ctx)
+    eval_xq(vdoc, MULTI_COMBO_XQ, ctx=ctx)
     first = ctx.pass_counts()
-    eval_xq(vdoc, MULTI_COMBO_XQ, batched=True, ctx=ctx)
+    eval_xq(vdoc, MULTI_COMBO_XQ, ctx=ctx)
     assert ctx.pass_counts() == first  # reset, not accumulated
 
 

@@ -1,4 +1,7 @@
+import pytest
+
 from repro.cli import main
+from repro.core.vdoc import VectorizedDocument
 
 
 def _gen(tmp_path, n=20):
@@ -44,6 +47,25 @@ def test_cli_reports_errors(tmp_path, capsys):
 
     g = _gen(tmp_path, 5)
     assert main(["query", str(g), "not-an-xpath"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["repo", "query", "d", "q", "--per-combo"],
+    ["repo", "query", "d", "q", "--no-prune"],
+    ["repo", "query", "d", "q", "--no-index"],
+    ["repo", "query", "d", "q", "--no-codec-eval"],
+    ["query", "f", "q", "--no-index"],
+    ["query", "f", "q", "--no-codec-eval"],
+    ["save", "f", "out", "--format", "3"],
+])
+def test_cli_removed_escape_hatches_are_unknown_options(argv, capsys):
+    """The byte-identical alternate paths are library kwargs for the
+    differential tests now, not user features: argparse rejects each
+    former flag (exit 2) before any file is touched."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_rejects_inapplicable_flags(tmp_path, capsys):
@@ -161,10 +183,6 @@ def test_cli_repo_query_collection(tmp_path, capsys):
     assert "pool_pages_read=" in err and "pinned=0" in err
     assert "m0.pages_read=" in err and "m1.pages_read=" in err
 
-    # per-combo baseline produces the same bytes through the CLI too
-    assert main(["repo", "query", d, q, "--per-combo"]) == 0
-    assert capsys.readouterr().out == captured.out
-
     # XPath over a repository: per-member counts
     assert main(["repo", "query", d, "/site/people/person"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -231,11 +249,9 @@ def test_cli_save_format_and_index_ls_compression(tmp_path, capsys):
     assert "format           4" in out
     assert "compression_ratio" in out and "codecs" in out
 
-    assert main(["save", str(f), v3, "--page-size", "512",
-                 "--format", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "format           3" in out
-    assert "compression_ratio" not in out
+    # the uncompressed v3 twin is a library-only fixture (fmt=3)
+    VectorizedDocument.from_xml(f.read_text("utf-8")).save(
+        v3, page_size=512, fmt=3)
 
     # index ls prints per-vector codec + logical/on-disk bytes from the
     # catalog alone, before any index exists
@@ -252,8 +268,6 @@ def test_cli_save_format_and_index_ls_compression(tmp_path, capsys):
     out4 = capsys.readouterr().out
     assert main(["query", v3, q, "--pool", "8"]) == 0
     assert capsys.readouterr().out == out4
-    assert main(["query", v4, q, "--pool", "8", "--no-codec-eval"]) == 0
-    assert capsys.readouterr().out == out4
 
 
 def test_cli_repo_ls_compression_summary(tmp_path, capsys):
@@ -266,9 +280,3 @@ def test_cli_repo_ls_compression_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "codecs[" in out and "dict=" in out
     assert "compression: logical=" in out and "ratio=" in out
-
-    q = "for $i in /r/it where $i/cat = 'c1' return <o>{$i/id}</o>"
-    assert main(["repo", "query", d, q]) == 0
-    base = capsys.readouterr().out
-    assert main(["repo", "query", d, q, "--no-codec-eval"]) == 0
-    assert capsys.readouterr().out == base

@@ -1,7 +1,7 @@
 """Compressed (format v4) vector storage, end to end: byte-identical
 query results across memory / v3 / v4 under tiny buffer pools, the
 zero-decode machine assertion for code-space predicate evaluation, the
-planner's ``dict`` access path and its ``--no-codec-eval`` escape hatch,
+planner's ``dict`` access path and its ``use_codecs=False`` reference,
 compression accounting in IOStats and the catalog, the repository
 manifest summary, and a targeted corruption sweep over a codec-rich
 file (exact answer or located StorageError, never wrong bytes)."""

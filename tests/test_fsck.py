@@ -8,10 +8,12 @@ import pytest
 from repro.cli import main
 from repro.core.vdoc import VectorizedDocument
 from repro.datasets.synth import xmark_like_xml
+from repro.errors import StorageError
 from repro.storage import PageFile
 from repro.storage.disk import FILE_HEADER, _header_bytes
 from repro.storage.fsck import verify_vdoc
 from repro.storage.pages import SlottedPage, stamp_crc
+from repro.storage.vdocfile import open_vdoc
 
 PAGE_SIZE = 256
 
@@ -86,6 +88,27 @@ def test_catalog_schema_break_is_a_catalog_finding(vdoc_path):
     _patch_page(vdoc_path, meta_page, rename_key)
     findings = verify_vdoc(vdoc_path)
     assert any(f.code == "catalog" and "head page" in f.message
+               for f in findings)
+
+
+def test_format_2_catalog_is_rejected_as_unsupported(vdoc_path):
+    """Format 2 has no writer and no reader any more: a real catalog
+    re-stamped ``"format": 2`` fails with the typed error on open and is
+    a catalog finding for fsck — never a silent best-effort read."""
+    with PageFile.open(vdoc_path) as pf:
+        meta_page = pf.meta_page
+
+    def restamp(buf):
+        page = SlottedPage(buf, PAGE_SIZE)
+        off, length, _ = page.slot_entry(0)
+        frag = bytes(buf[off:off + length])
+        assert b'"format":4' in frag
+        buf[off:off + length] = frag.replace(b'"format":4', b'"format":2', 1)
+    _patch_page(vdoc_path, meta_page, restamp)
+    with pytest.raises(StorageError, match="unsupported vdoc format 2"):
+        open_vdoc(vdoc_path)
+    findings = verify_vdoc(vdoc_path)
+    assert any(f.code == "catalog" and "unsupported vdoc format 2" in f.message
                for f in findings)
 
 

@@ -14,15 +14,12 @@ if BENCHMARKS not in sys.path:
 import gate  # noqa: E402
 
 
-def _payload(sel_speedup, join_speedup, batched_speedup=3.0):
+def _payload(sel_speedup, join_speedup):
     return {
         "records": [
             {"query": "XQ1", "n_people": 100, "speedup": sel_speedup},
             {"query": "XQ3", "n_people": 100, "speedup": join_speedup},
         ],
-        "batched_regime": {"records": [
-            {"n_people": 200, "n_regions": 16, "speedup": batched_speedup},
-        ]},
         "indexed_regime": {"records": [
             {"query": "IXQ1", "n_people": 2000, "speedup": sel_speedup},
         ]},
@@ -59,8 +56,8 @@ def test_regression_beyond_tolerance_fails(tmp_path, capsys):
 def test_one_sided_collapse_fails_on_geomean(tmp_path):
     # one record collapsing 4x drags the geomean under the floor even
     # though the others are flat
-    assert _run(tmp_path, _payload(10.0, 1.0, 3.0),
-                _payload(10.0, 5.0, 3.0)) == 1
+    assert _run(tmp_path, _payload(10.0, 1.0),
+                _payload(10.0, 5.0)) == 1
 
 
 def test_tolerance_flag_loosens_the_floor(tmp_path):
@@ -74,7 +71,6 @@ def test_disjoint_records_fail_loudly(tmp_path, capsys):
     base = json.loads(json.dumps(fresh))
     for rec in base["records"]:
         rec["n_people"] = 999  # renamed sweep: no common keys
-    base["batched_regime"]["records"] = []
     base["indexed_regime"]["records"] = []
     assert _run(tmp_path, fresh, base) == 1
     assert "no common records" in capsys.readouterr().err
@@ -129,7 +125,6 @@ def test_committed_baseline_self_gates():
     # every regime must contribute at least one record
     assert any(line.lstrip().startswith("indexed") for line in lines)
     assert any(line.lstrip().startswith("reduction") for line in lines)
-    assert any(line.lstrip().startswith("batched") for line in lines)
 
 
 def _disk_payload(page_ratio=0.3, dict_decodes=0, cpu=0.1, timed=True):
@@ -190,3 +185,28 @@ def test_committed_disk_baseline_self_checks():
     committed = pathlib.Path(BENCHMARKS).parent / "BENCH_disk.json"
     payload = json.loads(committed.read_text("utf-8"))
     assert gate.disk_check(payload) == []
+
+
+def test_io_delta_recomputes_ratios_from_differenced_counters():
+    """``IOStats.as_dict()`` carries two derived ratios; a window's ratio
+    is the ratio of its counter deltas, not the difference of two ratios
+    (which published ``io_compression_ratio: -0.47``)."""
+    import types
+
+    import bench_disk
+
+    before = {"pages_read": 10, "hits": 30, "misses": 10, "hit_rate": 0.75,
+              "logical_bytes": 1000, "physical_bytes": 1000,
+              "compression_ratio": 1.0}
+    after = {"pages_read": 14, "hits": 36, "misses": 14, "hit_rate": 0.72,
+             "logical_bytes": 3000, "physical_bytes": 1500,
+             "compression_ratio": 0.5}
+    pool = types.SimpleNamespace(
+        stats=types.SimpleNamespace(as_dict=lambda: after))
+    delta = bench_disk._io_delta(pool, before)
+    assert delta["pages_read"] == 4 and delta["hits"] == 6
+    assert delta["hit_rate"] == 0.6                 # 6 / (6 + 4)
+    assert delta["compression_ratio"] == 0.25       # 500 / 2000
+    # an idle window has no ratio to report — not 0.0, not 1.0
+    idle = bench_disk._io_delta(pool, after)
+    assert idle["hit_rate"] is None and idle["compression_ratio"] is None

@@ -1,7 +1,6 @@
 """Index-aware execution: indexed and scan access produce byte-identical
-results (memory and disk, batched and per-combo), the planner stamps the
-access path it actually priced cheaper, repeated compiles yield the
-identical plan, and format-v2 files (no index segments) open unchanged."""
+results (memory and disk), the planner stamps the access path it
+actually priced cheaper, and repeated compiles yield the identical plan."""
 
 import pytest
 
@@ -11,8 +10,6 @@ from repro.core.qgraph import compile_query
 from repro.core.vdoc import VectorizedDocument
 from repro.core.xquery.parser import parse_xq
 from repro.datasets.synth import xmark_like_xml
-from repro.storage import vdocfile
-from repro.storage.fsck import verify_vdoc
 from repro.storage.vdocfile import open_vdoc, save_vdoc
 
 N_PEOPLE = 60
@@ -82,14 +79,6 @@ def test_indexed_equals_scan_on_disk(disk_path, name):
     assert ix == scan
 
 
-def test_per_combo_executor_probes_too(mem_vdoc):
-    query = QUERIES["join-plus-selection"]
-    ix = eval_xq(mem_vdoc, query, batched=False, use_indexes=True)
-    scan = eval_xq(mem_vdoc, query, batched=False, use_indexes=False)
-    assert ix.to_xml() == scan.to_xml()
-    assert any(op.access == "index" for op in ix.plan.ops)
-
-
 def test_probe_skips_the_column_on_disk(disk_path):
     """A selective probe must not materialize the indexed vector: the
     index segment is read, the name column itself is not."""
@@ -133,22 +122,3 @@ def test_use_indexes_false_never_probes(disk_path):
         res = eval_xq(doc, QUERIES["eq-join"], use_indexes=False)
         assert all(op.access == "scan" for op in res.plan.ops)
         assert not any(h.is_loaded() for h in doc._vindexes.values())
-
-
-def test_format_v2_files_open_and_query_unchanged(tmp_path, monkeypatch):
-    """A pre-index (format 2) file — no index entries, format stamp 2 —
-    still opens, queries and fscks exactly as before."""
-    vdoc = VectorizedDocument.from_xml(xmark_like_xml(12, seed=4))
-    path = str(tmp_path / "legacy.vdoc")
-    monkeypatch.setattr(vdocfile, "VDOC_FORMAT", 2)
-    save_vdoc(vdoc, path, page_size=512)
-    monkeypatch.undo()
-    assert verify_vdoc(path) == []
-    assert verify_vdoc(path, deep=True) == []
-    query = QUERIES["eq-join"]
-    want = eval_xq(vdoc, query).to_xml()
-    with open_vdoc(path, pool_pages=32) as doc:
-        assert doc._vindexes == {}
-        res = eval_xq(doc, query)
-        assert res.to_xml() == want
-        assert all(op.access == "scan" for op in res.plan.ops)

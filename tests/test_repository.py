@@ -246,8 +246,8 @@ def test_collection_query_matches_concatenated_per_doc(tmp_path):
         res2 = repo.xq(PLAIN_XQ)
         assert res2.to_xml() == expected_concat(tmp_path, PLAIN_XQ)
 
-        # batched and per-combo executors agree over the repository
-        res3 = repo.xq(COLL_XQ, batched=False)
+        # indexed and scan-only plans agree over the repository
+        res3 = repo.xq(COLL_XQ, use_indexes=False)
         assert res3.to_xml() == res.to_xml()
 
 
@@ -362,6 +362,69 @@ def test_missing_member_file(tmp_path):
     with pytest.raises(StorageError, match="member 'doc2'"):
         repo.xq(COLL_XQ)
     repo.close()
+
+
+# -- the one member loop under xq() and xpath() ------------------------------
+
+AGE_XPATH = "/site/people/person[profile/age > 40]/name"
+
+
+def _run_xq(repo):
+    res = repo.xq(PLAIN_XQ)
+    return res.to_xml(), res.quarantined
+
+
+def _run_xpath(repo):
+    skipped: list = []
+    out = repo.xpath(AGE_XPATH, skipped=skipped)
+    return [(n, r.count()) for n, r in out if n != "noise"], skipped
+
+
+@pytest.mark.parametrize("run", [_run_xq, _run_xpath])
+def test_member_loop_is_the_same_sequence_for_both_kinds(tmp_path, run):
+    """Both query kinds walk one loop: pruned (never opened) -> cache miss
+    -> cache hit -> quarantined skip -> StorageError naming the member,
+    with identical cache and quarantine counters at every step."""
+    make_repo(tmp_path).close()
+    d = str(tmp_path / "repo")
+    noise = tmp_path / "noise.xml"
+    noise.write_text(xmark_like_xml(6, seed=9).replace("site>", "store>"),
+                     encoding="utf-8")
+    with Repository.open(d) as repo:
+        repo.add(str(noise), page_size=512)
+
+    with Repository.open(d, pool_pages=16,
+                         result_cache_bytes=1 << 20) as repo:
+        cache, quarantine = repo.result_cache, repo.quarantine
+        full, skipped = run(repo)
+        assert skipped == [] and "noise" not in repo._open     # pruned
+        assert sorted(repo._open) == ["doc0", "doc1", "doc2"]
+        s = cache.stats()
+        assert (s["misses"], s["hits"], s["entries"]) == (3, 0, 3)
+
+        assert run(repo) == (full, [])                         # all hits
+        s = cache.stats()
+        assert (s["misses"], s["hits"], s["uncacheable"]) == (3, 3, 0)
+
+        quarantine.quarantine("doc1", "test")
+        degraded, skipped = run(repo)
+        assert skipped == ["doc1"] and degraded != full
+        assert quarantine.skips == 1
+        assert cache.stats()["hits"] == 5     # the skip never asked
+
+    victim = os.path.join(d, "doc2.vdoc")
+    age = ("site", "people", "person", "profile", "age", "#")
+    with open(victim, "r+b") as f:
+        f.seek(_vector_pages(victim, age)[0] * 512 + 64)
+        f.write(b"\xee" * 32)
+    with Repository.open(d, pool_pages=16,
+                         result_cache_bytes=1 << 20) as repo:
+        with pytest.raises(StorageError, match="member 'doc2'"):
+            run(repo)
+        assert repo.quarantine.active() == ["doc2"]
+        assert repo.pool.pinned_total() == 0
+        assert "doc2" not in repo._open       # retired, not served again
+        assert run(repo)[1] == ["doc2"]
 
 
 # -- io_stats surface --------------------------------------------------------

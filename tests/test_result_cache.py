@@ -12,7 +12,6 @@ from repro.repo import Repository, ResultCache
 
 XQ = ("for $p in /site/people/person where $p/profile/age > '30' "
       "return <r>{$p/name}{$p/profile/age}</r>")
-XP = "/site/people/person/name"
 
 
 # -- ResultCache unit behavior -----------------------------------------------
@@ -139,21 +138,13 @@ def test_xq_hits_are_byte_identical(tmp_path):
         assert repo.result_cache.stats()["hits"] == 6
 
 
-def test_xpath_hits_preserve_counts(tmp_path):
-    with _make_repo(tmp_path, result_cache_bytes=1 << 20) as repo:
-        cold = [(n, r.count()) for n, r in repo.xpath(XP)]
-        warm = [(n, r.count()) for n, r in repo.xpath(XP)]
-        assert warm == cold
-        assert repo.result_cache.stats()["hits"] == 3
-
-
 def test_xq_flags_key_separately(tmp_path):
-    """batched and use_indexes change how a query is evaluated, so they
-    are part of the key — a hit must never cross evaluation modes."""
+    """use_indexes and use_codecs change how a query is evaluated, so
+    they are part of the key — a hit must never cross evaluation modes."""
     with _make_repo(tmp_path, result_cache_bytes=1 << 20) as repo:
-        a = repo.xq(XQ, batched=True).to_xml()
+        a = repo.xq(XQ, use_indexes=True).to_xml()
         assert repo.result_cache.stats()["hits"] == 0
-        b = repo.xq(XQ, batched=False).to_xml()
+        b = repo.xq(XQ, use_indexes=False).to_xml()
         assert repo.result_cache.stats()["hits"] == 0  # different key
         assert a == b
 
