@@ -42,6 +42,7 @@ usage errors, not silently ignored.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -60,6 +61,20 @@ def _load(path: str, pool: int | None = None) -> VectorizedDocument:
         return VectorizedDocument.open(path, pool_pages=pool)
     with open(path, "r", encoding="utf-8") as f:
         return VectorizedDocument.from_xml(f.read())
+
+
+def _deadline_seconds(text: str) -> float:
+    """argparse ``type=`` for every ``--deadline``: positive finite
+    seconds.  NaN would never expire (``now > nan`` is always false) and
+    a non-positive budget is a usage error, not a runtime timeout."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive finite number of seconds")
+    return seconds
 
 
 def _usage_error(message: str) -> int:
@@ -224,8 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     p_query.add_argument("--plan", action="store_true",
                          help="XQ only: print the heuristic reduction plan "
                               "(per-op cost estimates and access paths)")
-    p_query.add_argument("--deadline", type=float, default=None,
-                         metavar="SEC",
+    p_query.add_argument("--deadline", type=_deadline_seconds,
+                         default=None, metavar="SEC",
                          help="cooperative deadline in seconds; an "
                               "over-budget query unwinds cleanly with a "
                               "DeadlineExceededError (vx mode only)")
@@ -319,8 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     r_query.add_argument("--io-stats", action="store_true",
                          help="print per-member and pool-wide I/O "
                               "counters on stderr, even on failure")
-    r_query.add_argument("--deadline", type=float, default=None,
-                         metavar="SEC",
+    r_query.add_argument("--deadline", type=_deadline_seconds,
+                         default=None, metavar="SEC",
                          help="cooperative deadline in seconds spanning "
                               "all members of the query")
 
@@ -352,8 +367,8 @@ def main(argv: list[str] | None = None) -> int:
                          metavar="MB",
                          help="result cache budget in MiB; 0 disables "
                               "caching (default 64)")
-    p_serve.add_argument("--deadline", type=float, default=None,
-                         metavar="SEC",
+    p_serve.add_argument("--deadline", type=_deadline_seconds,
+                         default=None, metavar="SEC",
                          help="per-request cooperative deadline in "
                               "seconds; over-budget requests get HTTP "
                               "504 (X-Deadline-Ms may tighten it per "

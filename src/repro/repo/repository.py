@@ -297,7 +297,6 @@ class Repository:
 
     @classmethod
     def open(cls, dirpath: str, pool_pages: int | None = None,
-             verify: bool = True,
              result_cache_bytes: int | None = None) -> "Repository":
         mpath = os.path.join(dirpath, MANIFEST)
         if not os.path.isfile(mpath):
@@ -311,7 +310,7 @@ class Repository:
                 f"invalid repository manifest: not JSON ({exc})") from exc
         manifest = _check_manifest(raw)
         return cls(dirpath, manifest,
-                   BufferPool(capacity=pool_pages, verify=verify),
+                   BufferPool(capacity=pool_pages),
                    result_cache_bytes=result_cache_bytes)
 
     def close(self) -> None:

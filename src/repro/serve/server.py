@@ -269,13 +269,12 @@ class QueryServer:
                  port: int = 0, pool_pages: int | None = None,
                  workers: int = DEFAULT_WORKERS,
                  max_queue: int = DEFAULT_QUEUE,
-                 queue_timeout: float = 2.0, verify: bool = True,
+                 queue_timeout: float = 2.0,
                  verbose: bool = False,
                  result_cache_mb: float = DEFAULT_RESULT_CACHE_MB,
                  deadline: float | None = None):
         cache_bytes = int(result_cache_mb * (1 << 20))
         self.repo = Repository.open(repo_dir, pool_pages=pool_pages,
-                                    verify=verify,
                                     result_cache_bytes=cache_bytes or None)
         #: server-wide per-request budget (seconds); X-Deadline-Ms may
         #: tighten it per request but never exceed it

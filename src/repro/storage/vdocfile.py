@@ -507,8 +507,8 @@ def save_vdoc(vdoc: VectorizedDocument, path: str,
     (``"all"`` or an iterable of vector paths) additionally builds and
     persists value-index segments for those vectors.  ``fmt=3`` writes
     the uncompressed v3 layout (one UTF-8 record per value, no codec
-    catalog fields) — the uncompressed twin the compression benchmarks
-    and the v3-vs-v4 differential tests compare against.
+    catalog fields) — the uncompressed twin the v3-vs-v4 differential
+    tests compare against; nothing else writes it.
 
     The document is written to a temp file in the same directory, fsynced,
     then renamed over ``path`` (``os.replace``) with a directory fsync —
@@ -648,22 +648,19 @@ def _check_catalog(meta, path: str, n_pages: int) -> None:
 
 
 def open_vdoc(path: str, pool_pages: int | None = None,
-              verify_checksums: bool = True,
               pool: BufferPool | None = None) -> DiskVectorizedDocument:
     """Open a saved vdoc with a buffer pool of ``pool_pages`` frames
     (``None`` → unbounded).  Reads the catalog and skeleton eagerly,
-    vectors lazily.  ``verify_checksums=False`` skips the per-read page
-    checksum (benchmarking the verification overhead only).
+    vectors lazily.
 
     Pass an existing ``pool`` to open the document over a *shared* buffer
     pool (the repository layer opens every member this way); the file is
     attached as a new :class:`~repro.storage.buffer.FileView` and
-    ``pool_pages``/``verify_checksums`` are ignored in favour of the
-    pool's own settings."""
+    ``pool_pages`` is ignored in favour of the pool's own capacity."""
     file = PageFile.open(path)
     try:
         if pool is None:
-            pool = BufferPool(capacity=pool_pages, verify=verify_checksums)
+            pool = BufferPool(capacity=pool_pages)
         view = pool.attach(file)
         if file.meta_page < 0:
             raise StorageError(f"{path}: page file has no vdoc catalog")

@@ -1,8 +1,6 @@
-"""Small shared helpers: numeric text parsing, timing, table formatting."""
+"""Small shared helpers: numeric text parsing, table formatting."""
 
 from __future__ import annotations
-
-import time
 
 
 def parse_float(s: str) -> float:
@@ -23,30 +21,6 @@ def parse_float(s: str) -> float:
     return float(s)
 
 
-class Timer:
-    """Context manager measuring wall-clock seconds into ``.elapsed``."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._t0
-
-
-def best_of(fn, repeat: int = 3) -> float:
-    """Run ``fn`` ``repeat`` times, return the best (minimum) wall time."""
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def fmt_table(headers: list[str], rows: list[list[str]]) -> str:
     """Render a plain-text table with right-aligned columns."""
     cols = [headers] + rows
@@ -57,11 +31,3 @@ def fmt_table(headers: list[str], rows: list[list[str]]) -> str:
         if r is headers:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def human_count(n: int) -> str:
-    if n >= 1_000_000:
-        return f"{n / 1_000_000:.1f}M"
-    if n >= 1_000:
-        return f"{n / 1_000:.1f}k"
-    return str(n)

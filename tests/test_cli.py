@@ -68,6 +68,19 @@ def test_cli_removed_escape_hatches_are_unknown_options(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", [
+    ["query", "f", "q"], ["repo", "query", "d", "q"], ["serve", "d"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "soon"])
+def test_cli_deadline_must_be_positive_finite_seconds(cmd, value, capsys):
+    """Regression: ``--deadline nan`` ran with no deadline at all (nothing
+    compares greater than NaN) and 0/-1 surfaced as a runtime timeout;
+    each is a usage error naming the flag, before any file is touched."""
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, f"--deadline={value}"])
+    assert exc.value.code == 2
+    assert "--deadline" in capsys.readouterr().err
+
+
 def test_cli_rejects_inapplicable_flags(tmp_path, capsys):
     """Regression: --values/--canonical on XQ and --plan on XPath used to
     be silently ignored; they are usage errors naming the flag."""

@@ -6,6 +6,7 @@ compression accounting in IOStats and the catalog, the repository
 manifest summary, and a targeted corruption sweep over a codec-rich
 file (exact answer or located StorageError, never wrong bytes)."""
 
+import hashlib
 import random
 import shutil
 
@@ -189,23 +190,41 @@ def test_iostats_compression_accounting(saved):
             assert key in d
 
 
-def test_v4_cold_pages_track_compression_ratio(saved):
+def _high_cardinality_xml(n=300):
+    """Distinct high-entropy values: dict and delta coding are
+    inapplicable, zlib gains little — v4's fallback edge."""
+    items = "".join(
+        f"<it><v>{hashlib.sha256(str(i).encode()).hexdigest()[:20]}</v></it>"
+        for i in range(n))
+    return f"<r><items>{items}</items></r>"
+
+
+@pytest.mark.parametrize("xml, compressible", [
+    (_xml(), True), (_high_cardinality_xml(), False)],
+    ids=["low-cardinality", "high-cardinality"])
+def test_v4_cold_pages_track_compression_ratio(tmp_path, xml, compressible):
     """The perf claim, asserted structurally: reading every vector cold
     from v4 costs fewer pages than from v3, roughly in proportion to the
-    byte-level compression ratio."""
-    v4, v3, s4, _ = saved
+    byte-level compression ratio — and where compression fails, a v4
+    file degrades to (almost) its v3 twin, never worse."""
+    doc = VectorizedDocument.from_xml(xml)
+    v4, v3 = str(tmp_path / "doc4.vdoc"), str(tmp_path / "doc3.vdoc")
+    s4 = doc.save(v4, page_size=256)
+    s3 = doc.save(v3, page_size=256, fmt=3)
 
     def cold_vector_pages(path):
         with VectorizedDocument.open(path, pool_pages=8) as disk:
-            for vec in disk.vectors.values():
-                vec.scan()
+            assert disk.to_xml() == xml         # byte-identical round trip
             return sum(v.pages_read for v in disk.vectors.values())
 
     p4, p3 = cold_vector_pages(v4), cold_vector_pages(v3)
-    assert p4 < p3
-    # paging granularity is coarse (256B pages, per-chain rounding), so
-    # allow generous slack around the exact byte ratio
-    assert p4 / p3 < s4["compression_ratio"] + 0.25
+    assert p4 <= 1.02 * p3 + 2
+    assert s4["pages"] <= 1.02 * s3["pages"] + 2
+    if compressible:
+        assert p4 < p3
+        # paging granularity is coarse (256B pages, per-chain rounding),
+        # so allow generous slack around the exact byte ratio
+        assert p4 / p3 < s4["compression_ratio"] + 0.25
 
 
 def test_fsck_deep_verifies_codec_chains(saved):
