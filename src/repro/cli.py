@@ -82,19 +82,14 @@ def _usage_error(message: str) -> int:
     return USAGE_ERROR
 
 
-def _print_io_stats(vdoc: VectorizedDocument) -> None:
-    if vdoc.pool is None:
+def _print_io_stats(source) -> None:
+    """``--io-stats`` line of a document or a repository."""
+    if source.pool is None:
         print("io: document is memory-resident (no buffer pool)",
               file=sys.stderr)
         return
-    stats = vdoc.io_stats()
-    print("io: " + "  ".join(f"{k}={v}" for k, v in stats.items()),
-          file=sys.stderr)
-
-
-def _print_repo_io_stats(repo) -> None:
-    stats = repo.io_stats()
-    print("io: " + "  ".join(f"{k}={v}" for k, v in stats.items()),
+    print("io: " + "  ".join(f"{k}={v}"
+                             for k, v in source.io_stats().items()),
           file=sys.stderr)
 
 
@@ -126,15 +121,12 @@ def _index_cmd(args) -> int:
             comp = vdoc.compression_stats()
             print("vectors:")
             for v in comp["vectors"]:
-                lb, pb = v["logical_bytes"], v["physical_bytes"]
-                size = "bytes uncataloged (pre-v4)" if lb is None \
-                    else f"logical={lb} disk={pb}"
                 print(f"  {v['path']:32} n={v['n']} "
-                      f"codec={v['codec']} {size}")
-            if comp["compression_ratio"] is not None:
-                print(f"compression: logical={comp['logical_bytes']} "
-                      f"disk={comp['physical_bytes']} "
-                      f"ratio={comp['compression_ratio']}")
+                      f"codec={v['codec']} logical={v['logical_bytes']} "
+                      f"disk={v['physical_bytes']}")
+            print(f"compression: logical={comp['logical_bytes']} "
+                  f"disk={comp['physical_bytes']} "
+                  f"ratio={comp['compression_ratio']}")
             handles = sorted(vdoc._vindexes.items())
             if not handles:
                 print(f"{args.file}: no index segments (unindexed)")
@@ -142,8 +134,7 @@ def _index_cmd(args) -> int:
                 print("indexes:")
             for vpath, h in handles:
                 print(f"  {'/'.join(vpath):32} n={len(vdoc.vectors[vpath])} "
-                      f"distinct={h.distinct} buckets={h.n_buckets} "
-                      f"pages={h.n_pages}")
+                      f"distinct={h.distinct} pages={h.n_pages}")
     return 0
 
 
@@ -167,25 +158,19 @@ def _repo_cmd(args) -> int:
             # compression facts come from the manifest (recorded at add
             # time) — zero page I/O, like the path catalog itself
             logical = physical = 0
-            cataloged = True
             for m in repo.manifest["members"]:
                 values = sum(c for p, c in m["paths"]
                              if p and p[-1] == "#")
-                line = (f"  {m['name']:20} {m['file']:24} "
-                        f"paths={len(m['paths'])} values={values}")
-                comp = m.get("compression")
-                if comp is None:
-                    cataloged = False
-                else:
-                    logical += comp["logical_bytes"]
-                    physical += comp["physical_bytes"]
-                    mix = " ".join(f"{k}={v}" for k, v
-                                   in sorted(comp["codecs"].items()))
-                    line += (f" codecs[{mix}] logical="
-                             f"{comp['logical_bytes']} disk="
-                             f"{comp['physical_bytes']}")
-                print(line)
-            if cataloged and repo.manifest["members"]:
+                comp = m["compression"]
+                logical += comp["logical_bytes"]
+                physical += comp["physical_bytes"]
+                mix = " ".join(f"{k}={v}" for k, v
+                               in sorted(comp["codecs"].items()))
+                print(f"  {m['name']:20} {m['file']:24} "
+                      f"paths={len(m['paths'])} values={values} "
+                      f"codecs[{mix}] logical={comp['logical_bytes']} "
+                      f"disk={comp['physical_bytes']}")
+            if repo.manifest["members"]:
                 ratio = round(physical / logical, 4) if logical else 1.0
                 print(f"compression: logical={logical} disk={physical} "
                       f"ratio={ratio}")
@@ -205,7 +190,7 @@ def _repo_cmd(args) -> int:
                     print(result.to_xml())
             finally:
                 if args.io_stats:
-                    _print_repo_io_stats(repo)
+                    _print_io_stats(repo)
     return 0
 
 

@@ -49,18 +49,15 @@ class VectorizedDocument:
     # -- on-disk format (repro.storage) ------------------------------------
 
     def save(self, path: str, page_size: int | None = None,
-             index_paths=None, fmt: int | None = None) -> dict:
+             index_paths=None) -> dict:
         """Write the document to ``path`` in the paged on-disk format
-        (slotted pages; one heap-file chain per vector).  Returns a summary
-        dict (pages, bytes, vectors).  ``index_paths`` — ``"all"`` or an
-        iterable of vector paths — additionally persists value-index
-        segments for those vectors (format v3+).  ``fmt=3`` writes the
-        uncompressed legacy layout instead of codec-compressed v4."""
+        (slotted pages; one codec-encoded heap-file chain per vector).
+        Returns a summary dict (pages, bytes, vectors).  ``index_paths``
+        — ``"all"`` or an iterable of vector paths — additionally
+        persists value-index segments for those vectors."""
         from ..storage import vdocfile
 
         kwargs = {} if page_size is None else {"page_size": page_size}
-        if fmt is not None:
-            kwargs["fmt"] = fmt
         return vdocfile.save_vdoc(self, path, index_paths=index_paths,
                                   **kwargs)
 

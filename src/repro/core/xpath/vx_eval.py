@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...index import key_code
 from ...util import parse_float
 from ..context import VectorCache
 from ..paths import PathsCatalog, ranges_to_ordinals
@@ -69,8 +70,9 @@ def pred_mask(cache: VectorCache, qpath: tuple, op: str, const: str) -> np.ndarr
     both XQ executors — so this is the one place code-space evaluation
     plugs in: when the vector is stored dictionary-coded (and codec
     evaluation is on), an equality predicate maps its constant into code
-    space with one ``searchsorted`` over the ``u`` sorted keys and
-    compares integers; the string column is never built.  An absent
+    space with one binary search over the ``u`` sorted keys
+    (:func:`~repro.index.key_code`, the lookup a value index also uses)
+    and compares integers; the string column is never built.  An absent
     constant maps to code -1, which no value code equals — exactly the
     all-False (``=``) / all-True (``!=``) masks of the string compare, so
     results are byte-identical either way.  Ordering predicates use the
@@ -80,8 +82,7 @@ def pred_mask(cache: VectorCache, qpath: tuple, op: str, const: str) -> np.ndarr
         dc = cache.dict_codes(qpath)
         if dc is not None:
             keys, codes = dc
-            pos = np.searchsorted(keys, const) if len(keys) else 0
-            code = pos if pos < len(keys) and keys[pos] == const else -1
+            code = key_code(keys, const)
             return codes == code if op == "=" else codes != code
         if op == "=":
             return cache.column(qpath) == const

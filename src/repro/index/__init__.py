@@ -1,15 +1,13 @@
 """Value indexes over data vectors: build, probe, (de)serialize."""
 
-from .segment import (N_DATA_RECORDS, N_KEY_RECORDS, check_segment,
-                      decode_segment, encode_segment, keys_from_blob,
-                      keys_to_blob)
+from .segment import (N_SEGMENT_RECORDS, check_segment, decode_segment,
+                      encode_segment, keys_from_blob, keys_to_blob)
 from .vindex import (ValueIndex, build_value_index,
                      build_value_index_from_codes, count_in_ranges,
-                     merge_codings, select_keep, value_hash)
+                     key_code, merge_codings, select_keep)
 
 __all__ = [
-    "N_DATA_RECORDS",
-    "N_KEY_RECORDS",
+    "N_SEGMENT_RECORDS",
     "ValueIndex",
     "build_value_index",
     "build_value_index_from_codes",
@@ -18,8 +16,8 @@ __all__ = [
     "decode_segment",
     "encode_segment",
     "keys_from_blob",
+    "key_code",
     "keys_to_blob",
     "merge_codings",
     "select_keep",
-    "value_hash",
 ]

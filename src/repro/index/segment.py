@@ -1,35 +1,34 @@
-"""(De)serialization of value-index segments as plain record streams.
+"""(De)serialization of value-index segments as one plain record stream.
 
-A persistent index is two ordered record streams — stored by the vdoc
-file layer as two ordinary heap-file chains, but this module knows
-nothing about pages or pools, only ``bytes`` records:
+A persistent index is one ordered stream of exactly
+:data:`N_SEGMENT_RECORDS` binary records — stored by the vdoc file layer
+as one ordinary heap-file chain, but this module knows nothing about
+pages or pools, only ``bytes`` records::
 
-* **key records** — exactly :data:`N_KEY_RECORDS` binary records holding
-  the sorted (``np.unique`` order) key dictionary as one raw
-  little-endian ``<U`` numpy buffer: a ``<q`` itemsize header, then the
-  array bytes.  One ``np.frombuffer`` call rebuilds all ``u`` keys —
-  loading an index is *not* a per-record Python walk like materializing
-  a column is, which is exactly why a selective probe on a cold document
-  is cheaper than touching the vector (trailing-NUL padding is numpy's
-  own ``U`` convention, and NUL never appears in parsed XML text);
-* **data records** — exactly :data:`N_DATA_RECORDS` binary records::
+      0  itemsize  <q>                                 of one key, bytes
+      1  keys      u keys as one raw little-endian <U buffer
+      2  header    <qq>: n rows, u distinct keys
+      3  offsets   (u+1) little-endian int64           CSR into rows
+      4  rows      n int64                             permutation of 0..n-1
+      5  num_codes m int64                             numeric keys
+      6  num_vals  m float64                           ascending
 
-      0  header   <qqq>: n rows, u distinct keys, n_buckets
-      1  offsets         (u+1) little-endian int64   CSR into rows
-      2  rows            n int64                     permutation of 0..n-1
-      3  bucket_offsets  (n_buckets+1) int64         CSR into bucket_codes
-      4  bucket_codes    u int64                     permutation of 0..u-1
-      5  num_codes       m int64                     numeric keys
-      6  num_vals        m float64                   ascending
+The key dictionary is sorted (``np.unique`` order) and one
+``np.frombuffer`` call rebuilds all ``u`` keys — loading an index is
+*not* a per-record Python walk like materializing a column is, which is
+exactly why a selective probe on a cold document is cheaper than
+touching the vector (trailing-NUL padding is numpy's own ``U``
+convention, and NUL never appears in parsed XML text).
 
 ``decode_segment`` is the one trust boundary for persistent indexes: it
-re-validates every structural invariant (CSR monotonicity, permutation
+re-validates every structural invariant (strictly increasing keys — what
+makes the binary-search key lookup sound — CSR monotonicity, permutation
 properties, ordering) before handing out a probe-able
 :class:`~repro.index.vindex.ValueIndex`, so a corrupt or hand-edited
 segment fails as :class:`~repro.errors.CorruptDataError` — never as a
 wrong query answer or an out-of-bounds gather.  Deep fsck adds the
-*semantic* checks on top (hash placement, numeric-parse agreement,
-staleness against the vector itself) via :func:`check_segment`.
+*semantic* checks on top (numeric-parse agreement, staleness against the
+vector itself) via :func:`check_segment`.
 """
 
 from __future__ import annotations
@@ -40,14 +39,13 @@ import numpy as np
 
 from ..errors import CorruptDataError
 from ..util import parse_float
-from .vindex import ValueIndex, value_hash
+from .vindex import ValueIndex
 
-_HEADER = struct.Struct("<qqq")
+_HEADER = struct.Struct("<qq")
 _ITEMSIZE = struct.Struct("<q")
 
-#: number of records in each stream (see module docstring)
-N_KEY_RECORDS = 2
-N_DATA_RECORDS = 7
+#: number of records in the stream (see module docstring)
+N_SEGMENT_RECORDS = 7
 
 
 def _int_bytes(a) -> bytes:
@@ -87,21 +85,18 @@ def keys_from_blob(name: str, u: int, itemsize: int,
     return keys.astype(np.str_, copy=False)
 
 
-def encode_segment(vi: ValueIndex) -> tuple[list[bytes], list[bytes]]:
-    """``(key records, data records)`` for one index."""
-    u = len(vi.keys)
+def encode_segment(vi: ValueIndex) -> list[bytes]:
+    """The record stream of one index."""
     itemsize, blob = keys_to_blob(vi.keys)
-    keys = [_ITEMSIZE.pack(itemsize), blob]
-    data = [
-        _HEADER.pack(vi.n, len(vi.keys), vi.n_buckets),
+    return [
+        _ITEMSIZE.pack(itemsize),
+        blob,
+        _HEADER.pack(vi.n, len(vi.keys)),
         _int_bytes(vi.offsets),
         _int_bytes(vi.rows),
-        _int_bytes(vi.bucket_offsets),
-        _int_bytes(vi.bucket_codes),
         _int_bytes(vi.num_codes),
         np.ascontiguousarray(vi.num_vals, dtype="<f8").tobytes(),
     ]
-    return keys, data
 
 
 def _ints(record: bytes, what: str, name: str, count: int) -> np.ndarray:
@@ -128,42 +123,36 @@ def _permutation(a: np.ndarray, what: str, name: str, size: int) -> None:
             f"vindex {name}: {what} is not a permutation of 0..{size - 1}")
 
 
-def decode_segment(vpath: tuple, n: int, key_records: list[bytes],
-                   data_records: list[bytes]) -> ValueIndex:
-    """Rebuild (and structurally validate) one index from its streams.
+def decode_segment(vpath: tuple, n: int,
+                   records: list[bytes]) -> ValueIndex:
+    """Rebuild (and structurally validate) one index from its stream.
 
     ``n`` is the cataloged row count of the indexed vector; every
     violation raises :class:`CorruptDataError` naming the vector.
     """
     name = "/".join(vpath)
-    if len(data_records) != N_DATA_RECORDS:
+    if len(records) != N_SEGMENT_RECORDS:
         raise CorruptDataError(
-            f"vindex {name}: {len(data_records)} data records, "
-            f"expected {N_DATA_RECORDS}")
-    if len(data_records[0]) != _HEADER.size:
+            f"vindex {name}: {len(records)} records, "
+            f"expected {N_SEGMENT_RECORDS}")
+    if len(records[2]) != _HEADER.size:
         raise CorruptDataError(f"vindex {name}: malformed header record")
-    hdr_n, u, n_buckets = _HEADER.unpack(data_records[0])
+    hdr_n, u = _HEADER.unpack(records[2])
     if hdr_n != n:
         raise CorruptDataError(
             f"vindex {name}: header says {hdr_n} rows, vector has {n}")
-    if n_buckets < 1 or n_buckets & (n_buckets - 1):
-        raise CorruptDataError(
-            f"vindex {name}: bucket count {n_buckets} is not a power of two")
 
-    if len(key_records) != N_KEY_RECORDS or \
-            len(key_records[0]) != _ITEMSIZE.size:
-        raise CorruptDataError(
-            f"vindex {name}: malformed key stream "
-            f"({len(key_records)} records)")
-    (itemsize,) = _ITEMSIZE.unpack(key_records[0])
-    keys = keys_from_blob(f"vindex {name}", u, itemsize, key_records[1])
+    if len(records[0]) != _ITEMSIZE.size:
+        raise CorruptDataError(f"vindex {name}: malformed itemsize record")
+    (itemsize,) = _ITEMSIZE.unpack(records[0])
+    keys = keys_from_blob(f"vindex {name}", u, itemsize, records[1])
     if u > 1 and not np.all(keys[1:] > keys[:-1]):
         raise CorruptDataError(
             f"vindex {name}: keys are not strictly increasing")
 
-    offsets = _ints(data_records[1], "offsets", name, u + 1)
+    offsets = _ints(records[3], "offsets", name, u + 1)
     _csr(offsets, "offsets", name, n)
-    rows = _ints(data_records[2], "rows", name, n)
+    rows = _ints(records[4], "rows", name, n)
     _permutation(rows, "rows", name, n)
     # sorted-run monotonicity: ascending within every posting group
     if n:
@@ -172,20 +161,12 @@ def decode_segment(vpath: tuple, n: int, key_records: list[bytes],
             raise CorruptDataError(
                 f"vindex {name}: posting rows not ascending within a group")
 
-    bucket_offsets = _ints(data_records[3], "bucket offsets", name,
-                           n_buckets + 1)
-    _csr(bucket_offsets, "bucket offsets", name, u)
-    bucket_codes = _ints(data_records[4], "bucket codes", name, u)
-    _permutation(bucket_codes, "bucket codes", name, u)
-
-    if len(data_records[5]) % 8 or \
-            len(data_records[5]) != len(data_records[6]):
+    if len(records[5]) % 8 or len(records[5]) != len(records[6]):
         raise CorruptDataError(
             f"vindex {name}: numeric sub-index records disagree in length")
-    m = len(data_records[5]) // 8
-    num_codes = _ints(data_records[5], "numeric codes", name, m)
-    num_vals = np.frombuffer(data_records[6],
-                             dtype="<f8").astype(np.float64)
+    m = len(records[5]) // 8
+    num_codes = _ints(records[5], "numeric codes", name, m)
+    num_vals = np.frombuffer(records[6], dtype="<f8").astype(np.float64)
     if m:
         if num_codes.min() < 0 or num_codes.max() >= max(u, 1) or \
                 len(np.unique(num_codes)) != m:
@@ -195,31 +176,17 @@ def decode_segment(vpath: tuple, n: int, key_records: list[bytes],
         if np.any(np.isnan(num_vals)) or np.any(np.diff(num_vals) < 0):
             raise CorruptDataError(
                 f"vindex {name}: numeric values not ascending and NaN-free")
-    return ValueIndex(vpath, n, keys, offsets, rows, n_buckets,
-                      bucket_offsets, bucket_codes, num_codes, num_vals)
+    return ValueIndex(vpath, n, keys, offsets, rows, num_codes, num_vals)
 
 
 def check_segment(vi: ValueIndex, column=None) -> list[str]:
-    """The *semantic* checks deep fsck layers on top of decoding: hash
-    placement of every key, numeric sub-index agreement with
-    ``parse_float``, and — when the materialized ``column`` is supplied —
-    staleness of the whole index against the vector's actual values.
+    """The *semantic* checks deep fsck layers on top of decoding: numeric
+    sub-index agreement with ``parse_float``, and — when the materialized
+    ``column`` is supplied — staleness of the whole index against the
+    vector's actual values.
     Returns human-readable problem strings (empty = clean)."""
     problems: list[str] = []
     u = len(vi.keys)
-    mask = vi.n_buckets - 1
-    # every key must sit in its hash bucket
-    bucket_of = np.empty(u, dtype=np.int64)
-    for b in range(vi.n_buckets):
-        bucket_of[vi.bucket_codes[vi.bucket_offsets[b]:
-                                  vi.bucket_offsets[b + 1]]] = b
-    for code in range(u):
-        if value_hash(vi.keys[code]) & mask != bucket_of[code]:
-            problems.append(
-                f"key {vi.keys[code]!r} filed under bucket "
-                f"{bucket_of[code]}, hashes to "
-                f"{value_hash(vi.keys[code]) & mask}")
-            break
     # the numeric sub-index must list exactly the parseable, non-NaN keys
     expect: dict[int, float] = {}
     for code in range(u):

@@ -22,10 +22,10 @@ arrays):
   ``arange(n)`` grouped by key code, ascending within each group;
   ``rows[offsets[c]:offsets[c+1]]`` are the sorted row ordinals holding
   ``keys[c]``;
-* hash directory — ``n_buckets`` (smallest power of two ≥ ``u``) buckets
-  over ``crc32(key)``; ``bucket_codes`` grouped by bucket via
-  ``bucket_offsets``, so an equality probe is O(bucket) string compares
-  rather than a binary search through ``log u`` string compares;
+* an equality probe finds its key code by one binary search over
+  ``keys`` (:func:`key_code` — the same lookup the scan path uses for a
+  dictionary-coded vector, so the sorted dictionary is the only answer
+  to "which code is this key");
 * numeric sub-index — the codes of keys that parse as finite floats
   (through :func:`repro.util.parse_float`, the engine's *single*
   definition of numeric text), sorted by (value, code); a range probe is
@@ -39,8 +39,6 @@ engine assert byte-identical results between the two access paths.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
 from ..util import parse_float
@@ -48,10 +46,15 @@ from ..util import parse_float
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def value_hash(value: str) -> int:
-    """The directory hash: crc32 of the UTF-8 bytes (stable across runs,
-    platforms and Python processes — unlike ``hash()``)."""
-    return zlib.crc32(str(value).encode("utf-8"))
+def key_code(keys: np.ndarray, value: str) -> int:
+    """Code of ``value`` in a strictly increasing key dictionary, or -1.
+    A constant longer than the widest key cannot be one of them — and
+    must not reach ``searchsorted``, which would widen a copy of the
+    whole dictionary to the constant's length."""
+    if not len(keys) or len(value) > keys.dtype.itemsize // 4:
+        return -1
+    pos = int(keys.searchsorted(value))
+    return pos if pos < len(keys) and keys[pos] == value else -1
 
 
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -76,22 +79,17 @@ def count_in_ranges(matches: np.ndarray, starts: np.ndarray,
 class ValueIndex:
     """The in-memory (and only) probe form of one vector's value index."""
 
-    __slots__ = ("path", "n", "keys", "offsets", "rows", "n_buckets",
-                 "bucket_offsets", "bucket_codes", "num_codes", "num_vals",
-                 "_row_codes")
+    __slots__ = ("path", "n", "keys", "offsets", "rows", "num_codes",
+                 "num_vals", "_row_codes")
 
     def __init__(self, path: tuple, n: int, keys: np.ndarray,
-                 offsets: np.ndarray, rows: np.ndarray, n_buckets: int,
-                 bucket_offsets: np.ndarray, bucket_codes: np.ndarray,
+                 offsets: np.ndarray, rows: np.ndarray,
                  num_codes: np.ndarray, num_vals: np.ndarray):
         self.path = path
         self.n = n
         self.keys = keys
         self.offsets = offsets
         self.rows = rows
-        self.n_buckets = n_buckets
-        self.bucket_offsets = bucket_offsets
-        self.bucket_codes = bucket_codes
         self.num_codes = num_codes
         self.num_vals = num_vals
         self._row_codes = None
@@ -117,16 +115,8 @@ class ValueIndex:
         return self._row_codes
 
     def code_of(self, value: str) -> int:
-        """The key code of ``value``, or -1 — one hash + O(bucket) string
-        compares."""
-        if not len(self.keys):
-            return -1
-        bucket = value_hash(value) & (self.n_buckets - 1)
-        lo, hi = self.bucket_offsets[bucket], self.bucket_offsets[bucket + 1]
-        for code in self.bucket_codes[lo:hi]:
-            if self.keys[code] == value:
-                return int(code)
-        return -1
+        """The key code of ``value``, or -1."""
+        return key_code(self.keys, value)
 
     def rows_of_code(self, code: int) -> np.ndarray:
         return self.rows[self.offsets[code]:self.offsets[code + 1]]
@@ -216,14 +206,6 @@ def build_value_index_from_codes(path: tuple, keys: np.ndarray,
     u = len(keys)
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
-    n_buckets = 1 << (u - 1).bit_length() if u else 1
-    hashes = np.fromiter((value_hash(k) & (n_buckets - 1) for k in keys),
-                         dtype=np.int64, count=u)
-    bucket_codes = np.argsort(hashes, kind="stable").astype(np.int64)
-    bcounts = np.bincount(hashes, minlength=n_buckets).astype(np.int64)
-    bucket_offsets = np.concatenate(([0], np.cumsum(bcounts))) \
-        .astype(np.int64)
-
     ncodes: list[int] = []
     nvals: list[float] = []
     for code in range(u):
@@ -237,8 +219,7 @@ def build_value_index_from_codes(path: tuple, keys: np.ndarray,
     num_codes = np.asarray(ncodes, dtype=np.int64)
     num_vals = np.asarray(nvals, dtype=np.float64)
     order = np.lexsort((num_codes, num_vals))
-    return ValueIndex(path, n, keys, offsets, rows, n_buckets,
-                      bucket_offsets, bucket_codes, num_codes[order],
+    return ValueIndex(path, n, keys, offsets, rows, num_codes[order],
                       num_vals[order])
 
 

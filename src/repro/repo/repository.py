@@ -162,18 +162,16 @@ def _check_manifest(raw) -> dict:
                     or not isinstance(entry[1], int) or entry[1] < 0):
                 raise bad(f"member {name!r}: bad path entry {entry!r}")
         comp = m.get("compression")
-        if comp is not None:   # optional: absent from pre-codec manifests
-            if (not isinstance(comp, dict)
-                    or not isinstance(comp.get("logical_bytes"), int)
-                    or comp["logical_bytes"] < 0
-                    or not isinstance(comp.get("physical_bytes"), int)
-                    or comp["physical_bytes"] < 0
-                    or not isinstance(comp.get("codecs"), dict)
-                    or not all(isinstance(k, str) and isinstance(v, int)
-                               and v >= 0
-                               for k, v in comp["codecs"].items())):
-                raise bad(f"member {name!r}: bad compression entry "
-                          f"{comp!r}")
+        if (not isinstance(comp, dict)
+                or not isinstance(comp.get("logical_bytes"), int)
+                or comp["logical_bytes"] < 0
+                or not isinstance(comp.get("physical_bytes"), int)
+                or comp["physical_bytes"] < 0
+                or not isinstance(comp.get("codecs"), dict)
+                or not all(isinstance(k, str) and isinstance(v, int)
+                           and v >= 0
+                           for k, v in comp["codecs"].items())):
+            raise bad(f"member {name!r}: bad compression entry {comp!r}")
     return raw
 
 
@@ -413,19 +411,10 @@ class Repository:
         entry = {
             "name": name, "file": file,
             "paths": [[list(p), c] for p, c in paths],
+            # what `repo ls` prints without opening a single page file
+            "compression": {k: comp[k] for k in (
+                "logical_bytes", "physical_bytes", "codecs")},
         }
-        if comp["compression_ratio"] is not None:
-            # manifest compression summary (v4 members only — pre-v4 files
-            # don't catalog byte counts): what `repo ls` prints without
-            # opening a single page file
-            codecs: dict[str, int] = {}
-            for v in comp["vectors"]:
-                codecs[v["codec"]] = codecs.get(v["codec"], 0) + 1
-            entry["compression"] = {
-                "logical_bytes": comp["logical_bytes"],
-                "physical_bytes": comp["physical_bytes"],
-                "codecs": codecs,
-            }
         self.manifest["members"].append(entry)
         try:
             self._write_manifest()
@@ -735,10 +724,8 @@ class Repository:
     def io_stats(self) -> dict:
         """Pool-wide counters plus per-member counters for every member
         opened so far."""
-        stats = {f"pool_{k}": v for k, v in self.pool.stats.as_dict().items()}
-        stats["pool_capacity"] = self.pool.capacity
-        stats["pool_resident"] = self.pool.resident()
-        stats["pinned"] = self.pool.pinned_total()
+        stats = {k if k == "pinned" else f"pool_{k}": v
+                 for k, v in self.pool.snapshot().items()}
         for name, vdoc in self._open.items():
             for k, v in vdoc.view.stats.as_dict().items():
                 stats[f"{name}.{k}"] = v

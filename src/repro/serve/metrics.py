@@ -135,25 +135,16 @@ class Metrics:
         input to the 503 ``Retry-After`` estimate.  0.0 before any query
         has completed; ``inf`` when the median fell in the overflow
         bucket (the hint falls back to its static default then)."""
+        merged = LatencyHistogram()
         with self._lock:
-            counts = [0] * (len(_BOUNDS) + 1)
-            n = 0
             for name in endpoints:
                 ep = self._endpoints.get(name)
                 if ep is None:
                     continue
                 for i, c in enumerate(ep.latency.counts):
-                    counts[i] += c
-                n += ep.latency.n
-            if not n:
-                return 0.0
-            target = max(1, math.ceil(n * 0.5))
-            cum = 0
-            for i, c in enumerate(counts):
-                cum += c
-                if cum >= target:
-                    return _BOUNDS[i] if i < len(_BOUNDS) else math.inf
-            return math.inf
+                    merged.counts[i] += c
+                merged.n += ep.latency.n
+        return merged.quantile(0.5)
 
     def note_pin_leak(self) -> None:
         with self._lock:

@@ -370,16 +370,10 @@ class QueryServer:
     # -- reporting ---------------------------------------------------------
 
     def stats_snapshot(self) -> dict:
-        pool = self.repo.pool
         snap = self.metrics.snapshot()
         snap["admission"] = self.admission.depth()
-        snap["pool"] = {
-            **pool.stats.as_dict(),
-            "capacity": pool.capacity,
-            "resident": pool.resident(),
-            "pinned": pool.pinned_total(),
-            "max_inflight": self.max_inflight,
-        }
+        snap["pool"] = {**self.repo.pool.snapshot(),
+                        "max_inflight": self.max_inflight}
         snap["repository"] = {
             "name": self.repo.name,
             "members": len(self.repo.members()),

@@ -448,6 +448,12 @@ class BufferPool:
     def resident(self) -> int:
         return len(self._frames)
 
+    def snapshot(self) -> dict:
+        """The pool-wide counters plus ``capacity``/``resident``/``pinned``
+        — the one flattening ``--io-stats`` and ``/stats`` report."""
+        return {**self.stats.as_dict(), "capacity": self.capacity,
+                "resident": self.resident(), "pinned": self.pinned_total()}
+
     def resident_of(self, fid: int) -> int:
         """Resident page count of one attached file (eviction fairness)."""
         with self._lock:

@@ -1,13 +1,14 @@
-"""Per-vector storage codecs — the format-v4 compression layer.
+"""Per-vector storage codecs — the compression layer of the vdoc format.
 
 The paper's design descends from XMILL: data vectors are *containers*
 that compress far better per column than a document compresses as a
 whole, and queries should touch the compressed form with minimal
-decoding.  Until format v4 the heap chains stored one plain UTF-8 record
-per value — this module is the pluggable layer that replaces it:
+decoding.  Every heap chain of a ``.vdoc`` holds the records of one of
+these codecs:
 
-* ``identity`` — one UTF-8 record per value (the v3 layout; also the
-  universal fallback, so a v4 file is never *worse* than v3);
+* ``identity`` — one UTF-8 record per value (the uncompressed layout;
+  also the universal fallback, so choosing a codec never makes a file
+  *worse* than storing plain text);
 * ``dict``     — dictionary coding for low-cardinality vectors: the
   sorted distinct keys (the exact ``np.unique`` order the value indexes
   use) plus one packed unsigned code per value.  The coded form is

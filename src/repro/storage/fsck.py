@@ -12,21 +12,24 @@ page/slot location for each.  Checks, in dependency order:
    every slot entry inside the record area, fragments contiguous and
    consistent with ``free_ptr``;
 4. catalog: the meta heap chain walks without cycles, decodes as JSON
-   and passes the same strict schema the open path enforces;
+   and passes the strict schema — by calling the open path's own reader
+   (:func:`~repro.storage.vdocfile._read_catalog`), so the two cannot
+   drift;
 5. skeleton: every node record decodes, child runs stay inside the
    already-interned prefix, hash-cons replay reproduces the ids, and the
-   node count matches the catalog;
+   node count matches the catalog (again the open path's own
+   :func:`~repro.storage.vdocfile._replay_skeleton`);
 6. vectors: every chain walks acyclically to exactly its cataloged
    length and holds exactly the record count its storage codec implies
    (``n`` UTF-8 records for identity, the fixed header/blob layout for
-   ``dict``/``delta``/``zlib`` — format v4);
-7. index segments (format v3): both heap chains of every persisted value
-   index walk to their cataloged lengths, the segment decodes under
+   ``dict``/``delta``/``zlib``);
+7. index segments: the heap chain of every persisted value index walks
+   to its cataloged length, the segment decodes under
    :func:`repro.index.decode_segment`'s full structural validation
-   (sorted keys, CSR postings, row permutation, power-of-two hash
-   directory, ascending NaN-free numeric sub-index) and passes
-   :func:`repro.index.check_segment`'s semantic checks (hash placement,
-   numeric sub-index vs ``parse_float``), with counts matched against
+   (strictly increasing keys, CSR postings, row permutation, ascending
+   NaN-free numeric sub-index) and passes
+   :func:`repro.index.check_segment`'s semantic checks (numeric
+   sub-index vs ``parse_float``), with the key count matched against
    the catalog entry;
 8. cross-checks: no page is claimed by two chains.
 
@@ -48,21 +51,18 @@ neither hang nor crash on any input — it just reports.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
-from ..core.skeleton import NodeStore
 from ..errors import CorruptDataError, StorageError
-from ..index import N_DATA_RECORDS, N_KEY_RECORDS, check_segment, \
-    decode_segment
+from ..index import N_SEGMENT_RECORDS, check_segment, decode_segment
 from . import disk
 from .buffer import BufferPool
 from .codecs import CODECS, utf8_bytes
 from .disk import FILE_HEADER, PageFile
 from .heap import HeapFile
 from .pages import PAGE_HEADER, SlottedPage, page_crc, stored_crc
-from .vdocfile import _check_catalog, _decode_node
+from .vdocfile import _read_catalog, _replay_skeleton
 
 
 @dataclass
@@ -210,36 +210,12 @@ def verify_vdoc(path: str, deep: bool = False) -> list[Finding]:
                 out, SlottedPage(bytearray(data), page_size, pid), pid)
 
         # -- catalog -------------------------------------------------------
-        if meta_page < 0:
-            out.add("catalog", "page file has no vdoc catalog")
-            return out.findings
-        if meta_page >= n_pages:
-            out.add("catalog", f"catalog head page {meta_page} outside the "
-                               f"file ({n_pages} pages)")
-            return out.findings
-        claimed: dict[int, str] = {}
-        meta_heap = HeapFile(pool, meta_page)
         try:
-            meta_records = list(meta_heap.records())
-        except StorageError as exc:
+            meta = _read_catalog(pool, path, meta_page, n_pages)
+        except StorageError as exc:   # also rejects unknown formats
             out.add("catalog", str(exc), page=getattr(exc, "page", None))
             return out.findings
-        for pid in meta_heap.pages():
-            claimed[pid] = "catalog"
-        if not meta_records:
-            out.add("catalog", "empty vdoc catalog", page=meta_page)
-            return out.findings
-        try:
-            meta = json.loads(meta_records[0].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            out.add("catalog", f"catalog is not valid JSON ({exc})",
-                    page=meta_page)
-            return out.findings
-        try:
-            _check_catalog(meta, path, n_pages)  # rejects unknown formats
-        except StorageError as exc:
-            out.add("catalog", str(exc))
-            return out.findings
+        claimed = dict.fromkeys(HeapFile(pool, meta_page).pages(), "catalog")
 
         # -- skeleton ------------------------------------------------------
         skel = HeapFile(pool, meta["skeleton"]["head"],
@@ -248,36 +224,8 @@ def verify_vdoc(path: str, deep: bool = False) -> list[Finding]:
                                  meta["skeleton"]["pages"], None,
                                  count_records=False)
         if skel_pages is not None:
-            store = NodeStore()
             try:
-                for nid, record in enumerate(skel.records()):
-                    label, runs = _decode_node(record)
-                    if nid == 0:
-                        if label != "#" or runs:
-                            out.add("skeleton",
-                                    "node 0 is not the text marker")
-                            break
-                        continue
-                    bad = [r for r in runs
-                           if not 0 <= r[0] < nid or r[1] < 1]
-                    if bad:
-                        out.add("skeleton",
-                                f"node {nid} has child run {bad[0]} outside "
-                                f"the already-interned prefix")
-                        break
-                    if store.intern(label, runs) != nid:
-                        out.add("skeleton", f"records out of interning "
-                                            f"order at node {nid}")
-                        break
-                else:
-                    if len(store) != meta["n_nodes"]:
-                        out.add("skeleton",
-                                f"catalog says {meta['n_nodes']} nodes, "
-                                f"chain holds {len(store)}")
-                    elif not 1 <= meta["root"] < len(store):
-                        out.add("skeleton",
-                                f"root id {meta['root']} outside the "
-                                f"skeleton ({len(store)} nodes)")
+                _replay_skeleton(pool, meta, path)
             except StorageError as exc:
                 out.add("skeleton", str(exc),
                         page=getattr(exc, "page", None),
@@ -290,12 +238,11 @@ def verify_vdoc(path: str, deep: bool = False) -> list[Finding]:
                                      f"the skeleton chain", page=pid)
 
         # -- vectors -------------------------------------------------------
-        fmt = meta["format"]
         #: deep-decoded columns, reused by the index staleness check
         vcolumns: dict[tuple, object] = {}
         for entry in meta["vectors"]:
             name = "/".join(entry["path"])
-            codec = CODECS[entry.get("codec", "identity")]
+            codec = CODECS[entry["codec"]]
             heap = HeapFile(pool, entry["head"], n_pages=entry["pages"])
             sink: list | None = [] if deep else None
             pages = _walk_chain(out, "vector", f"vector {name}", heap,
@@ -313,14 +260,13 @@ def verify_vdoc(path: str, deep: bool = False) -> list[Finding]:
             # (key permutations, code bounds, widths, declared payload
             # sizes, per-value UTF-8) — and cross-check the cataloged
             # byte counts against the chain
-            lbytes = entry.get("lbytes") if fmt >= 4 else None
-            if fmt >= 4:
-                enc = sum(len(r) for r in sink)
-                if enc != entry["pbytes"]:
-                    out.add("value",
-                            f"vector {name}: catalog says "
-                            f"{entry['pbytes']} encoded bytes, chain "
-                            f"holds {enc}", page=pages[0] if pages else None)
+            lbytes = entry["lbytes"]
+            enc = sum(len(r) for r in sink)
+            if enc != entry["pbytes"]:
+                out.add("value",
+                        f"vector {name}: catalog says {entry['pbytes']} "
+                        f"encoded bytes, chain holds {enc}",
+                        page=pages[0] if pages else None)
             try:
                 state = codec.decode(tuple(entry["path"]), entry["n"],
                                      sink, lbytes)
@@ -329,60 +275,43 @@ def verify_vdoc(path: str, deep: bool = False) -> list[Finding]:
                 out.add("value", str(exc),
                         page=pages[0] if pages else None)
                 continue
-            if lbytes is not None:
-                logical = utf8_bytes([str(v) for v in column])
-                if logical != lbytes:
-                    out.add("value",
-                            f"vector {name}: catalog says {lbytes} "
-                            f"logical bytes, decoded column holds "
-                            f"{logical}")
+            logical = utf8_bytes([str(v) for v in column])
+            if logical != lbytes:
+                out.add("value",
+                        f"vector {name}: catalog says {lbytes} logical "
+                        f"bytes, decoded column holds {logical}")
             vcolumns[tuple(entry["path"])] = column
 
-        # -- index segments (format v3) ------------------------------------
+        # -- index segments ------------------------------------------------
         for entry in meta["vectors"]:
             ix = entry.get("index")
             if ix is None:
                 continue
             name = "/".join(entry["path"])
-            kheap = HeapFile(pool, ix["keys_head"],
-                             n_pages=ix["keys_pages"])
-            dheap = HeapFile(pool, ix["data_head"],
-                             n_pages=ix["data_pages"])
-            walked = True
-            for what, heap, n_exp in (
-                    (f"index keys of {name}", kheap, N_KEY_RECORDS),
-                    (f"index data of {name}", dheap, N_DATA_RECORDS)):
-                pages = _walk_chain(out, "index", what, heap, heap.n_pages,
-                                    n_exp)
-                if pages is None:
-                    walked = False
-                    continue
-                for pid in pages:
-                    prev = claimed.setdefault(pid, what)
-                    if prev != what:
-                        out.add("cross", f"page claimed by both {prev} "
-                                         f"and {what}", page=pid)
-            if not walked:
-                continue
-            try:
-                keys = list(kheap.records())
-                data = list(dheap.records())
-            except StorageError:
-                continue  # the walk above already reported it
+            what = f"index of {name}"
+            heap = HeapFile(pool, ix["head"], n_pages=ix["pages"])
+            records: list = []
+            reported = len(out.findings)
+            pages = _walk_chain(out, "index", what, heap, ix["pages"],
+                                N_SEGMENT_RECORDS, records_sink=records)
+            walk_clean = len(out.findings) == reported
+            for pid in pages or ():
+                prev = claimed.setdefault(pid, what)
+                if prev != what:
+                    out.add("cross", f"page claimed by both {prev} "
+                                     f"and {what}", page=pid)
+            if not walk_clean:
+                continue  # decoding a chain the walk rejected is noise
             try:
                 vi = decode_segment(tuple(entry["path"]), entry["n"],
-                                    keys, data)
+                                    records)
             except CorruptDataError as exc:
-                out.add("index", str(exc), page=ix["keys_head"])
+                out.add("index", str(exc), page=ix["head"])
                 continue
             if vi.distinct != ix["distinct"]:
                 out.add("index",
                         f"vindex {name}: catalog says {ix['distinct']} "
                         f"distinct keys, segment holds {vi.distinct}")
-            if vi.n_buckets != ix["buckets"]:
-                out.add("index",
-                        f"vindex {name}: catalog says {ix['buckets']} "
-                        f"buckets, segment holds {vi.n_buckets}")
             # staleness against the codec-decoded column from the vector
             # sweep (absent when the chain itself failed to decode —
             # already reported there)

@@ -1,23 +1,28 @@
 """On-disk vectorized documents: ``save_vdoc`` / ``open_vdoc``.
 
-File layout (all inside one :class:`PageFile`, format v2 — per-page
-checksums, see :mod:`repro.storage.disk`):
+File layout (all inside one :class:`PageFile`, page-file format v2 —
+per-page checksums, see :mod:`repro.storage.disk`).  There is exactly
+one catalog format, :data:`VDOC_FORMAT`; any other number is refused:
 
 * one heap-file chain per data vector — the values in document order
-  (XMILL-style containers).  Up to format v3 that is one plain UTF-8
-  record per value; format v4 stores each vector **encoded** by a
-  per-vector codec (:mod:`repro.storage.codecs`) chosen at save time by
-  sampled compression ratio — the codec name and the exact logical
+  (XMILL-style containers), **encoded** by a per-vector codec
+  (:mod:`repro.storage.codecs`) chosen at save time by sampled
+  compression ratio (``identity`` — one plain UTF-8 record per value —
+  when nothing compresses).  The codec name and the exact logical
   (UTF-8) vs physical (encoded) byte counts are recorded on the
   vector's catalog entry, so tools reason about compression with zero
   page I/O;
+* optionally, one more heap chain per vector holding its value-index
+  segment (:mod:`repro.index.segment`), announced by an ``"index"``
+  object ``{head, pages, distinct}`` on the vector's catalog entry;
 * one heap for the skeleton — one record per interned node, in id order:
   ``label UTF-8 bytes, NUL, then (child_id, count) int64 pairs``.  Node
   ids are interning order, so replaying ``intern()`` record by record
   reproduces the identical hash-consed store (ids are asserted);
 * one heap holding a single JSON catalog record: format tag, root id,
-  and per-vector ``{path, n, head page, chain length}``; its head page id
-  is stored in the page-file header.
+  and per-vector ``{path, n, head page, chain length, codec, logical
+  bytes, encoded bytes}``; its head page id is stored in the page-file
+  header.
 
 ``save_vdoc`` is atomic and durable: it writes to a temp file in the
 destination directory, fsyncs it, ``os.replace``\\ s it into place and
@@ -56,21 +61,15 @@ from ..index import (build_value_index, build_value_index_from_codes,
                      decode_segment, encode_segment)
 from . import faults
 from .buffer import BufferPool
-from .codecs import CODECS, IDENTITY, encode_column
+from .codecs import CODECS, encode_column
 from .disk import PageFile
 from .heap import HeapFile
 from .pages import DEFAULT_PAGE_SIZE
 
-#: current write format: v4 = v3 + per-vector storage codecs (the heap
-#: chain holds the codec's encoded records instead of one UTF-8 record
-#: per value; the catalog entry gains ``codec``/``lbytes``/``pbytes``).
-#: v3 = v2 + optional per-vector value-index segments (two extra heap
-#: chains per indexed vector, announced by an ``"index"`` object on the
-#: vector's catalog entry).  v3 files still open and query unchanged,
-#: and ``save_vdoc(..., fmt=3)`` still writes the v3 layout; a v2
-#: catalog (no writer since the index layer) is rejected as unsupported.
-VDOC_FORMAT = 4
-VDOC_FORMATS = (3, 4)
+#: the one catalog format written and read.  Earlier numbers (2: no
+#: indexes; 3: uncoded vectors; 4: a hash directory and two chains per
+#: index) have no reader: such a file is rejected as unsupported.
+VDOC_FORMAT = 5
 
 _RUN = struct.Struct("<qq")
 
@@ -93,6 +92,20 @@ def _decode_node(record: bytes) -> tuple[str, tuple]:
             f"skeleton node label is not valid UTF-8 ({exc})") from exc
     runs = tuple(_RUN.iter_unpack(record[nul + 1:]))
     return label, runs
+
+
+def _read_chain(unit, heap: HeapFile):
+    """One sequential pass over ``heap``: its records, the calling
+    thread's physical reads charged to ``unit`` (a vector or index handle)
+    and to the active evaluation context, which is returned alongside."""
+    before = heap.pool.pages_read_local()
+    records = list(heap.records())
+    read = heap.pool.pages_read_local() - before
+    unit.pages_read += read
+    ctx = active_context()
+    if ctx is not None:
+        ctx.note_io(unit, read)
+    return records, ctx
 
 
 class LazyVector(Vector):
@@ -125,9 +138,8 @@ class LazyVector(Vector):
     __slots__ = ("_heap", "_n", "_mat_lock", "_codec", "_state",
                  "_lbytes", "_pbytes")
 
-    def __init__(self, path: tuple, n: int, heap: HeapFile,
-                 codec=IDENTITY, lbytes: int | None = None,
-                 pbytes: int | None = None):
+    def __init__(self, path: tuple, n: int, heap: HeapFile, codec,
+                 lbytes: int, pbytes: int):
         self.path = path
         self._values = None
         self._floats = None
@@ -137,8 +149,8 @@ class LazyVector(Vector):
         self._n = n
         self._codec = codec
         self._state = None
-        self._lbytes = lbytes   # logical (UTF-8) bytes, None pre-v4
-        self._pbytes = pbytes   # encoded on-disk bytes, None pre-v4
+        self._lbytes = lbytes   # logical (UTF-8) bytes
+        self._pbytes = pbytes   # encoded on-disk bytes
         self._mat_lock = threading.Lock()
 
     def __len__(self) -> int:  # no materialization just to count
@@ -174,24 +186,16 @@ class LazyVector(Vector):
         return state
 
     def _materialize(self):
-        pool = self._heap.pool
-        before = pool.pages_read_local()
-        records = list(self._heap.records())
-        read = pool.pages_read_local() - before
-        self.pages_read += read
-        ctx = active_context()
-        if ctx is not None:
-            ctx.note_io(self, read)
+        records, ctx = _read_chain(self, self._heap)
         enc = sum(len(r) for r in records)
-        if self._pbytes is not None and enc != self._pbytes:
+        if enc != self._pbytes:
             raise CorruptDataError(
                 f"vector {'/'.join(self.path)}: catalog says {self._pbytes}"
                 f" encoded bytes, chain holds {enc}")
         state = self._codec.decode(
             self.path, self._n, records, self._lbytes,
             checkpoint=ctx.checkpoint if ctx is not None else None)
-        logical = self._lbytes if self._lbytes is not None else enc
-        self._charge(logical=logical, physical=enc,
+        self._charge(logical=self._lbytes, physical=enc,
                      values=self._n if self._codec.eager_column else 0)
         return state
 
@@ -252,11 +256,11 @@ class LazyVector(Vector):
 class DiskValueIndex:
     """Lazy handle over one vector's persistent value-index segment.
 
-    Mirrors :class:`LazyVector`'s contract for a pair of heap chains: no
-    page of either chain is touched until the first :meth:`get`, which
+    Mirrors :class:`LazyVector`'s contract for the segment's heap chain:
+    no page of it is touched until the first :meth:`get`, which
     materializes (and structurally validates) the
     :class:`~repro.index.ValueIndex` through the buffer pool in one
-    sequential pass per chain and charges the physical reads here.  The
+    sequential pass and charges the physical reads here.  The
     handle carries the same accounting surface as a vector (``path``,
     cumulative ``pages_read``, ``n_pages``) — ``vdoc.io_units()`` includes
     it, so the per-context scan-once / bounded-physical-I/O assertions
@@ -266,9 +270,8 @@ class DiskValueIndex:
     comes from the catalog: the planner prices a probe without I/O.
     """
 
-    __slots__ = ("path", "vpath", "distinct", "n_buckets",
-                 "pages_read", "n_pages", "_keys_heap",
-                 "_data_heap", "_n", "_vi", "_mat_lock")
+    __slots__ = ("path", "vpath", "distinct", "pages_read", "n_pages",
+                 "_heap", "_n", "_vi", "_mat_lock")
 
     def __init__(self, vpath: tuple, n: int, entry: dict, view):
         self.vpath = vpath
@@ -276,15 +279,11 @@ class DiskValueIndex:
         #: invariant-violation messages
         self.path = (*vpath, "[vindex]")
         self.distinct = entry["distinct"]
-        self.n_buckets = entry["buckets"]
-        self._keys_heap = HeapFile(view, entry["keys_head"],
-                                   n_pages=entry["keys_pages"])
-        self._data_heap = HeapFile(view, entry["data_head"],
-                                   n_pages=entry["data_pages"])
+        self._heap = HeapFile(view, entry["head"], n_pages=entry["pages"])
         self._n = n
         self._vi = None
         self.pages_read = 0
-        self.n_pages = entry["keys_pages"] + entry["data_pages"]
+        self.n_pages = entry["pages"]
         self._mat_lock = threading.Lock()
 
     def get(self):
@@ -299,17 +298,10 @@ class DiskValueIndex:
         return vi
 
     def _materialize(self):
-        pool = self._keys_heap.pool
-        before = pool.pages_read_local()
-        keys = list(self._keys_heap.records())
-        data = list(self._data_heap.records())
-        read = pool.pages_read_local() - before
-        self.pages_read += read
-        ctx = active_context()
+        records, ctx = _read_chain(self, self._heap)
         if ctx is not None:
             ctx.note_scan(self)
-            ctx.note_io(self, read)
-        vi = decode_segment(self.vpath, self._n, keys, data)
+        vi = decode_segment(self.vpath, self._n, records)
         if vi.distinct != self.distinct:
             raise CorruptDataError(
                 f"vindex {'/'.join(self.vpath)}: catalog says "
@@ -348,11 +340,8 @@ class DiskVectorizedDocument(VectorizedDocument):
         """Per-document physical/logical I/O counters, plus the pool-wide
         aggregates (``pool_*``) — distinct when the pool is shared."""
         stats = self.view.stats.as_dict()
-        for k, v in self.pool.stats.as_dict().items():
-            stats[f"pool_{k}"] = v
-        stats["pool_capacity"] = self.pool.capacity
-        stats["pool_resident"] = self.pool.resident()
-        stats["pinned"] = self.pool.pinned_total()
+        for k, v in self.pool.snapshot().items():
+            stats[k if k == "pinned" else f"pool_{k}"] = v
         return stats
 
     def io_units(self) -> list:
@@ -367,31 +356,27 @@ class DiskVectorizedDocument(VectorizedDocument):
         return vec.codec_name if vec is not None else None
 
     def compression_stats(self) -> dict:
-        """Per-vector codec + logical/physical bytes and the overall
-        compression ratio, straight from the catalog (zero page I/O —
-        what ``repo ls`` / ``index ls`` print).  Byte counts are ``None``
-        for pre-v4 files, which don't catalog them."""
+        """Per-vector codec + logical/physical bytes, the codec mix and
+        the overall compression ratio, straight from the catalog (zero page I/O —
+        what ``repo ls`` / ``index ls`` print)."""
         vecs = []
         logical = physical = 0
-        known = True
+        codecs: dict[str, int] = {}
         for vpath in sorted(self.vectors):
             vec = self.vectors[vpath]
+            codecs[vec.codec_name] = codecs.get(vec.codec_name, 0) + 1
             vecs.append({"path": "/".join(vpath), "n": len(vec),
                          "codec": vec.codec_name,
                          "logical_bytes": vec._lbytes,
                          "physical_bytes": vec._pbytes})
-            if vec._lbytes is None or vec._pbytes is None:
-                known = False
-            else:
-                logical += vec._lbytes
-                physical += vec._pbytes
-        ratio = None
-        if known:
-            ratio = round(physical / logical, 4) if logical else 1.0
+            logical += vec._lbytes
+            physical += vec._pbytes
         return {"vectors": vecs,
-                "logical_bytes": logical if known else None,
-                "physical_bytes": physical if known else None,
-                "compression_ratio": ratio}
+                "logical_bytes": logical,
+                "physical_bytes": physical,
+                "codecs": codecs,
+                "compression_ratio":
+                    round(physical / logical, 4) if logical else 1.0}
 
     def drop_caches(self) -> None:
         """Forget every materialized column and index (buffer pool left
@@ -427,32 +412,22 @@ def _resolve_index_paths(vdoc: VectorizedDocument, index_paths) -> set:
 
 
 def _write_vdoc(vdoc: VectorizedDocument, file: PageFile,
-                index_paths=None, fmt: int = VDOC_FORMAT) -> dict:
+                index_paths=None) -> dict:
     """Write the heaps + catalog into ``file`` and return the meta dict."""
-    if fmt not in VDOC_FORMATS:
-        raise StorageError(
-            f"cannot write vdoc format {fmt!r} "
-            f"(writable: {', '.join(map(str, VDOC_FORMATS))})")
     pool = BufferPool(file, capacity=None)  # writer: keep all resident
     indexed = _resolve_index_paths(vdoc, index_paths)
     catalog = []
     for vpath in sorted(vdoc.vectors):
         vec = vdoc.vectors[vpath]
         values = vec.tolist()
-        if fmt >= 4:
-            codec, records, lbytes, pbytes = encode_column(values)
-        else:
-            codec, records = IDENTITY, \
-                [v.encode("utf-8") for v in values]
+        codec, records, lbytes, pbytes = encode_column(values)
         heap = HeapFile.create(pool)
         for record in records:
             heap.append(record)
         entry = {"path": list(vpath), "n": len(vec),
-                 "head": heap.head, "pages": heap.n_pages}
-        if fmt >= 4:
-            entry["codec"] = codec.name
-            entry["lbytes"] = int(lbytes)
-            entry["pbytes"] = int(pbytes)
+                 "head": heap.head, "pages": heap.n_pages,
+                 "codec": codec.name, "lbytes": int(lbytes),
+                 "pbytes": int(pbytes)}
         if vpath in indexed:
             # the segment is built from the very values just written, so
             # index and vector can never disagree within one save
@@ -467,26 +442,18 @@ def _write_vdoc(vdoc: VectorizedDocument, file: PageFile,
             else:
                 vi = build_value_index(vpath,
                                        np.asarray(values, dtype=np.str_))
-            key_records, data_records = encode_segment(vi)
-            kheap = HeapFile.create(pool)
-            for record in key_records:
-                kheap.append(record)
-            dheap = HeapFile.create(pool)
-            for record in data_records:
-                dheap.append(record)
-            entry["index"] = {
-                "keys_head": kheap.head, "keys_pages": kheap.n_pages,
-                "data_head": dheap.head, "data_pages": dheap.n_pages,
-                "distinct": int(vi.distinct),
-                "buckets": int(vi.n_buckets),
-            }
+            iheap = HeapFile.create(pool)
+            for record in encode_segment(vi):
+                iheap.append(record)
+            entry["index"] = {"head": iheap.head, "pages": iheap.n_pages,
+                              "distinct": int(vi.distinct)}
         catalog.append(entry)
     store = vdoc.store
     skel = HeapFile.create(pool)
     for nid in range(len(store)):
         skel.append(_encode_node(store.label(nid), store.children(nid)))
     meta = {
-        "format": fmt,
+        "format": VDOC_FORMAT,
         "root": vdoc.root,
         "n_nodes": len(store),
         "skeleton": {"head": skel.head, "pages": skel.n_pages},
@@ -501,14 +468,12 @@ def _write_vdoc(vdoc: VectorizedDocument, file: PageFile,
 
 def save_vdoc(vdoc: VectorizedDocument, path: str,
               page_size: int = DEFAULT_PAGE_SIZE,
-              index_paths=None, fmt: int = VDOC_FORMAT) -> dict:
+              index_paths=None) -> dict:
     """Atomically write ``vdoc`` to ``path`` in the paged on-disk format;
-    returns a summary (pages, bytes, vector count).  ``index_paths``
-    (``"all"`` or an iterable of vector paths) additionally builds and
-    persists value-index segments for those vectors.  ``fmt=3`` writes
-    the uncompressed v3 layout (one UTF-8 record per value, no codec
-    catalog fields) — the uncompressed twin the v3-vs-v4 differential
-    tests compare against; nothing else writes it.
+    returns a summary (pages, bytes, vector count, compression).
+    ``index_paths`` (``"all"`` or an iterable of vector paths)
+    additionally builds and persists value-index segments for those
+    vectors.
 
     The document is written to a temp file in the same directory, fsynced,
     then renamed over ``path`` (``os.replace``) with a directory fsync —
@@ -523,12 +488,16 @@ def save_vdoc(vdoc: VectorizedDocument, path: str,
     try:
         file = PageFile.create(tmp, page_size)
         try:
-            meta = _write_vdoc(vdoc, file, index_paths=index_paths,
-                               fmt=fmt)
+            meta = _write_vdoc(vdoc, file, index_paths=index_paths)
             file.flush()
+            logical = sum(e["lbytes"] for e in meta["vectors"])
+            physical = sum(e["pbytes"] for e in meta["vectors"])
+            codecs: dict[str, int] = {}
+            for e in meta["vectors"]:
+                codecs[e["codec"]] = codecs.get(e["codec"], 0) + 1
             summary = {
                 "path": path,
-                "format": fmt,
+                "format": VDOC_FORMAT,
                 "page_size": page_size,
                 "pages": file.n_pages,
                 "bytes": file.size_bytes(),
@@ -536,21 +505,14 @@ def save_vdoc(vdoc: VectorizedDocument, path: str,
                 "values": sum(e["n"] for e in meta["vectors"]),
                 "skeleton_nodes": meta["n_nodes"],
                 "indexes": sum(1 for e in meta["vectors"] if "index" in e),
-                "index_pages": sum(
-                    e["index"]["keys_pages"] + e["index"]["data_pages"]
-                    for e in meta["vectors"] if "index" in e),
+                "index_pages": sum(e["index"]["pages"]
+                                   for e in meta["vectors"] if "index" in e),
+                "logical_bytes": logical,
+                "physical_bytes": physical,
+                "compression_ratio":
+                    round(physical / logical, 4) if logical else 1.0,
+                "codecs": codecs,
             }
-            if fmt >= 4:
-                logical = sum(e["lbytes"] for e in meta["vectors"])
-                physical = sum(e["pbytes"] for e in meta["vectors"])
-                codecs: dict[str, int] = {}
-                for e in meta["vectors"]:
-                    codecs[e["codec"]] = codecs.get(e["codec"], 0) + 1
-                summary["logical_bytes"] = logical
-                summary["physical_bytes"] = physical
-                summary["compression_ratio"] = round(
-                    physical / logical, 4) if logical else 1.0
-                summary["codecs"] = codecs
             file.sync_close()  # flush + fsync + close: durable before rename
         except BaseException:
             file.abort()
@@ -582,7 +544,7 @@ def _check_catalog(meta, path: str, n_pages: int) -> None:
     catalog must fail here, not as a ``TypeError`` deep in a chain walk."""
     if not isinstance(meta, dict):
         raise CorruptDataError(f"{path}: vdoc catalog is not a JSON object")
-    if meta.get("format") not in VDOC_FORMATS:
+    if meta.get("format") != VDOC_FORMAT:
         raise StorageError(
             f"{path}: unsupported vdoc format {meta.get('format')!r}")
     _req_int(meta.get("root"), "root node id", lo=1)
@@ -596,6 +558,7 @@ def _check_catalog(meta, path: str, n_pages: int) -> None:
     vectors = meta.get("vectors")
     if not isinstance(vectors, list):
         raise CorruptDataError(f"{path}: vdoc catalog has no vector list")
+    seen: set[tuple] = set()
     for entry in vectors:
         if not isinstance(entry, dict):
             raise CorruptDataError(f"{path}: vdoc catalog vector entry is "
@@ -607,44 +570,93 @@ def _check_catalog(meta, path: str, n_pages: int) -> None:
                 f"{path}: vector entry path {vpath!r} is not a list of "
                 f"labels")
         name = "/".join(vpath)
+        if tuple(vpath) in seen:
+            raise CorruptDataError(
+                f"{path}: vdoc catalog lists vector {name} twice")
+        seen.add(tuple(vpath))
         n = _req_int(entry.get("n"), f"value count of {name}", lo=0)
         _req_int(entry.get("head"), f"head page of {name}",
                  lo=0, hi=n_pages)
         _req_int(entry.get("pages"), f"chain length of {name}",
                  lo=1, hi=n_pages + 1)
-        fmt = meta.get("format")
-        if fmt >= 4:
-            codec = entry.get("codec")
-            if codec not in CODECS:
-                raise CorruptDataError(
-                    f"{path}: vector {name} names unknown codec {codec!r}")
-            _req_int(entry.get("lbytes"), f"logical bytes of {name}", lo=0)
-            _req_int(entry.get("pbytes"), f"encoded bytes of {name}", lo=0)
-        elif "codec" in entry or "lbytes" in entry or "pbytes" in entry:
+        codec = entry.get("codec")
+        if codec not in CODECS:
             raise CorruptDataError(
-                f"{path}: v{fmt} catalog carries codec fields for {name}")
+                f"{path}: vector {name} names unknown codec {codec!r}")
+        _req_int(entry.get("lbytes"), f"logical bytes of {name}", lo=0)
+        _req_int(entry.get("pbytes"), f"encoded bytes of {name}", lo=0)
         ix = entry.get("index")
         if ix is None:
             continue
         if not isinstance(ix, dict):
             raise CorruptDataError(
                 f"{path}: index entry of {name} is not an object")
-        _req_int(ix.get("keys_head"), f"index keys head of {name}",
+        _req_int(ix.get("head"), f"index head page of {name}",
                  lo=0, hi=n_pages)
-        _req_int(ix.get("keys_pages"), f"index keys chain of {name}",
-                 lo=1, hi=n_pages + 1)
-        _req_int(ix.get("data_head"), f"index data head of {name}",
-                 lo=0, hi=n_pages)
-        _req_int(ix.get("data_pages"), f"index data chain of {name}",
+        _req_int(ix.get("pages"), f"index chain length of {name}",
                  lo=1, hi=n_pages + 1)
         _req_int(ix.get("distinct"), f"index key count of {name}",
                  lo=0, hi=n + 1)
-        buckets = _req_int(ix.get("buckets"), f"index bucket count of {name}",
-                           lo=1)
-        if buckets & (buckets - 1):
+
+
+def _read_catalog(pool, path: str, meta_page: int, n_pages: int) -> dict:
+    """Read, decode and schema-check the catalog record whose heap starts
+    at ``meta_page`` — the one validating catalog reader, shared by
+    :func:`open_vdoc` (which lets the error propagate) and fsck (which
+    turns it into a ``catalog`` finding)."""
+    if meta_page < 0:
+        raise StorageError(f"{path}: page file has no vdoc catalog")
+    if meta_page >= n_pages:
+        raise CorruptDataError(
+            f"{path}: catalog head page {meta_page} outside the "
+            f"file ({n_pages} pages)")
+    meta_records = list(HeapFile(pool, meta_page).records())
+    if not meta_records:
+        raise StorageError(f"{path}: empty vdoc catalog")
+    try:
+        meta = json.loads(meta_records[0].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptDataError(
+            f"{path}: vdoc catalog is not valid JSON ({exc})",
+            page=meta_page) from exc
+    _check_catalog(meta, path, n_pages)
+    return meta
+
+
+def _replay_skeleton(pool, meta: dict, path: str) -> NodeStore:
+    """Rebuild the hash-consed skeleton from its heap, validating every
+    record on the way (the one skeleton reader, shared like
+    :func:`_read_catalog`; fsck reports a failure as ``skeleton``)."""
+    store = NodeStore()
+    skel = HeapFile(pool, meta["skeleton"]["head"],
+                    n_pages=meta["skeleton"]["pages"])
+    for nid, record in enumerate(skel.records()):
+        label, runs = _decode_node(record)
+        if nid == 0:
+            if label != "#" or runs:
+                raise CorruptDataError(
+                    f"{path}: node 0 is not the text marker")
+            continue
+        for child, count in runs:
+            if not 0 <= child < nid or count < 1:
+                raise CorruptDataError(
+                    f"{path}: skeleton node {nid} has child run "
+                    f"({child}, {count}) outside the already-interned "
+                    f"prefix")
+        interned = store.intern(label, runs)
+        if interned != nid:
             raise CorruptDataError(
-                f"{path}: index bucket count of {name} ({buckets}) is not "
-                f"a power of two")
+                f"{path}: skeleton records out of interning order "
+                f"(node {nid} interned as {interned})")
+    if len(store) != meta["n_nodes"]:
+        raise CorruptDataError(
+            f"{path}: catalog says {meta['n_nodes']} skeleton nodes, "
+            f"file holds {len(store)}")
+    if not 1 <= meta["root"] < len(store):
+        raise CorruptDataError(
+            f"{path}: root id {meta['root']} outside the skeleton "
+            f"({len(store)} nodes)")
+    return store
 
 
 def open_vdoc(path: str, pool_pages: int | None = None,
@@ -662,63 +674,17 @@ def open_vdoc(path: str, pool_pages: int | None = None,
         if pool is None:
             pool = BufferPool(capacity=pool_pages)
         view = pool.attach(file)
-        if file.meta_page < 0:
-            raise StorageError(f"{path}: page file has no vdoc catalog")
-        if file.meta_page >= file.n_pages:
-            raise CorruptDataError(
-                f"{path}: catalog head page {file.meta_page} outside the "
-                f"file ({file.n_pages} pages)")
-        meta_records = list(HeapFile(view, file.meta_page).records())
-        if not meta_records:
-            raise StorageError(f"{path}: empty vdoc catalog")
-        try:
-            meta = json.loads(meta_records[0].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptDataError(
-                f"{path}: vdoc catalog is not valid JSON ({exc})") from exc
-        _check_catalog(meta, path, file.n_pages)
-
-        store = NodeStore()
-        skel = HeapFile(view, meta["skeleton"]["head"],
-                        n_pages=meta["skeleton"]["pages"])
-        for nid, record in enumerate(skel.records()):
-            label, runs = _decode_node(record)
-            if nid == 0:
-                if label != "#" or runs:
-                    raise CorruptDataError(
-                        f"{path}: node 0 is not the text marker")
-                continue
-            for child, count in runs:
-                if not 0 <= child < nid or count < 1:
-                    raise CorruptDataError(
-                        f"{path}: skeleton node {nid} has child run "
-                        f"({child}, {count}) outside the already-interned "
-                        f"prefix")
-            interned = store.intern(label, runs)
-            if interned != nid:
-                raise CorruptDataError(
-                    f"{path}: skeleton records out of interning order "
-                    f"(node {nid} interned as {interned})")
-        if len(store) != meta["n_nodes"]:
-            raise CorruptDataError(
-                f"{path}: catalog says {meta['n_nodes']} skeleton nodes, "
-                f"file holds {len(store)}")
-        if not 1 <= meta["root"] < len(store):
-            raise CorruptDataError(
-                f"{path}: root id {meta['root']} outside the skeleton "
-                f"({len(store)} nodes)")
+        meta = _read_catalog(view, path, file.meta_page, file.n_pages)
+        store = _replay_skeleton(view, meta, path)
 
         vectors: dict[tuple, LazyVector] = {}
         vindexes: dict[tuple, DiskValueIndex] = {}
         for entry in meta["vectors"]:
             vpath = tuple(entry["path"])
             heap = HeapFile(view, entry["head"], n_pages=entry["pages"])
-            codec = CODECS[entry["codec"]] if meta["format"] >= 4 \
-                else IDENTITY
             vectors[vpath] = LazyVector(vpath, entry["n"], heap,
-                                        codec=codec,
-                                        lbytes=entry.get("lbytes"),
-                                        pbytes=entry.get("pbytes"))
+                                        CODECS[entry["codec"]],
+                                        entry["lbytes"], entry["pbytes"])
             if "index" in entry:
                 vindexes[vpath] = DiskValueIndex(vpath, entry["n"],
                                                  entry["index"], view)

@@ -253,34 +253,36 @@ def _codec_rich_xml(tmp_path, n=200):
     return f
 
 
-def test_cli_save_format_and_index_ls_compression(tmp_path, capsys):
+def test_cli_save_format_and_index_ls_compression(tmp_path, capsys,
+                                                  save_identity):
     f = _codec_rich_xml(tmp_path)
-    v4, v3 = str(tmp_path / "d4.vdoc"), str(tmp_path / "d3.vdoc")
+    coded, plain = (str(tmp_path / "coded.vdoc"),
+                    str(tmp_path / "plain.vdoc"))
 
-    assert main(["save", str(f), v4, "--page-size", "512"]) == 0
+    assert main(["save", str(f), coded, "--page-size", "512"]) == 0
     out = capsys.readouterr().out
-    assert "format           4" in out
+    assert "format           5" in out
     assert "compression_ratio" in out and "codecs" in out
 
-    # the uncompressed v3 twin is a library-only fixture (fmt=3)
-    VectorizedDocument.from_xml(f.read_text("utf-8")).save(
-        v3, page_size=512, fmt=3)
+    # the uncompressed twin is a test-only fixture (identity codec forced)
+    save_identity(VectorizedDocument.from_xml(f.read_text("utf-8")),
+                  plain, page_size=512)
 
     # index ls prints per-vector codec + logical/on-disk bytes from the
     # catalog alone, before any index exists
-    assert main(["index", "ls", v4]) == 0
+    assert main(["index", "ls", coded]) == 0
     out = capsys.readouterr().out
     assert "codec=dict" in out and "codec=delta" in out
     assert "logical=" in out and "disk=" in out
     assert "ratio=" in out
     assert "no index segments" in out
 
-    # the two formats answer queries byte-identically through the CLI
+    # the two codings answer queries byte-identically through the CLI
     q = "for $i in /r/it where $i/cat = 'c2' return <o>{$i/id}</o>"
-    assert main(["query", v4, q, "--pool", "8"]) == 0
-    out4 = capsys.readouterr().out
-    assert main(["query", v3, q, "--pool", "8"]) == 0
-    assert capsys.readouterr().out == out4
+    assert main(["query", coded, q, "--pool", "8"]) == 0
+    out_coded = capsys.readouterr().out
+    assert main(["query", plain, q, "--pool", "8"]) == 0
+    assert capsys.readouterr().out == out_coded
 
 
 def test_cli_repo_ls_compression_summary(tmp_path, capsys):

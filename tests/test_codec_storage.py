@@ -1,5 +1,6 @@
-"""Compressed (format v4) vector storage, end to end: byte-identical
-query results across memory / v3 / v4 under tiny buffer pools, the
+"""Compressed vector storage, end to end: byte-identical query results
+across memory / identity-coded / codec-coded files (``v3`` / ``v4``
+below, after the formats that introduced them) under tiny buffer pools, the
 zero-decode machine assertion for code-space predicate evaluation, the
 planner's ``dict`` access path and its ``use_codecs=False`` reference,
 compression accounting in IOStats and the catalog, the repository
@@ -53,24 +54,25 @@ def mem():
 
 
 @pytest.fixture(scope="module")
-def saved(tmp_path_factory, mem):
+def saved(tmp_path_factory, mem, save_identity):
     d = tmp_path_factory.mktemp("codec")
     v4, v3 = str(d / "doc4.vdoc"), str(d / "doc3.vdoc")
     s4 = mem.save(v4, page_size=256)
-    s3 = mem.save(v3, page_size=256, fmt=3)
+    s3 = save_identity(mem, v3, page_size=256)
     return v4, v3, s4, s3
 
 
-def test_save_summary_and_codec_mix(saved):
+def test_save_summary_and_codec_mix(saved, mem):
     v4, _, s4, s3 = saved
-    assert s4["format"] == 4 and s3["format"] == 3
+    assert s4["format"] == s3["format"] == 5
     assert s4["compression_ratio"] < 0.8        # the doc is compressible
     assert 0 < s4["physical_bytes"] < s4["logical_bytes"]
     assert s4["codecs"].get("dict") and s4["codecs"].get("delta") \
         and s4["codecs"].get("zlib")
-    for key in ("logical_bytes", "physical_bytes", "compression_ratio",
-                "codecs"):
-        assert key not in s3                    # v3 catalogs no byte counts
+    # the identity twin is the same format, every vector stored as text
+    assert s3["codecs"] == {"identity": len(mem.vectors)}
+    assert s3["physical_bytes"] == s3["logical_bytes"] == s4["logical_bytes"]
+    assert s3["compression_ratio"] == 1.0
     with VectorizedDocument.open(v4) as disk:
         assert disk.codec_of(CAT) == "dict"
         assert disk.codec_of(ID) == "delta"
@@ -89,8 +91,9 @@ def test_compression_stats_are_catalog_only(saved):
         assert by_path["/".join(CAT)]["codec"] == "dict"
     with VectorizedDocument.open(v3) as disk:
         comp = disk.compression_stats()
-        assert comp["compression_ratio"] is None
-        assert comp["logical_bytes"] is None
+        assert comp["compression_ratio"] == 1.0
+        assert comp["physical_bytes"] == comp["logical_bytes"] \
+            == s4["logical_bytes"]
 
 
 @pytest.mark.parametrize("query", XPATHS)
@@ -202,15 +205,17 @@ def _high_cardinality_xml(n=300):
 @pytest.mark.parametrize("xml, compressible", [
     (_xml(), True), (_high_cardinality_xml(), False)],
     ids=["low-cardinality", "high-cardinality"])
-def test_v4_cold_pages_track_compression_ratio(tmp_path, xml, compressible):
+def test_v4_cold_pages_track_compression_ratio(tmp_path, xml, compressible,
+                                               save_identity):
     """The perf claim, asserted structurally: reading every vector cold
-    from v4 costs fewer pages than from v3, roughly in proportion to the
-    byte-level compression ratio — and where compression fails, a v4
-    file degrades to (almost) its v3 twin, never worse."""
+    from a codec-coded file (v4) costs fewer pages than from its
+    identity-coded twin (v3), roughly in proportion to the byte-level
+    compression ratio — and where compression fails, the file degrades
+    to (almost) its identity twin, never worse."""
     doc = VectorizedDocument.from_xml(xml)
     v4, v3 = str(tmp_path / "doc4.vdoc"), str(tmp_path / "doc3.vdoc")
     s4 = doc.save(v4, page_size=256)
-    s3 = doc.save(v3, page_size=256, fmt=3)
+    s3 = save_identity(doc, v3, page_size=256)
 
     def cold_vector_pages(path):
         with VectorizedDocument.open(path, pool_pages=8) as disk:
@@ -259,7 +264,8 @@ def test_repo_manifest_records_compression(tmp_path, saved):
         assert comp["logical_bytes"] == s4["logical_bytes"]
         assert comp["physical_bytes"] == s4["physical_bytes"]
         assert comp["codecs"] == s4["codecs"]
-        assert "compression" not in repo._entry("m3")   # pre-v4 member
+        assert repo._entry("m3")["compression"]["codecs"] == \
+            {"identity": s4["vectors"]}
         # queries agree across members and across the codec hatch
         on = repo.xq(XQ_SELECT).to_xml()
         off = repo.xq(XQ_SELECT, use_codecs=False).to_xml()
@@ -280,6 +286,9 @@ def test_manifest_rejects_bad_compression_entry():
     base["members"][0]["compression"] = {
         "logical_bytes": 1, "physical_bytes": 1, "codecs": {"dict": 2}}
     assert _check_manifest(base)
+    del base["members"][0]["compression"]    # every member records one
+    with pytest.raises(RepositoryError, match="compression"):
+        _check_manifest(base)
 
 
 # -- corruption: exact answer or located StorageError ------------------------

@@ -1,6 +1,7 @@
 """``verify_vdoc`` / ``repro-xq check``: findings (not exceptions) with
 locations, exit codes, and the deep-is-a-superset-of-shallow contract."""
 
+import os
 import struct
 
 import pytest
@@ -8,12 +9,13 @@ import pytest
 from repro.cli import main
 from repro.core.vdoc import VectorizedDocument
 from repro.datasets.synth import xmark_like_xml
-from repro.errors import StorageError
+from repro.errors import CorruptDataError, StorageError
+from repro.repo import Repository
 from repro.storage import PageFile
 from repro.storage.disk import FILE_HEADER, _header_bytes
 from repro.storage.fsck import verify_vdoc
 from repro.storage.pages import SlottedPage, stamp_crc
-from repro.storage.vdocfile import open_vdoc
+from repro.storage.vdocfile import _check_catalog, open_vdoc
 
 PAGE_SIZE = 256
 
@@ -91,25 +93,65 @@ def test_catalog_schema_break_is_a_catalog_finding(vdoc_path):
                for f in findings)
 
 
-def test_format_2_catalog_is_rejected_as_unsupported(vdoc_path):
-    """Format 2 has no writer and no reader any more: a real catalog
-    re-stamped ``"format": 2`` fails with the typed error on open and is
-    a catalog finding for fsck — never a silent best-effort read."""
-    with PageFile.open(vdoc_path) as pf:
+def _edit_catalog(path, old: bytes, new: bytes):
+    """Same-length byte substitution inside the catalog record (CRC
+    restamped) — a catalog only a hand edit or a foreign writer makes."""
+    assert len(old) == len(new)
+    with PageFile.open(path) as pf:
         meta_page = pf.meta_page
 
-    def restamp(buf):
+    def substitute(buf):
         page = SlottedPage(buf, PAGE_SIZE)
         off, length, _ = page.slot_entry(0)
         frag = bytes(buf[off:off + length])
-        assert b'"format":4' in frag
-        buf[off:off + length] = frag.replace(b'"format":4', b'"format":2', 1)
-    _patch_page(vdoc_path, meta_page, restamp)
-    with pytest.raises(StorageError, match="unsupported vdoc format 2"):
+        assert old in frag
+        buf[off:off + length] = frag.replace(old, new, 1)
+    _patch_page(path, meta_page, substitute)
+
+
+@pytest.mark.parametrize("fmt", [2, 3, 4])
+def test_older_format_catalog_is_rejected_as_unsupported(vdoc_path, fmt,
+                                                         tmp_path, capsys):
+    """Formats 2, 3 and 4 have no writer and no reader any more: a real
+    catalog re-stamped with one fails with the typed error on open, is a
+    catalog finding for fsck and ``repro-xq check``, and cannot be added
+    to a repository — never a silent best-effort read."""
+    _edit_catalog(vdoc_path, b'"format":5', b'"format":%d' % fmt)
+    unsupported = f"unsupported vdoc format {fmt}"
+    with pytest.raises(StorageError, match=unsupported):
         open_vdoc(vdoc_path)
     findings = verify_vdoc(vdoc_path)
-    assert any(f.code == "catalog" and "unsupported vdoc format 2" in f.message
+    assert any(f.code == "catalog" and unsupported in f.message
                for f in findings)
+    assert main(["check", vdoc_path]) == 1
+    assert unsupported in capsys.readouterr().out
+    repo_dir = str(tmp_path / "repo")
+    with Repository.init(repo_dir, "col") as repo:
+        with pytest.raises(StorageError, match=unsupported):
+            repo.add(vdoc_path, name="old")
+        assert repo.members() == []
+    assert os.listdir(repo_dir) == ["repo.json"]   # no member file left
+
+
+def test_duplicate_vector_path_is_rejected(vdoc_path):
+    """A catalog listing one vector path twice used to open with the last
+    entry silently winning and pass fsck (both entries claim pages under
+    the same name); it is a located schema error now."""
+    entry = {"path": ["a", "#"], "n": 0, "head": 0, "pages": 1,
+             "codec": "identity", "lbytes": 0, "pbytes": 0}
+    meta = {"format": 5, "root": 1, "n_nodes": 2,
+            "skeleton": {"head": 1, "pages": 1}, "vectors": [entry]}
+    _check_catalog(meta, "x.vdoc", 4)
+    meta["vectors"].append(dict(entry))
+    with pytest.raises(CorruptDataError, match="x.vdoc.*lists vector a/# twice"):
+        _check_catalog(meta, "x.vdoc", 4)
+    # on disk: rename one vector's last label so its path collides with
+    # a sibling's (same length, so the record layout is untouched)
+    _edit_catalog(vdoc_path, b'"buyer","#"]', b'"price","#"]')
+    with pytest.raises(CorruptDataError, match="twice"):
+        open_vdoc(vdoc_path)
+    assert any(f.code == "catalog" and "twice" in f.message
+               for f in verify_vdoc(vdoc_path))
 
 
 def test_invalid_utf8_value_is_deep_only(vdoc_path):

@@ -34,8 +34,7 @@ def indexed(tmp_path):
     with open_vdoc(path) as doc:
         handle = doc._vindexes[NAME_PATH]
         layout = {
-            "keys": handle._keys_heap.pages(),
-            "data": handle._data_heap.pages(),
+            "index": handle._heap.pages(),
             "column": doc.vectors[NAME_PATH]._heap.pages(),
         }
         golden = eval_xq(doc, QUERY).to_xml()
@@ -67,10 +66,10 @@ def test_clean_indexed_file_passes_shallow_and_deep(indexed):
     assert verify_vdoc(path, deep=True) == []
 
 
-def test_corrupt_data_segment_is_an_index_finding(indexed):
+def test_corrupt_itemsize_record_is_an_index_finding(indexed):
     path, layout, _ = indexed
-    # record 0 of the data chain is the <qqq> header: all-0xFF n/u/buckets
-    _patch_page(path, layout["data"][0], _smash_slot)
+    # record 0 of the chain is the <q> key itemsize: all-0xFF = -1
+    _patch_page(path, layout["index"][0], _smash_slot)
     findings = verify_vdoc(path)
     assert any(f.code == "index" and "vindex" in f.message
                for f in findings)
@@ -79,9 +78,11 @@ def test_corrupt_data_segment_is_an_index_finding(indexed):
 
 def test_corrupt_key_blob_is_an_index_finding(indexed):
     path, layout, _ = indexed
-    _patch_page(path, layout["keys"][-1], lambda buf: _smash_slot(
-        buf, slot=SlottedPage(buf, PAGE_SIZE).n_slots - 1))
-    assert any(f.code == "index" for f in verify_vdoc(path))
+    # slot 1 of the head page starts record 1, the raw <U key buffer
+    _patch_page(path, layout["index"][0],
+                lambda buf: _smash_slot(buf, slot=1))
+    assert any(f.code == "index" and "code points" in f.message
+               for f in verify_vdoc(path))
 
 
 def test_stale_index_flagged_by_deep_only(indexed):
@@ -101,7 +102,7 @@ def test_index_bitflip_fuzz(indexed, tmp_path):
     CRC layer at minimum) and a probing query either returns the golden
     answer or raises StorageError — never a silently wrong result."""
     path, layout, golden = indexed
-    index_pages = layout["keys"] + layout["data"]
+    index_pages = layout["index"]
     rng = random.Random(99)
     for trial in range(40):
         work = str(tmp_path / f"fuzz{trial}.vdoc")

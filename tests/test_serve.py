@@ -391,3 +391,39 @@ def test_latency_histogram_all_overflow():
     h.observe(500.0)
     assert math.isinf(h.quantile(0.5))
     assert h.as_dict()["p50_ms"] is None and h.as_dict()["overflow"] == 1
+
+
+def test_query_p50_is_the_merged_histogram_median():
+    from repro.serve.metrics import Metrics
+
+    m = Metrics()
+    assert m.query_p50() == 0.0                     # before any query
+    m.observe("/stats", 200, 100.0)                 # not a query endpoint
+    both = LatencyHistogram()
+    for endpoint, ms in (("/xq", 1), ("/xq", 2), ("/xpath", 40),
+                         ("/xpath", 50), ("/xpath", 60)):
+        m.observe(endpoint, 200, ms / 1e3)
+        both.observe(ms / 1e3)
+    assert m.query_p50() == both.quantile(0.5) >= 0.04
+    for _ in range(6):                              # now 6 of 11
+        m.observe("/xq", 200, 500.0)
+    assert math.isinf(m.query_p50())                # median in overflow
+
+
+def test_pool_counters_flatten_the_same_way_everywhere(server, repo_dir):
+    """``BufferPool.snapshot`` is the one flattening behind ``--io-stats``
+    (document and repository) and ``/stats``: same keys, same order."""
+    from repro.storage import IOStats
+
+    base = list(IOStats().as_dict())
+    pool_keys = base + ["capacity", "resident", "pinned"]
+    prefixed = [f"pool_{k}" for k in base] + \
+        ["pool_capacity", "pool_resident", "pinned"]
+    assert list(server.repo.pool.snapshot()) == pool_keys
+    assert list(server.stats_snapshot()["pool"]) == \
+        pool_keys + ["max_inflight"]
+    with Repository.open(repo_dir, pool_pages=16) as repo:
+        doc = repo.member(repo.members()[0])
+        assert list(doc.io_stats()) == base + prefixed
+        assert list(repo.io_stats()) == \
+            prefixed + [f"{repo.members()[0]}.{k}" for k in base]

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from repro.errors import CorruptDataError
-from repro.index import N_DATA_RECORDS, N_KEY_RECORDS
+from repro.index import N_SEGMENT_RECORDS
 from repro.index.segment import check_segment, decode_segment, encode_segment
 from repro.index.vindex import (
     ValueIndex,
     build_value_index,
+    key_code,
     merge_codings,
     select_keep,
-    value_hash,
 )
 from repro.util import parse_float
 
@@ -78,15 +78,33 @@ def test_row_codes_is_the_inverse_coding():
     assert [str(vi.keys[c]) for c in codes] == col
 
 
-def test_code_of_uses_the_hash_directory():
-    col = _column(random.Random(5), 50)
+@pytest.mark.parametrize("seed", range(25))
+def test_code_of_equals_a_plain_dict_lookup(seed):
+    """The sorted-key binary search answers exactly what a Python dict
+    over the keys would: over random key sets (including the empty one),
+    for stored keys, absent keys, strict prefixes and extensions of
+    stored keys, non-BMP code points, and probes longer than the stored
+    itemsize — which must not widen the dictionary to find out."""
+    rng = random.Random(seed)
+    alphabet = ["a", "b", "Z", "0", " ", "é", "\u4e2d", "\U0001F600",
+                "\U00010000", "\uffff"]
+    keyset = {"".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+              for _ in range(rng.choice([0, 1, 2, 7, 40]))}
+    col = [rng.choice(sorted(keyset)) for _ in range(60)] if keyset else []
     vi = build_value_index(VPATH, col)
-    for code, key in enumerate(vi.keys):
-        assert vi.code_of(str(key)) == code
-        bucket = value_hash(str(key)) & (vi.n_buckets - 1)
-        lo, hi = vi.bucket_offsets[bucket], vi.bucket_offsets[bucket + 1]
-        assert code in vi.bucket_codes[lo:hi]
-    assert vi.code_of("no such key") == -1
+    want = {str(k): c for c, k in enumerate(vi.keys)}
+    assert set(want) == set(col)
+    width = vi.keys.dtype.itemsize // 4
+    probes = set(want) | {"", "no such key", "\U0001F600", "x" * (width + 1),
+                          "x" * 5000}
+    for key in list(want):
+        probes |= {key[:-1], key + "a", key + "\U0001F600", key + "\x00",
+                   key + "x" * width}
+    for probe in probes:
+        got = vi.code_of(probe)
+        assert got == want.get(probe, -1), (probe, got)
+        assert type(got) is int
+        assert key_code(vi.keys, probe) == got   # the scan path's helper
 
 
 def test_select_keep_matches_scan_mask():
@@ -151,18 +169,16 @@ def test_merge_codings_shares_codes_for_equal_strings():
 
 def _roundtrip(col):
     vi = build_value_index(VPATH, col)
-    keys, data = encode_segment(vi)
-    assert len(keys) == N_KEY_RECORDS and len(data) == N_DATA_RECORDS
-    return vi, decode_segment(VPATH, vi.n, keys, data)
+    records = encode_segment(vi)
+    assert len(records) == N_SEGMENT_RECORDS
+    return vi, decode_segment(VPATH, vi.n, records)
 
 
 def test_segment_roundtrip_preserves_every_array():
     vi, back = _roundtrip(_column(random.Random(2), 90))
     assert list(back.keys) == list(vi.keys)
-    for attr in ("offsets", "rows", "bucket_offsets", "bucket_codes",
-                 "num_codes", "num_vals"):
+    for attr in ("offsets", "rows", "num_codes", "num_vals"):
         assert np.array_equal(getattr(back, attr), getattr(vi, attr)), attr
-    assert back.n_buckets == vi.n_buckets
     assert check_segment(back) == []
 
 
@@ -173,45 +189,46 @@ def test_segment_roundtrip_empty_column():
 
 
 # fixture column: 6 rows, keys {"42", "7", "a", "b", "c"} (u=5, two
-# numeric), key itemsize 8 (<U2) — the byte counts below depend on it
+# numeric), key itemsize 8 (<U2) — the byte counts below depend on it.
+# Stream: 0 itemsize, 1 key blob, 2 header, 3 offsets, 4 rows,
+# 5 num_codes, 6 num_vals
+def _with(records, i, record):
+    return records[:i] + [record] + records[i + 1:]
+
+
 @pytest.mark.parametrize("mutate, msg", [
-    (lambda k, d: (k, d[:-1]), "data records"),
-    (lambda k, d: (k[:1], d), "key stream"),
-    (lambda k, d: (k, [b"\x00" * 8] + d[1:]), "malformed header"),
-    (lambda k, d: (k, [struct.pack("<qqq", 99, 5, 8)] + d[1:]),
-     "header says"),
-    (lambda k, d: (k, [struct.pack("<qqq", 6, 5, 3)] + d[1:]),
-     "power of two"),
-    (lambda k, d: ([struct.pack("<q", 6), k[1]], d), "key buffer"),
-    (lambda k, d: ([k[0], k[1][:-4]], d), "key buffer"),
-    (lambda k, d: ([k[0], b"\x00\xd8\x00\x00" * 10], d),
+    (lambda r: r[:-1], "6 records"),
+    (lambda r: r[1:], "6 records"),
+    (lambda r: _with(r, 0, b"\x00" * 4), "malformed itemsize"),
+    (lambda r: _with(r, 2, b"\x00" * 8), "malformed header"),
+    (lambda r: _with(r, 2, struct.pack("<qq", 99, 5)), "header says"),
+    (lambda r: _with(r, 0, struct.pack("<q", 6)), "key buffer"),
+    (lambda r: _with(r, 1, r[1][:-4]), "key buffer"),
+    (lambda r: _with(r, 1, b"\x00\xd8\x00\x00" * 10),
      "invalid code points"),
-    (lambda k, d: (k, d[:1] + [d[1][::-1]] + d[2:]), "CSR"),
-    (lambda k, d: (k, d[:2] + [d[2][:8] * (len(d[2]) // 8)] + d[3:]),
-     "permutation"),
-    (lambda k, d: (k, d[:4] + [d[4][:8] * (len(d[4]) // 8)] + d[5:]),
-     "bucket codes"),
-    (lambda k, d: (k, d[:5] + [d[5] + b"\x00" * 8] + d[6:]),
-     "disagree in length"),
-    (lambda k, d: (k, d[:6] + [d[6][::-1]]), "ascending"),
+    (lambda r: _with(r, 3, r[3][::-1]), "CSR"),
+    (lambda r: _with(r, 4, r[4][:8] * (len(r[4]) // 8)), "permutation"),
+    (lambda r: _with(r, 5, r[5] + b"\x00" * 8), "disagree in length"),
+    (lambda r: _with(r, 5, struct.pack("<qq", 0, 0)), "duplicated"),
+    (lambda r: _with(r, 5, struct.pack("<qq", 0, 5)), "outside 0..4"),
+    (lambda r: _with(r, 6, r[6][::-1]), "ascending"),
+    (lambda r: _with(r, 6, struct.pack("<dd", 7.0, float("nan"))),
+     "NaN-free"),
 ])
 def test_decoder_rejects_tampered_records(mutate, msg):
     vi = build_value_index(VPATH, ["b", "a", "c", "a", "7", "42"])
-    keys, data = encode_segment(vi)
-    keys, data = mutate(list(keys), list(data))
+    records = mutate(encode_segment(vi))
     with pytest.raises(CorruptDataError, match=msg):
-        decode_segment(VPATH, vi.n, keys, data)
+        decode_segment(VPATH, vi.n, records)
 
 
 def test_decoder_rejects_unsorted_keys():
     vi = build_value_index(VPATH, ["a", "b", "c"])
     # swap two keys in the raw buffer: still valid text, wrong order
     swapped = ValueIndex(VPATH, vi.n, vi.keys[::-1].copy(), vi.offsets,
-                         vi.rows, vi.n_buckets, vi.bucket_offsets,
-                         vi.bucket_codes, vi.num_codes, vi.num_vals)
-    keys, data = encode_segment(swapped)
+                         vi.rows, vi.num_codes, vi.num_vals)
     with pytest.raises(CorruptDataError, match="strictly increasing"):
-        decode_segment(VPATH, vi.n, keys, data)
+        decode_segment(VPATH, vi.n, encode_segment(swapped))
 
 
 def test_check_segment_flags_stale_index():
