@@ -2,7 +2,7 @@
 XPath evaluators and the query engine."""
 
 from .engine import TreeResult, XQTreeResult, XQVXResult, eval_query, eval_xq
-from .paths import ExtendedVector, PathIndex, PathsCatalog, ranges_to_ordinals
+from .paths import PathIndex, PathsCatalog, ranges_to_ordinals
 from .reconstruct import forbid_decompression
 from .reconstruct import reconstruct as reconstruct_tree
 from .skeleton import NodeStore, collapse_runs
@@ -16,7 +16,6 @@ __all__ = [
     "XQVXResult",
     "eval_query",
     "eval_xq",
-    "ExtendedVector",
     "PathIndex",
     "PathsCatalog",
     "ranges_to_ordinals",

@@ -59,7 +59,6 @@ def build_result(vdoc, gr: ResultSkeleton, table: ReducedTable,
     store = vdoc.store
     catalog = vdoc.catalog
     cache = ctx.cache(vdoc) if ctx is not None else None
-    guide = catalog.dataguide()
     leaves = _template_leaves(gr)
     n_rows = table.n_rows
 
@@ -67,22 +66,13 @@ def build_result(vdoc, gr: ResultSkeleton, table: ReducedTable,
     row_children: list[list[int]] = [[] for _ in range(n_rows)]
     # output vector parts: path -> [(values, global rows, leaf idx, seq)]
     acc: dict[tuple, list] = {}
-    # text paths below a spliced path, computed once per distinct path —
-    # the dataguide scan must not repeat per combo
-    rels_of: dict[tuple, list[tuple]] = {}
 
     def text_rels(scp: tuple) -> list[tuple]:
-        rels = rels_of.get(scp)
-        if rels is None:
-            if scp[-1] == "#":
-                rels = [()]
-            else:
-                k = len(scp)
-                rels = sorted(g[k:] for g in guide
-                              if len(g) > k and g[:k] == scp
-                              and g[-1] == "#")
-            rels_of[scp] = rels
-        return rels
+        """Text paths below a spliced path, relative to it."""
+        if scp[-1] == "#":
+            return [()]
+        return [g[len(scp):] for g in catalog.guide.below(scp)
+                if g[-1] == "#"]
 
     combos = [c for c in table.combos if len(c)]
 

@@ -16,9 +16,15 @@ maps are (starts, lengths) column pairs, and expansion uses
 ``np.searchsorted`` / prefix sums / ``np.repeat`` — no per-node Python
 loops on hot paths (Python iteration is over *runs* only, which is the
 compressed size).
+
+The module also owns the **dataguide** — the sorted distinct label paths —
+and :class:`Dataguide` is the only place query steps (``*``, ``//``),
+prefixes and membership are tested against it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -39,33 +45,102 @@ def ranges_to_ordinals(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - first_local, lengths) + np.arange(total, dtype=np.int64)
 
 
-class ExtendedVector:
-    """A collection-at-a-time instantiation: numpy column arrays.
+def _alignments(tests: list[tuple], cpath: tuple) -> list[tuple]:
+    """All ways the query steps — compiled to ``(child axis?, label
+    predicate)`` pairs — can align with a concrete label path so the last
+    step lands on the path's last position."""
+    out: list[tuple] = []
+    _align(tests, cpath, 0, 0, (), out)
+    return out
 
-    ``ord`` is the occurrence-ordinal column of the variable's path;
-    ``anc`` (optional) the ordinal column of its ancestor in the query;
-    ``card`` (optional) a cardinality column used when rows are kept
-    collapsed (a row stands for ``card`` consecutive occurrences).
-    """
 
-    __slots__ = ("path", "ord", "anc", "card")
+def _align(tests: list[tuple], cpath: tuple, si: int, pos: int, acc: tuple,
+           out: list[tuple]) -> None:
+    """Place step ``si`` at or after ``pos``.  A module-level function, not
+    a closure over ``out``: a recursive closure refers to itself, so every
+    call would leave a reference cycle for the garbage collector — one per
+    candidate path per query."""
+    child, matches = tests[si]
+    end = len(cpath) - 1
+    if si == len(tests) - 1:
+        # the last step lands on the last position or nowhere
+        if (pos == end if child else pos <= end) and matches(cpath[end]):
+            out.append((*acc, end))
+        return
+    for p in ((pos,) if child else range(pos, end)):
+        if p < end and matches(cpath[p]):
+            _align(tests, cpath, si + 1, p + 1, (*acc, p), out)
 
-    def __init__(self, path: tuple, ords: np.ndarray,
-                 anc: np.ndarray | None = None,
-                 card: np.ndarray | None = None):
-        self.path = path
-        self.ord = ords
-        self.anc = anc
-        self.card = card
 
-    def __len__(self) -> int:
-        return len(self.ord)
+def _span(paths, prefix: tuple) -> tuple[int, int]:
+    """Slice bounds of the proper extensions of ``prefix`` in sorted
+    ``paths`` — contiguous, because any other path above ``prefix``
+    differs from it *inside* the prefix and so sorts after all of them."""
+    k = len(prefix)
+    lo = bisect_right(paths, prefix)
+    return lo, bisect_left(paths, True, lo, key=lambda p: p[:k] != prefix)
 
-    def total(self) -> int:
-        """Number of represented occurrences (sum of cardinalities)."""
-        if self.card is None:
-            return len(self.ord)
-        return int(self.card.sum())
+
+class Dataguide:
+    """The distinct root label paths of one document, sorted — built once
+    per path list and consulted by every evaluator, the planner, the
+    builder and repository pruning.  It is an index of its input, not a
+    cache: nothing to bound or invalidate.
+
+    ``paths`` is a sorted list (a document's catalog) or a ``{path:
+    count}`` dict in sorted key order (a repository member's manifest
+    entry).  Besides the list the guide holds a membership map (``path in
+    guide``; ``guide[path]`` is the count); a ``base`` prefix narrows a
+    lookup to its contiguous range of the sorted list by bisection."""
+
+    __slots__ = ("paths", "_count")
+
+    def __init__(self, paths):
+        prev = None
+        for p in paths:
+            # strict order is what makes the bisect ranges right
+            if not p or (prev is not None and p <= prev):
+                raise ValueError(
+                    f"label path {p!r} is empty, duplicated or out of order")
+            prev = p
+        self.paths = list(paths)
+        self._count = paths if isinstance(paths, dict) \
+            else dict.fromkeys(paths)
+
+    @classmethod
+    def of(cls, guide) -> "Dataguide":
+        """``guide`` itself, or one built from what the constructor takes."""
+        return guide if isinstance(guide, cls) else cls(guide)
+
+    def __contains__(self, path: tuple) -> bool:
+        return path in self._count
+
+    def __getitem__(self, path: tuple):
+        return self._count[path]
+
+    def below(self, prefix: tuple) -> list[tuple]:
+        """Every path properly extending ``prefix`` (all of them, for the
+        empty prefix), sorted."""
+        lo, hi = _span(self.paths, prefix)
+        return self.paths[lo:hi]
+
+    def resolve(self, steps: tuple, base: tuple = ()) -> list[tuple]:
+        """Expand ``*`` and ``//``: the paths below ``base`` (everything,
+        for the empty base) whose remainder the query ``steps`` align
+        with, sorted, as ``(path, alignments)`` — an alignment is one
+        position in the remainder per step."""
+        # not at module level: xpath/__init__ imports vx_eval, which
+        # imports this module
+        from .xpath.ast import CHILD
+
+        tests = [(s.axis == CHILD, s.matches) for s in steps]
+        k = len(base)
+        out: list[tuple] = []
+        for p in self.below(base):
+            aligns = _alignments(tests, p[k:])
+            if aligns:
+                out.append((p, aligns))
+        return out
 
 
 class PathIndex:
@@ -119,7 +194,7 @@ class PathsCatalog:
             root_path: PathIndex(root_path, [(root, 1)])
         }
         self._ext: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._guide: list[tuple] | None = None
+        self._guide: Dataguide | None = None
         self._order: dict[tuple, np.ndarray] = {
             root_path: np.zeros(1, dtype=np.int64)
         }
@@ -164,26 +239,31 @@ class PathsCatalog:
 
     # -- dataguide --------------------------------------------------------
 
+    @property
+    def guide(self) -> Dataguide:
+        """The document's :class:`Dataguide` (elements, ``@`` attribute
+        nodes and ``#`` text), walked off the skeleton once."""
+        if self._guide is None:
+            store = self.store
+            paths: list[tuple] = []
+            frontier: dict[tuple, set[int]] = {
+                (store.label(self.root),): {self.root}}
+            while frontier:
+                nxt: dict[tuple, set[int]] = {}
+                for path, nodes in frontier.items():
+                    paths.append(path)
+                    for n in nodes:
+                        for child, _ in store.children(n):
+                            cpath = (*path, store.label(child))
+                            nxt.setdefault(cpath, set()).add(child)
+                frontier = nxt
+            paths.sort()
+            self._guide = Dataguide(paths)
+        return self._guide
+
     def dataguide(self) -> list[tuple]:
-        """All distinct root label paths in the document (elements, ``@``
-        attribute nodes and ``#`` text), lexicographically sorted."""
-        if self._guide is not None:
-            return self._guide
-        store = self.store
-        paths: list[tuple] = []
-        frontier: dict[tuple, set[int]] = {(store.label(self.root),): {self.root}}
-        while frontier:
-            nxt: dict[tuple, set[int]] = {}
-            for path, nodes in frontier.items():
-                paths.append(path)
-                for n in nodes:
-                    for child, _ in store.children(n):
-                        cpath = (*path, store.label(child))
-                        nxt.setdefault(cpath, set()).add(child)
-            frontier = nxt
-        paths.sort()
-        self._guide = paths
-        return paths
+        """All distinct root label paths, lexicographically sorted."""
+        return self.guide.paths
 
     # -- document order across paths ---------------------------------------
 
@@ -284,18 +364,3 @@ class PathsCatalog:
         lengths = counts[runs]
         starts = base[runs] + (ids - pidx.run_start[runs]) * lengths
         return starts, lengths
-
-    def expand(self, path: tuple, ids: np.ndarray | None, rel: tuple,
-               with_anc: bool = False):
-        """Positional join: occurrence ordinals of ``path + rel`` lying
-        under ``ids``; optionally also the ancestor ordinal column
-        (an :class:`ExtendedVector` keyed by ancestor)."""
-        starts, lengths = self.extension_ranges(path, ids, rel)
-        ords = ranges_to_ordinals(starts, lengths)
-        if not with_anc:
-            return ords
-        if ids is None:
-            pidx = self.index(path)
-            ids = pidx.all_ordinals()
-        anc = np.repeat(ids, lengths)
-        return ExtendedVector((*path, *rel), ords, anc=anc)

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .paths import Dataguide
 from .qgraph import ConstEdge, EqEdge, QueryGraph, TreeEdge
-from .xpath.vx_eval import _alignments
 
 #: probe cost floor: hash + two searchsorted calls have a fixed overhead
 #: that a scan over a tiny vector does not
@@ -68,40 +68,34 @@ class PlanOp:
 @dataclass
 class Plan:
     ops: list[PlanOp]
-    #: variable -> candidate concrete label paths (dataguide matches),
-    #: computed once here and reused by combo enumeration in the reduction
+    #: variable -> candidate concrete label paths (dataguide matches)
     var_paths: dict[str, list[tuple]] = field(default_factory=dict)
 
     def explain(self) -> str:
         return "\n".join(f"{i + 1}. {op}" for i, op in enumerate(self.ops))
 
 
-def candidate_var_paths(gq: QueryGraph,
-                        guide: list[tuple]) -> dict[str, list[tuple]]:
+def candidate_var_paths(gq: QueryGraph, guide) -> dict[str, list[tuple]]:
     """Concrete label paths each variable may bind to, against any
-    dataguide — the document's own, or a repository member's cataloged
-    path list (which is how pruning prices a member without opening it)."""
+    dataguide (:meth:`Dataguide.of`) — the document's own, or a repository
+    member's cataloged path list (which is how pruning prices a member
+    without opening it)."""
+    guide = Dataguide.of(guide)
     out: dict[str, list[tuple]] = {}
     for var in gq.variables:
         edge = gq.tree_edges[var]
         if edge.parent is None:
-            steps = edge.abs_path.steps
-            out[var] = [cp for cp in guide if _alignments(steps, cp)]
+            out[var] = [p for p, _ in guide.resolve(edge.abs_path.steps)]
         else:
-            matches: list[tuple] = []
-            for base in out.get(edge.parent, ()):
-                k = len(base)
-                for g in guide:
-                    if len(g) > k and g[:k] == base and \
-                            _alignments(edge.steps, g[k:]):
-                        matches.append(g)
             # distinct paths (several bases may reach the same guide entry)
-            out[var] = list(dict.fromkeys(matches))
+            out[var] = list(dict.fromkeys(
+                p for base in out[edge.parent]
+                for p, _ in guide.resolve(edge.steps, base)))
     return out
 
 
-def _side_qpaths(cpaths: list[tuple], rel: tuple,
-                 guide_set: set) -> list[tuple]:
+def _side_qpaths(guide: Dataguide, cpaths: list[tuple],
+                 rel: tuple) -> list[tuple]:
     """The concrete text paths one comparison operand can touch: the
     variable's candidates extended by the relative path, kept when the
     dataguide holds them (plus the identity case for text-bound
@@ -113,46 +107,43 @@ def _side_qpaths(cpaths: list[tuple], rel: tuple,
                 out.append(cp)
             continue
         q = (*cp, *rel)
-        if q in guide_set:
+        if q in guide:
             out.append(q)
     return list(dict.fromkeys(out))
 
 
-def member_can_match(gq: QueryGraph, guide: list[tuple]) -> bool:
+def member_can_match(gq: QueryGraph, guide) -> bool:
     """Can a document whose dataguide is ``guide`` contribute *any* tuple
     to ``gq``?  ``False`` is a proof of emptiness: some variable has no
     concrete path, or some selection/join operand resolves to no text path
     anywhere — the conjunctive existential then fails for every row (the
     reduction's ``_side() is None`` case), so the member can be skipped
     without reading a single page."""
+    guide = Dataguide.of(guide)
     vp = candidate_var_paths(gq, guide)
     if any(not vp[v] for v in gq.variables):
         return False
-    gset = set(guide)
     for s in gq.selections:
-        if not _side_qpaths(vp[s.var], s.rel, gset):
+        if not _side_qpaths(guide, vp[s.var], s.rel):
             return False
     for j in gq.joins:
-        if not _side_qpaths(vp[j.var1], j.rel1, gset) or \
-                not _side_qpaths(vp[j.var2], j.rel2, gset):
+        if not _side_qpaths(guide, vp[j.var1], j.rel1) or \
+                not _side_qpaths(guide, vp[j.var2], j.rel2):
             return False
     return True
 
 
-def match_estimate(gq: QueryGraph, guide_counts: dict[tuple, int]) -> float:
+def match_estimate(gq: QueryGraph, guide_counts) -> float:
     """Crude upper-bound tuple estimate from per-path occurrence counts
-    alone (a member's manifest catalog): the product over variables of
-    their candidates' total occurrences.  Used to order surviving
-    repository members most-selective-first."""
-    vp = candidate_var_paths(gq, list(guide_counts))
+    alone (a member's manifest catalog, as a ``{path: count}`` dict or a
+    counted :class:`Dataguide`): the product over variables of their
+    candidates' total occurrences.  Used to order surviving repository
+    members most-selective-first."""
+    vp = candidate_var_paths(gq, guide_counts)
     est = 1.0
     for var in gq.variables:
         est *= float(max(sum(guide_counts[cp] for cp in vp[var]), 1))
     return est
-
-
-def _var_paths(gq: QueryGraph, vdoc) -> dict[str, list[tuple]]:
-    return candidate_var_paths(gq, vdoc.catalog.dataguide())
 
 
 def _cardinality(vdoc, cpaths: list[tuple]) -> float:
@@ -179,10 +170,10 @@ def _text_cardinality(vdoc, cpaths: list[tuple], rel: tuple) -> float:
     return float(total)
 
 
-def _probe_stats(vdoc, cpaths: list[tuple], rel: tuple, guide_set: set):
+def _probe_stats(vdoc, cpaths: list[tuple], rel: tuple):
     """``(total n, total distinct)`` over the operand's text paths when
     *every* one carries a value index; ``None`` otherwise (no probe)."""
-    qpaths = _side_qpaths(cpaths, rel, guide_set)
+    qpaths = _side_qpaths(vdoc.catalog.guide, cpaths, rel)
     if not qpaths:
         return None
     n_total, u_total = 0.0, 0.0
@@ -196,17 +187,17 @@ def _probe_stats(vdoc, cpaths: list[tuple], rel: tuple, guide_set: set):
     return n_total, u_total
 
 
-def _dict_coded(vdoc, cpaths, rel, guide_set) -> bool:
+def _dict_coded(vdoc, cpaths, rel) -> bool:
     """Is *every* concrete text path of this operand stored
     dictionary-coded?  (Catalog lookup only — no page I/O.)  All paths
     must be coded: a mixed operand would decode the stragglers anyway,
     so it is priced as a plain scan."""
-    qpaths = _side_qpaths(cpaths, rel, guide_set)
+    qpaths = _side_qpaths(vdoc.catalog.guide, cpaths, rel)
     return bool(qpaths) and \
         all(vdoc.codec_of(q) == "dict" for q in qpaths)
 
 
-def _sel_access(vdoc, sel: ConstEdge, cpaths, guide_set, scan_cost: float,
+def _sel_access(vdoc, sel: ConstEdge, cpaths, scan_cost: float,
                 use_indexes: bool = True,
                 use_codecs: bool = True) -> tuple[str, float]:
     """Choose the access path of one selection:
@@ -220,7 +211,7 @@ def _sel_access(vdoc, sel: ConstEdge, cpaths, guide_set, scan_cost: float,
     fewest pages, a code sweep the fewest CPU cycles)."""
     candidates = [(scan_cost, 2, "scan")]
     if use_indexes:
-        stats = _probe_stats(vdoc, cpaths, sel.rel, guide_set)
+        stats = _probe_stats(vdoc, cpaths, sel.rel)
         if stats is not None:
             n_total, u_total = stats
             if sel.op in ("=", "!="):
@@ -231,21 +222,21 @@ def _sel_access(vdoc, sel: ConstEdge, cpaths, guide_set, scan_cost: float,
                 probe = n_total * RANGE_FRACTION + PROBE_OVERHEAD
             candidates.append((probe, 0, "index"))
     if use_codecs and sel.op in ("=", "!=") and \
-            _dict_coded(vdoc, cpaths, sel.rel, guide_set):
+            _dict_coded(vdoc, cpaths, sel.rel):
         candidates.append(
             (scan_cost * DICT_SWEEP_FRACTION + PROBE_OVERHEAD, 1, "dict"))
     cost, _, access = min(candidates)
     return access, cost
 
 
-def _join_access(vdoc, join: EqEdge, var_paths, guide_set,
+def _join_access(vdoc, join: EqEdge, var_paths,
                  scan_cost: float) -> tuple[str, float]:
     """Choose the access path of one join.  Only ``=`` / ``!=`` have an
     index variant (dictionary-merge coding); ordering joins always scan."""
     if join.op not in ("=", "!="):
         return "scan", scan_cost
-    s1 = _probe_stats(vdoc, var_paths[join.var1], join.rel1, guide_set)
-    s2 = _probe_stats(vdoc, var_paths[join.var2], join.rel2, guide_set)
+    s1 = _probe_stats(vdoc, var_paths[join.var1], join.rel1)
+    s2 = _probe_stats(vdoc, var_paths[join.var2], join.rel2)
     if s1 is None or s2 is None:
         return "scan", scan_cost
     # dictionary merge is u-proportional; the per-row work drops from a
@@ -264,8 +255,7 @@ def plan_query(gq: QueryGraph, vdoc, use_indexes: bool = True,
     code-space (``access='dict'``) sweep for equality selections over
     dictionary-coded vectors — both are costing switches; results are
     byte-identical with any combination."""
-    var_paths = _var_paths(gq, vdoc)
-    guide_set = set(vdoc.catalog.dataguide())
+    var_paths = candidate_var_paths(gq, vdoc.catalog.guide)
     var_card = {v: _cardinality(vdoc, var_paths[v]) for v in gq.variables}
     # stable op ids: variables, then selections, then joins, in graph order
     var_id = {v: i for i, v in enumerate(gq.variables)}
@@ -277,15 +267,15 @@ def plan_query(gq: QueryGraph, vdoc, use_indexes: bool = True,
     sel_plan: dict[int, tuple[str, float, float]] = {}
     for s in gq.selections:
         scan = _text_cardinality(vdoc, var_paths[s.var], s.rel)
-        access, cost = _sel_access(vdoc, s, var_paths[s.var], guide_set,
-                                   scan, use_indexes=use_indexes,
+        access, cost = _sel_access(vdoc, s, var_paths[s.var], scan,
+                                   use_indexes=use_indexes,
                                    use_codecs=use_codecs)
         sel_plan[id(s)] = (access, cost, scan)
     join_plan: dict[int, tuple[str, float, float]] = {}
     for j in gq.joins:
         scan = (_text_cardinality(vdoc, var_paths[j.var1], j.rel1)
                 + _text_cardinality(vdoc, var_paths[j.var2], j.rel2))
-        access, cost = (_join_access(vdoc, j, var_paths, guide_set, scan)
+        access, cost = (_join_access(vdoc, j, var_paths, scan)
                         if use_indexes else ("scan", scan))
         join_plan[id(j)] = (access, cost, scan)
 

@@ -47,7 +47,7 @@ from .context import EvalContext
 from .paths import ranges_to_ordinals
 from .planner import Plan
 from .qgraph import ConstEdge, EqEdge, QueryGraph
-from .xpath.vx_eval import _alignments, evaluate_vx, pred_mask
+from .xpath.vx_eval import evaluate_vx, pred_mask
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -73,24 +73,30 @@ class ReducedTable:
     n_rows: int
 
 
-def _enumerate_combos(gq: QueryGraph, vdoc, ctx: EvalContext,
-                      plan: Plan | None = None) -> list[dict]:
+def _enumerate_combos(gq: QueryGraph, vdoc, ctx: EvalContext) -> list[dict]:
     """All assignments of variables to concrete dataguide paths.
 
     Root variables carry their (already predicate-filtered) ordinal sets
     from a single vectorized XPath evaluation per source; relative
-    variables only fix a path here — their ordinals come from positional
-    expansion during reduction.  The planner's precomputed candidate paths
-    (``plan.var_paths``) narrow the dataguide scan for relative variables.
+    variables only fix a path here — resolved once per concrete path of
+    their parent — and their ordinals come from positional expansion
+    during reduction.
     """
-    catalog = vdoc.catalog
-    guide = catalog.dataguide()
-    cand = plan.var_paths if plan is not None else {}
-    root_groups: dict[str, list[tuple]] = {}
+    guide = vdoc.catalog.guide
+    # variable -> {its parent's concrete path (None for a root variable):
+    #              [(own concrete path, ordinals or None)]}
+    choices: dict[str, dict] = {}
     for var in gq.variables:
         edge = gq.tree_edges[var]
         if edge.parent is None:
-            root_groups[var] = evaluate_vx(vdoc, edge.abs_path, ctx).groups
+            choices[var] = {
+                None: evaluate_vx(vdoc, edge.abs_path, ctx).groups}
+        else:
+            bases = dict.fromkeys(p for opts in choices[edge.parent].values()
+                                  for p, _ in opts)
+            choices[var] = {
+                base: [(p, None) for p, _ in guide.resolve(edge.steps, base)]
+                for base in bases}
 
     combos: list[dict] = []
 
@@ -100,19 +106,10 @@ def _enumerate_combos(gq: QueryGraph, vdoc, ctx: EvalContext,
             combos.append(dict(assign))
             return
         var = gq.variables[i]
-        edge = gq.tree_edges[var]
-        if edge.parent is None:
-            for cpath, ids in root_groups[var]:
-                assign[var] = (cpath, ids)
-                rec(i + 1, assign)
-        else:
-            base = assign[edge.parent][0]
-            k = len(base)
-            for g in cand.get(var, guide):
-                if len(g) > k and g[:k] == base \
-                        and _alignments(edge.steps, g[k:]):
-                    assign[var] = (g, None)
-                    rec(i + 1, assign)
+        parent = gq.tree_edges[var].parent
+        for choice in choices[var][assign[parent][0] if parent else None]:
+            assign[var] = choice
+            rec(i + 1, assign)
         assign.pop(var, None)
 
     rec(0, {})
@@ -411,7 +408,7 @@ def reduce_query(vdoc, gq: QueryGraph, plan: Plan,
     """Reduce ``Gq`` to its binding-tuple table, globally ordered."""
     if ctx is None:
         ctx = EvalContext.for_doc(vdoc)
-    assigns = _enumerate_combos(gq, vdoc, ctx, plan)
+    assigns = _enumerate_combos(gq, vdoc, ctx)
     cid, cols = _Reducer(vdoc, ctx).run(plan, assigns)
     raw = []
     for ci in range(len(assigns)):

@@ -46,6 +46,13 @@ class Step:
     test: str  # label, '*', '@name' or '#'
     preds: tuple = ()
 
+    def matches(self, label: str) -> bool:
+        """Does the node test accept a node labelled ``label``?  ``*`` is
+        any *element*: neither text (``#``) nor an attribute (``@x``)."""
+        if self.test == "*":
+            return label != "#" and not label.startswith("@")
+        return self.test == label
+
     def __str__(self) -> str:
         sep = "//" if self.axis == DESCENDANT else "/"
         test = "text()" if self.test == "#" else self.test
@@ -58,6 +65,3 @@ class Path:
 
     def __str__(self) -> str:
         return "".join(str(s) for s in self.steps)
-
-    def child_axis_only(self) -> bool:
-        return all(s.axis == CHILD and s.test not in ("*",) for s in self.steps)

@@ -13,12 +13,6 @@ from ...xmldata.model import Element, Node, Text, node_label, preorder, xpath_ch
 from .ast import CHILD, Path, Pred
 
 
-def _match(test: str, label: str) -> bool:
-    if test == "*":
-        return label != "#" and not label.startswith("@")
-    return test == label
-
-
 def _nodes_at_rel(n: Node, rel: tuple) -> list[Node]:
     cur = [n]
     for label in rel:
@@ -65,9 +59,9 @@ def evaluate_tree(root: Element, path: Path) -> list[Node]:
     current: list[Node]
     first = path.steps[0]
     if first.axis == CHILD:
-        current = [root] if _match(first.test, node_label(root)) else []
+        current = [root] if first.matches(node_label(root)) else []
     else:
-        current = [n for n in preorder(root) if _match(first.test, node_label(n))]
+        current = [n for n in preorder(root) if first.matches(node_label(n))]
     current = [n for n in current if all(_pred_holds(n, p) for p in first.preds)]
 
     for step in path.steps[1:]:
@@ -79,7 +73,7 @@ def evaluate_tree(root: Element, path: Path) -> list[Node]:
             else:
                 candidates = [d for c in xpath_children(n) for d in preorder(c)]
             for c in candidates:
-                if _match(step.test, node_label(c)) and id(c) not in seen:
+                if step.matches(node_label(c)) and id(c) not in seen:
                     if all(_pred_holds(c, p) for p in step.preds):
                         seen.add(id(c))
                         nxt.append(c)

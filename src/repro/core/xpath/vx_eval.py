@@ -8,7 +8,8 @@ vector is scanned at most once per query (the engine asserts both).
 
 Wildcard (``*``) and descendant (``//``) steps are resolved against the
 *dataguide* — the set of distinct label paths, which is a property of the
-compressed skeleton and is tiny for regular data — producing a set of
+compressed skeleton and is tiny for regular data — by
+:meth:`~repro.core.paths.Dataguide.resolve`, producing a set of
 (concrete path, step->position alignment) pairs; each alignment is then
 evaluated with pure child-axis columnar kernels:
 
@@ -29,38 +30,9 @@ from ...index import key_code
 from ...util import parse_float
 from ..context import VectorCache
 from ..paths import PathsCatalog, ranges_to_ordinals
-from .ast import CHILD, Path, Pred
+from .ast import Path, Pred
 
 __all__ = ["VectorCache", "VXResult", "evaluate_vx", "pred_mask"]
-
-
-def _match(test: str, label: str) -> bool:
-    if test == "*":
-        return label != "#" and not label.startswith("@")
-    return test == label
-
-
-def _alignments(steps: tuple, cpath: tuple) -> list[tuple]:
-    """All ways the query steps can align with a concrete label path so the
-    last step lands on the path's last position."""
-    out: list[tuple] = []
-    L = len(cpath)
-    last = len(steps) - 1
-
-    def rec(si: int, pos: int, acc: tuple) -> None:
-        step = steps[si]
-        candidates = (pos,) if step.axis == CHILD else range(pos, L)
-        for p in candidates:
-            if p >= L or not _match(step.test, cpath[p]):
-                continue
-            if si == last:
-                if p == L - 1:
-                    out.append((*acc, p))
-            else:
-                rec(si + 1, p + 1, (*acc, p))
-
-    rec(0, 0, ())
-    return out
 
 
 def pred_mask(cache: VectorCache, qpath: tuple, op: str, const: str) -> np.ndarray:
@@ -196,7 +168,6 @@ class VXResult:
         to locate each occurrence's contiguous source range in every
         descendant vector — still no decompression."""
         catalog = self.vdoc.catalog
-        guide = catalog.dataguide()
         items: list[tuple] = []
         for cpath, ids in self.groups:
             if cpath[-1] == "#":
@@ -204,10 +175,8 @@ class VXResult:
                 items.extend((((), v),) for v in vec.take(ids))
                 continue
             k = len(cpath)
-            rels = sorted(
-                g[k:] for g in guide
-                if len(g) > k and g[:k] == cpath and g[-1] == "#"
-            )
+            rels = [g[k:] for g in catalog.guide.below(cpath)
+                    if g[-1] == "#"]
             per_id: list[list] = [[] for _ in range(len(ids))]
             for rel in rels:
                 qpath = (*cpath, *rel)
@@ -238,37 +207,23 @@ def evaluate_vx(vdoc, path: Path, ctx=None) -> VXResult:
     catalog: PathsCatalog = vdoc.catalog
     cache = ctx.cache(vdoc) if ctx is not None \
         else VectorCache(vdoc.vectors)
-    steps = path.steps
-    groups: dict[tuple, list] = {}
-
-    for cpath in catalog.dataguide():
+    result: list[tuple] = []
+    for cpath, aligns in catalog.guide.resolve(path.steps):
         if ctx is not None:
-            ctx.checkpoint()   # per catalog path: a structural query may
+            ctx.checkpoint()   # per candidate path: a structural query may
             # select without ever scanning a value vector, and the
             # cooperative deadline must still be able to stop it
-        aligns = _alignments(steps, cpath)
-        if not aligns:
-            continue
         parts: list = []
         for align in aligns:
-            ids = _eval_alignment(catalog, cache, cpath, align, steps)
+            ids = _eval_alignment(catalog, cache, cpath, align, path.steps)
             if ids is None:
-                parts = [None]  # every occurrence selected; no need for more
+                # every occurrence selected; no need for more
+                parts = [catalog.index(cpath).all_ordinals()]
                 break
             if len(ids):
                 parts.append(ids)
-        if parts:
-            groups.setdefault(cpath, []).extend(parts)
-
-    result: list[tuple] = []
-    for cpath in sorted(groups):
-        parts = groups[cpath]
-        if any(p is None for p in parts):
-            ids = catalog.index(cpath).all_ordinals()
-        elif len(parts) == 1:
-            ids = parts[0]
-        else:
-            ids = np.unique(np.concatenate(parts))
-        if len(ids):
-            result.append((cpath, ids))
+        if len(parts) == 1:
+            result.append((cpath, parts[0]))
+        elif parts:
+            result.append((cpath, np.unique(np.concatenate(parts))))
     return VXResult(vdoc, result)

@@ -27,12 +27,6 @@ from .ast import AbsSource, Const, TElem, TSplice, TText, VarRel, XQuery
 from .rewrite import normalize
 
 
-def _match(test: str, label: str) -> bool:
-    if test == "*":
-        return label != "#" and not label.startswith("@")
-    return test == label
-
-
 def _rel_step_nodes(nodes: list[Node], step, order: dict[int, int]) -> list[Node]:
     seen: set[int] = set()
     out: list[Node] = []
@@ -42,7 +36,7 @@ def _rel_step_nodes(nodes: list[Node], step, order: dict[int, int]) -> list[Node
         else:
             candidates = [d for c in xpath_children(n) for d in preorder(c)]
         for c in candidates:
-            if _match(step.test, node_label(c)) and id(c) not in seen:
+            if step.matches(node_label(c)) and id(c) not in seen:
                 seen.add(id(c))
                 out.append(c)
     out.sort(key=lambda n: order[id(n)])

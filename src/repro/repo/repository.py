@@ -67,12 +67,13 @@ import threading
 
 from ..core.context import EvalContext
 from ..core.engine import eval_query, eval_xq
+from ..core.paths import Dataguide
 from ..core.planner import match_estimate, member_can_match
 from ..core.qgraph import compile_query
 from ..core.vdoc import VectorizedDocument
 from ..core.xpath.ast import Path
 from ..core.xpath.parser import parse_xpath
-from ..core.xpath.vx_eval import VXResult, _alignments
+from ..core.xpath.vx_eval import VXResult
 from ..core.xquery.ast import XQuery
 from ..core.xquery.parser import parse_xq
 from ..errors import (
@@ -122,6 +123,12 @@ def member_paths(vdoc: VectorizedDocument) -> list[tuple[tuple, int]]:
     return [(p, int(catalog.index(p).total)) for p in catalog.dataguide()]
 
 
+def _member_guide(m: dict) -> Dataguide:
+    """The counted :class:`Dataguide` of one (checked) manifest member
+    entry: what pruning and member ordering resolve queries against."""
+    return Dataguide({tuple(p): c for p, c in m["paths"]})
+
+
 def _check_manifest(raw) -> dict:
     """Validate ``repo.json`` against the strict schema; returns it."""
     def bad(msg: str) -> RepositoryError:
@@ -155,12 +162,18 @@ def _check_manifest(raw) -> dict:
         paths = m.get("paths")
         if not isinstance(paths, list):
             raise bad(f"member {name!r}: paths is not a list")
+        prev = None
         for entry in paths:
             if (not isinstance(entry, list) or len(entry) != 2
                     or not isinstance(entry[0], list)
                     or not all(isinstance(c, str) for c in entry[0])
                     or not isinstance(entry[1], int) or entry[1] < 0):
                 raise bad(f"member {name!r}: bad path entry {entry!r}")
+            # pruning bisects this list: paths strictly increasing
+            if not entry[0] or (prev is not None and entry[0] <= prev):
+                raise bad(f"member {name!r}: path entry {entry!r} is "
+                          f"empty, duplicated or out of order")
+            prev = entry[0]
         comp = m.get("compression")
         if (not isinstance(comp, dict)
                 or not isinstance(comp.get("logical_bytes"), int)
@@ -242,6 +255,9 @@ class Repository:
         self.dirpath = dirpath
         self.manifest = manifest
         self.pool = pool
+        #: member name -> its cataloged dataguide, in manifest order
+        self._guides = {m["name"]: _member_guide(m)
+                        for m in manifest["members"]}
         self._open: dict[str, object] = {}    # name -> DiskVectorizedDocument
         # Concurrency (repro.serve): any number of requests may evaluate
         # the *same* member at once — per-query accounting (scan counts,
@@ -422,6 +438,7 @@ class Repository:
             self.manifest["members"].pop()
             os.unlink(dest)
             raise
+        self._guides[name] = _member_guide(entry)
         self._plan_memo.clear()   # pruning decisions depend on membership
         if self.result_cache is not None:
             # explicit invalidation point: membership changed, so any
@@ -558,13 +575,11 @@ class Repository:
         breaking ties) so cheap members are evaluated before large ones."""
         survivors: list[tuple[float, int, str]] = []
         pruned: list[str] = []
-        for pos, m in enumerate(self.manifest["members"]):
-            counts = {tuple(p): c for p, c in m["paths"]}
-            guide = list(counts)
+        for pos, (name, guide) in enumerate(self._guides.items()):
             if not member_can_match(gq, guide):
-                pruned.append(m["name"])
+                pruned.append(name)
                 continue
-            survivors.append((match_estimate(gq, counts), pos, m["name"]))
+            survivors.append((match_estimate(gq, guide), pos, name))
         survivors.sort()
         return [name for _, _, name in survivors], pruned
 
@@ -701,9 +716,8 @@ class Repository:
         prunable: frozenset = frozenset() if not prune else self._memoized(
             ("xpath-prune", qtext),
             lambda: frozenset(
-                m["name"] for m in self.manifest["members"]
-                if not any(_alignments(path.steps, tuple(p))
-                           for p, _ in m["paths"])))
+                name for name, guide in self._guides.items()
+                if not guide.resolve(path.steps)))
         # a quarantined member still goes to the loop when prunable: it is
         # skipped and reported, not answered from its manifest entry
         names = [n for n in self.members() if n not in prunable

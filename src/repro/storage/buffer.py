@@ -454,11 +454,6 @@ class BufferPool:
         return {**self.stats.as_dict(), "capacity": self.capacity,
                 "resident": self.resident(), "pinned": self.pinned_total()}
 
-    def resident_of(self, fid: int) -> int:
-        """Resident page count of one attached file (eviction fairness)."""
-        with self._lock:
-            return sum(1 for f, _ in self._frames if f == fid)
-
     # -- clock eviction ----------------------------------------------------
 
     def _clock_remove(self, key: tuple[int, int]) -> None:

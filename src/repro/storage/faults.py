@@ -161,10 +161,6 @@ class FaultInjector(FaultPlan):
         with self._lock:
             self.paused = True
 
-    def resume(self) -> None:
-        with self._lock:
-            self.paused = False
-
     def begin_op(self, what: str) -> Fault | None:
         with self._lock:
             op, self.ops = self.ops, self.ops + 1
@@ -199,10 +195,6 @@ def inject(plan: FaultPlan):
         yield plan
     finally:
         _PLAN = prev
-
-
-def active_plan() -> FaultPlan | None:
-    return _PLAN
 
 
 class FaultyFile:

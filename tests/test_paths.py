@@ -1,8 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 
-from repro.core.paths import ranges_to_ordinals
+from repro.core import paths as paths_mod
+from repro.core.engine import eval_query, eval_xq
+from repro.core.paths import Dataguide, ranges_to_ordinals
 from repro.core.vdoc import VectorizedDocument
+from repro.core.xpath.ast import CHILD, DESCENDANT, Step
 
 
 @pytest.fixture()
@@ -67,16 +72,6 @@ def test_range_values_align_with_vectors(vdoc):
     assert got == [["v3", "v4", "v5"], ["v9", "v10", "v11"]]
 
 
-def test_expand_with_ancestor_column(vdoc):
-    cat = vdoc.catalog
-    ev = cat.expand(("r", "p"), np.array([0, 4], dtype=np.int64), ("q",),
-                    with_anc=True)
-    assert ev.path == ("r", "p", "q")
-    assert ev.ord.tolist() == [0, 1, 2]
-    assert ev.anc.tolist() == [0, 0, 0]
-    assert ev.total() == 3
-
-
 def test_dataguide(vdoc):
     guide = vdoc.catalog.dataguide()
     assert ("r",) in guide
@@ -97,3 +92,171 @@ def test_irregular_interleaving_preserves_document_order():
     vec = vdoc.vectors[("r", "p", "b", "#")]
     got = [vec.slice(int(s), int(s + n)) for s, n in zip(starts, lengths)]
     assert got == [["b0"], ["b1"], ["b2"]]
+
+
+# -- the dataguide resolver ----------------------------------------------------
+
+
+def _ref_alignments(steps, cpath):
+    """The brute-force step matcher (the pre-resolver implementation,
+    kept verbatim as the reference): every way ``steps`` align with one
+    concrete label path, ending on its last position."""
+    def match(test, label):
+        if test == "*":
+            return label != "#" and not label.startswith("@")
+        return test == label
+
+    out = []
+    L = len(cpath)
+    last = len(steps) - 1
+
+    def rec(si, pos, acc):
+        step = steps[si]
+        candidates = (pos,) if step.axis == CHILD else range(pos, L)
+        for p in candidates:
+            if p >= L or not match(step.test, cpath[p]):
+                continue
+            if si == last:
+                if p == L - 1:
+                    out.append((*acc, p))
+            else:
+                rec(si + 1, p + 1, (*acc, p))
+
+    rec(0, 0, ())
+    return out
+
+
+def _ref_resolve(guide, steps, base=()):
+    """Whole-guide walk: prefix test + rematch per path."""
+    k = len(base)
+    out = []
+    for g in guide:
+        if len(g) > k and g[:k] == base:
+            aligns = _ref_alignments(steps, g[k:])
+            if aligns:
+                out.append((g, aligns))
+    return out
+
+
+def _random_xml(rng, labels=("a", "b", "c"), max_depth=6):
+    """Recursive labels (an ``a`` under an ``a``), attributes, text."""
+    def elem(depth):
+        tag = rng.choice(labels)
+        attr = ' x="1"' if rng.random() < 0.3 else ""
+        if depth >= max_depth or rng.random() < 0.25:
+            return f"<{tag}{attr}>t</{tag}>"
+        kids = "".join(elem(depth + 1) for _ in range(rng.randint(1, 3)))
+        return f"<{tag}{attr}>{kids}</{tag}>"
+
+    return f"<a>{elem(1)}{elem(1)}{elem(1)}</a>"
+
+
+def _steps(*pairs):
+    return tuple(Step(axis, test) for axis, test in pairs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_resolve_equals_the_brute_force_matcher(seed):
+    rng = random.Random(seed)
+    vdoc = VectorizedDocument.from_xml(_random_xml(rng))
+    guide = vdoc.catalog.guide
+    paths = vdoc.catalog.dataguide()
+    assert paths == guide.paths == sorted(set(paths))
+
+    fixed = [
+        _steps((DESCENDANT, "a"), (DESCENDANT, "a")),      # //a//a
+        _steps((DESCENDANT, "*")),
+        _steps((CHILD, "a"), (CHILD, "*"), (DESCENDANT, "b")),
+        _steps((DESCENDANT, "b"), (CHILD, "@x")),
+        _steps((DESCENDANT, "c"), (CHILD, "#")),           # //c/text()
+        _steps((CHILD, "a"), (CHILD, "b"), (CHILD, "c")),  # child-only
+        _steps((CHILD, "zz"), (DESCENDANT, "a")),          # wrong root
+        _steps((DESCENDANT, "zz")),                        # no such label
+    ]
+    tests = ("a", "b", "c", "*", "@x", "#")
+    randoms = [
+        tuple(Step(rng.choice((CHILD, DESCENDANT)), rng.choice(tests))
+              for _ in range(rng.randint(1, 4)))
+        for _ in range(40)
+    ]
+    bases = [()] + rng.sample(paths, min(8, len(paths))) + [("zz",)]
+    for steps in fixed + randoms:
+        for base in bases:
+            assert guide.resolve(steps, base) == \
+                _ref_resolve(paths, steps, base), (steps, base)
+
+    for base in bases:
+        k = len(base)
+        assert guide.below(base) == \
+            [g for g in paths if len(g) > k and g[:k] == base]
+        assert (base in guide) == (base in paths)
+
+
+def test_dataguide_rejects_unsorted_paths():
+    for bad in ([("a",), ("a",)], [("b",), ("a",)], [()]):
+        with pytest.raises(ValueError, match="empty, duplicated or out of"):
+            Dataguide(bad)
+    with pytest.raises(ValueError, match="empty, duplicated or out of"):
+        Dataguide({("b",): 1, ("a",): 2})
+    counted = Dataguide.of({("a",): 1, ("a", "b"): 3})
+    assert counted[("a", "b")] == 3 and ("a", "c") not in counted
+
+
+def _deep_xml(rng, sentences=60, max_depth=9):
+    """TreeBank-shaped (bench's ``deep`` dataset in small): recursively
+    nested random phrase tags over part-of-speech leaves."""
+    phrases = ("NP", "VP", "PP", "ADJP", "SBAR", "S")
+    leaves = ("NN", "DT", "VB", "JJ", "IN")
+
+    def phrase(tag, depth):
+        kids = []
+        for _ in range(rng.randint(1, 4)):
+            if depth < max_depth and rng.random() < 0.5:
+                kids.append(phrase(rng.choice(phrases), depth + 1))
+            else:
+                leaf = rng.choice(leaves)
+                kids.append(f"<{leaf}>w{rng.randrange(5)}</{leaf}>")
+        return f"<{tag}>{''.join(kids)}</{tag}>"
+
+    return "<FILE>" + "".join(phrase("S", 2) for _ in range(sentences)) \
+        + "</FILE>"
+
+
+def test_matcher_scans_each_base_range_once(monkeypatch):
+    """One resolver call is one pass over the guide — or, for a relative
+    variable, over the ``below(base)`` range of each base — and operands
+    and splices are membership tests and ranges, not matcher calls."""
+    vdoc = VectorizedDocument.from_xml(_deep_xml(random.Random(5)))
+    paths = vdoc.catalog.dataguide()
+    np_paths = [p for p in paths if p[-1] == "NP"]
+    assert len(paths) > 1000 and len(np_paths) > 10
+
+    seen = []
+    real = paths_mod._alignments
+
+    def spy(tests, cpath):
+        seen.append(cpath)
+        return real(tests, cpath)
+
+    monkeypatch.setattr(paths_mod, "_alignments", spy)
+
+    expected = eval_query(vdoc, "//NP/NN", mode="naive").count()
+    assert eval_query(vdoc, "//NP/NN").count() == expected > 0
+    assert seen == paths
+
+    # the planner and the evaluator each resolve //NP once; the selection
+    # operand and the spliced $n/DT never reach the matcher
+    del seen[:]
+    xq = "for $n in //NP where $n/NN = 'w1' return <r>{$n/DT}</r>"
+    assert eval_xq(vdoc, xq).to_xml() == eval_xq(vdoc, xq, mode="naive").to_xml()
+    assert seen == paths * 2
+
+    # a relative variable scans the range *below each base* (once in the
+    # planner, once in the reduction), not |NP| x |guide| paths
+    del seen[:]
+    xq = "for $n in //NP, $m in $n/NN where $m = 'w1' return <r>{$m}</r>"
+    assert eval_xq(vdoc, xq).to_xml() == eval_xq(vdoc, xq, mode="naive").to_xml()
+    below_np = sum(g[:len(b)] == b and len(g) > len(b)
+                   for b in np_paths for g in paths)
+    assert len(seen) == 2 * (len(paths) + below_np)
+    assert below_np < len(np_paths) * len(paths) // 10

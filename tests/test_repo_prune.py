@@ -5,6 +5,8 @@ off (XQ and XPath)."""
 
 import pytest
 
+from repro.core.engine import eval_xq
+from repro.core.planner import member_can_match, plan_query
 from repro.core.qgraph import compile_query
 from repro.core.xquery.parser import parse_xq
 from repro.datasets.synth import xmark_like_xml
@@ -108,3 +110,49 @@ def test_xpath_pruning_skips_unalignable_members(repo):
 def test_pruned_xq_member_count_matches(repo):
     result = repo.xq(XQ_JOIN)
     assert len(result.results) + len(result.pruned) == 4
+
+
+def test_manifest_side_and_document_side_agree(repo):
+    """``member_can_match`` over the ``repo.json`` paths says ``False``
+    exactly where planning the opened member finds a variable without a
+    candidate path or a comparison operand without a text path — the two
+    sides resolve through the same structure, built from different
+    inputs."""
+    queries = [
+        XQ, XQ_JOIN,
+        "for $p in //person return <r>{$p/name}</r>",
+        "for $p in //person where $p/bogus = 'x' return <r>{$p/name}</r>",
+        "for $p in /site/*/person, $a in $p//age where $a > '30' "
+        "return <r>{$a}</r>",
+        "for $p in //people, $n in $p/*/name/text() where $n = 'name 3' "
+        "return <r>{$n}</r>",
+        "for $s in /store, $i in $s//item where $i/quantity > '2' "
+        "return <r>{$i/name}</r>",
+        "for $c in //closed_auction, $p in //person "
+        "where $c/nope = $p/@id return <r>{$p/name}</r>",
+    ]
+    verdicts = set()
+    for query in queries:
+        gq, _ = compile_query(parse_xq(query))
+        for m in repo.manifest["members"]:
+            vdoc = repo.member(m["name"])
+            index = vdoc.catalog.index
+            plan = plan_query(gq, vdoc)
+
+            def has_text(var, rel):
+                return any(
+                    rel == ("#",) if cp[-1] == "#"
+                    else index((*cp, *rel)) is not None
+                    for cp in plan.var_paths[var])
+
+            empty = (
+                any(not plan.var_paths[v] for v in gq.variables)
+                or any(not has_text(s.var, s.rel) for s in gq.selections)
+                or any(not has_text(j.var1, j.rel1)
+                       or not has_text(j.var2, j.rel2) for j in gq.joins))
+            can = member_can_match(gq, [tuple(p) for p, _ in m["paths"]])
+            assert can == (not empty), (query, m["name"])
+            if not can:
+                assert eval_xq(vdoc, query).n_tuples == 0
+            verdicts.add(can)
+    assert verdicts == {True, False}

@@ -185,6 +185,37 @@ def test_manifest_schema_is_strict(tmp_path):
     assert verify_repository(d) == []
 
 
+def test_manifest_paths_must_be_strictly_ordered(tmp_path):
+    """Pruning bisects a member's cataloged paths, and a duplicated path
+    would silently keep one of two counts: an empty, repeated or
+    out-of-order path is a located manifest error, not a wrong answer."""
+    repo = make_repo(tmp_path)
+    d = repo.dirpath
+    repo.close()
+    mpath = os.path.join(d, MANIFEST)
+    good = json.load(open(mpath, encoding="utf-8"))
+    paths = good["members"][0]["paths"]
+    assert len(paths) > 3
+
+    for mutate, entry in [
+        (lambda ps: ps.insert(0, [[], 1]), [[], 1]),
+        (lambda ps: ps.insert(2, [ps[1][0], 5]), [paths[1][0], 5]),
+        (lambda ps: ps.insert(1, ps.pop(2)), paths[1]),
+    ]:
+        broken = json.loads(json.dumps(good))
+        mutate(broken["members"][0]["paths"])
+        json.dump(broken, open(mpath, "w", encoding="utf-8"))
+        with pytest.raises(RepositoryError) as err:
+            Repository.open(d)
+        assert "member 'doc0'" in str(err.value)
+        assert repr(entry) in str(err.value)
+        findings = verify_repository(d)
+        assert len(findings) == 1 and findings[0].code == "repo-manifest"
+
+    json.dump(good, open(mpath, "w", encoding="utf-8"))
+    assert verify_repository(d) == []
+
+
 def test_fsck_catalog_cross_check(tmp_path):
     repo = make_repo(tmp_path)
     d = repo.dirpath
