@@ -63,18 +63,33 @@ def _load(path: str, pool: int | None = None) -> VectorizedDocument:
         return VectorizedDocument.from_xml(f.read())
 
 
-def _deadline_seconds(text: str) -> float:
-    """argparse ``type=`` for every ``--deadline``: positive finite
-    seconds.  NaN would never expire (``now > nan`` is always false) and
-    a non-positive budget is a usage error, not a runtime timeout."""
-    try:
-        seconds = float(text)
-    except ValueError:
-        seconds = math.nan
-    if not 0 < seconds < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a positive finite number of seconds")
-    return seconds
+def _number(cast, accept, what: str):
+    """argparse ``type=`` factory: ``cast(text)`` when ``accept`` holds,
+    otherwise a usage error (exit 2) naming the flag and ``what`` it
+    takes — never a traceback from the layer the value would have
+    reached.  NaN fails every comparison, so it is rejected throughout."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+#: every ``--deadline`` and ``--queue-timeout``: NaN would never expire
+#: (``now > nan`` is always false) and a non-positive budget is a usage
+#: error, not a runtime timeout
+_seconds = _number(float, lambda s: 0 < s < math.inf,
+                   "a positive finite number of seconds")
+_pool_pages = _number(int, lambda n: n >= 2, "a pool of >= 2 pages")
+_workers = _number(int, lambda n: n >= 1, "a worker count >= 1")
+_queue_length = _number(int, lambda n: n >= 0, "a queue length >= 0")
+_port = _number(int, lambda n: 0 <= n <= 65535, "a port in 0..65535")
+_mebibytes = _number(float, lambda mb: 0 <= mb < math.inf,
+                     "a finite number of MiB >= 0")
 
 
 def _usage_error(message: str) -> int:
@@ -207,7 +222,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_stats = sub.add_parser("stats", help="vectorization statistics")
     p_stats.add_argument("file")
-    p_stats.add_argument("--pool", type=int, default=None, help=pool_help)
+    p_stats.add_argument("--pool", type=_pool_pages, default=None,
+                         help=pool_help)
 
     p_query = sub.add_parser("query", help="evaluate an XPath or XQ query")
     p_query.add_argument("file")
@@ -224,12 +240,13 @@ def main(argv: list[str] | None = None) -> int:
     p_query.add_argument("--plan", action="store_true",
                          help="XQ only: print the heuristic reduction plan "
                               "(per-op cost estimates and access paths)")
-    p_query.add_argument("--deadline", type=_deadline_seconds,
+    p_query.add_argument("--deadline", type=_seconds,
                          default=None, metavar="SEC",
                          help="cooperative deadline in seconds; an "
                               "over-budget query unwinds cleanly with a "
                               "DeadlineExceededError (vx mode only)")
-    p_query.add_argument("--pool", type=int, default=None, help=pool_help)
+    p_query.add_argument("--pool", type=_pool_pages, default=None,
+                         help=pool_help)
     p_query.add_argument("--io-stats", action="store_true",
                          help="print buffer-pool I/O counters on stderr "
                               "after the query")
@@ -237,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
     p_rec = sub.add_parser("reconstruct",
                            help="vectorize, then decompress back to XML")
     p_rec.add_argument("file")
-    p_rec.add_argument("--pool", type=int, default=None, help=pool_help)
+    p_rec.add_argument("--pool", type=_pool_pages, default=None,
+                       help=pool_help)
 
     p_save = sub.add_parser("save",
                             help="vectorize FILE and write the paged "
@@ -251,7 +269,8 @@ def main(argv: list[str] | None = None) -> int:
                             help="open a saved vdoc and print its on-disk "
                                  "catalog (no vector is materialized)")
     p_open.add_argument("file")
-    p_open.add_argument("--pool", type=int, default=None, help=pool_help)
+    p_open.add_argument("--pool", type=_pool_pages, default=None,
+                        help=pool_help)
 
     p_check = sub.add_parser("check",
                              help="verify a .vdoc page file (header, page "
@@ -313,13 +332,13 @@ def main(argv: list[str] | None = None) -> int:
                          help="an XQ FLWR expression (may source from "
                               "collection('name')) or an XPath (starts "
                               "with '/'; evaluated per member)")
-    r_query.add_argument("--pool", type=int, default=None,
+    r_query.add_argument("--pool", type=_pool_pages, default=None,
                          help="shared buffer pool size in pages "
                               "(default: unbounded)")
     r_query.add_argument("--io-stats", action="store_true",
                          help="print per-member and pool-wide I/O "
                               "counters on stderr, even on failure")
-    r_query.add_argument("--deadline", type=_deadline_seconds,
+    r_query.add_argument("--deadline", type=_seconds,
                          default=None, metavar="SEC",
                          help="cooperative deadline in seconds spanning "
                               "all members of the query")
@@ -332,27 +351,27 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("dir")
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address (default 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=8000,
+    p_serve.add_argument("--port", type=_port, default=8000,
                          help="bind port; 0 picks a free port, printed in "
                               "the startup line (default 8000)")
-    p_serve.add_argument("--pool", type=int, default=None,
+    p_serve.add_argument("--pool", type=_pool_pages, default=None,
                          help="shared buffer pool size in pages "
                               "(default: unbounded)")
-    p_serve.add_argument("--workers", type=int, default=8,
+    p_serve.add_argument("--workers", type=_workers, default=8,
                          help="max concurrently evaluating queries; "
                               "additionally capped from the pool capacity "
                               "(default 8)")
-    p_serve.add_argument("--queue", type=int, default=64,
+    p_serve.add_argument("--queue", type=_queue_length, default=64,
                          help="admission wait-queue length; excess "
                               "requests get HTTP 503 (default 64)")
-    p_serve.add_argument("--queue-timeout", type=float, default=2.0,
+    p_serve.add_argument("--queue-timeout", type=_seconds, default=2.0,
                          help="max seconds a request waits for a free "
                               "slot before HTTP 503 (default 2.0)")
-    p_serve.add_argument("--result-cache", type=float, default=64.0,
+    p_serve.add_argument("--result-cache", type=_mebibytes, default=64.0,
                          metavar="MB",
                          help="result cache budget in MiB; 0 disables "
                               "caching (default 64)")
-    p_serve.add_argument("--deadline", type=_deadline_seconds,
+    p_serve.add_argument("--deadline", type=_seconds,
                          default=None, metavar="SEC",
                          help="per-request cooperative deadline in "
                               "seconds; over-budget requests get HTTP "

@@ -50,7 +50,7 @@ def _template_leaves(gr: ResultSkeleton) -> list[tuple]:
 
 
 def build_result(vdoc, gr: ResultSkeleton, table: ReducedTable,
-                 ctx=None) -> VectorizedDocument:
+                 ctx) -> VectorizedDocument:
     """Instantiate the result skeleton once per binding tuple.
 
     ``ctx`` (an :class:`~repro.core.context.EvalContext`) shares the
@@ -58,7 +58,7 @@ def build_result(vdoc, gr: ResultSkeleton, table: ReducedTable,
     the reduction count against the same scan-once budget."""
     store = vdoc.store
     catalog = vdoc.catalog
-    cache = ctx.cache(vdoc) if ctx is not None else None
+    cache = ctx.cache(vdoc)
     leaves = _template_leaves(gr)
     n_rows = table.n_rows
 
@@ -83,8 +83,7 @@ def build_result(vdoc, gr: ResultSkeleton, table: ReducedTable,
     # per-group results scatter straight into global arrays)
     splices: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for li, (kind, item, opath) in enumerate(leaves):
-        if ctx is not None:
-            ctx.checkpoint()   # per template leaf: each one may gather
+        ctx.checkpoint()       # per template leaf: each one may gather
         if kind == "text":     # value ranges for every combo group
             acc.setdefault((*opath, "#"), []).append((
                 np.full(n_rows, item.value),
@@ -126,10 +125,7 @@ def build_result(vdoc, gr: ResultSkeleton, table: ReducedTable,
                 ot = ranges_to_ordinals(st, lt)
                 if len(ot) == 0:
                     continue
-                if cache is not None:
-                    vals = cache.column((*scp, *rt))[ot]
-                else:
-                    vals = vdoc.vectors[(*scp, *rt)].gather(ot)
+                vals = cache.column((*scp, *rt))[ot]
                 acc.setdefault((*opath, scp[-1], *rt), []).append((
                     vals, rowsg[np.repeat(row_of_ord, lt)],
                     np.zeros(len(ot), dtype=np.int64) + li,
@@ -163,7 +159,7 @@ def build_result(vdoc, gr: ResultSkeleton, table: ReducedTable,
         return [store.intern_list(item.tag, kids)]
 
     for r in range(n_rows):
-        if ctx is not None and not r % 64:
+        if not r % 64:
             ctx.checkpoint()   # row assembly is the builder's long loop
         counter = [0]
         row_children[r] = [cid for item in gr.items

@@ -64,18 +64,13 @@ class VectorCache:
     the float view — all derived from the same single chain pass.  The
     cache funnels them through one logical **touch** per vector
     (:meth:`Vector.note_touch`), so the scan-once invariant counts
-    physical passes, not representations.  With ``codec_eval=False``
-    (``use_codecs=False``, the differential tests' reference side)
-    :meth:`dict_codes` always returns ``None`` and every predicate
-    degrades to the plain string column, byte-identically."""
+    physical passes, not representations."""
 
-    def __init__(self, vectors: dict[tuple, Vector],
-                 codec_eval: bool = True):
+    def __init__(self, vectors: dict[tuple, Vector]):
         self._vectors = vectors
         self._loaded: dict[tuple, np.ndarray] = {}
         self._codes: dict[tuple, tuple] = {}
         self._touched: set[tuple] = set()
-        self.codec_eval = codec_eval
 
     def _touch(self, path: tuple, vec: Vector) -> None:
         if path not in self._touched:
@@ -93,10 +88,7 @@ class VectorCache:
 
     def dict_codes(self, path: tuple):
         """``(keys, codes)`` of a dictionary-coded vector — the
-        decode-free predicate surface — or ``None`` (not dict-coded, or
-        codec evaluation disabled)."""
-        if not self.codec_eval:
-            return None
+        decode-free predicate surface — or ``None`` (not dict-coded)."""
         dc = self._codes.get(path)
         if dc is None:
             vec = self._vectors[path]
@@ -107,6 +99,29 @@ class VectorCache:
             self._codes[path] = dc
         return dc
 
+    def value_codes(self, path: tuple, ords: np.ndarray):
+        """``(sorted keys, per-value codes)`` valid at the ordinals
+        ``ords`` — the equality join's view of one operand vector.  A
+        dictionary-coded vector hands out its stored coding (zero decoded
+        values).  Any other vector is coded here, *distinct reached
+        ordinals first*: the one string ``np.unique`` sees
+        ``min(len(ords), len(vector))`` values, so a join reached by ten
+        rows never codes a 20k-value column; what is proportional to the
+        vector is an integer presence mask.  (Coding the whole column
+        once per query would be cheaper only when several joins reach
+        most of one vector, and would need a second per-query cache.)"""
+        dc = self.dict_codes(path)
+        if dc is not None:
+            return dc
+        present = np.zeros(len(self._vectors[path]), dtype=bool)
+        present[ords] = True
+        reached = np.flatnonzero(present)
+        keys, inverse = np.unique(self.column(path)[reached],
+                                  return_inverse=True)
+        codes = np.full(len(present), -1, dtype=np.int64)
+        codes[reached] = inverse.ravel()
+        return keys, codes
+
     def floats(self, path: tuple) -> np.ndarray:
         vec = self._vectors[path]
         self._touch(path, vec)  # ensure the load is accounted for
@@ -116,21 +131,18 @@ class VectorCache:
 class EvalContext:
     """Evaluation state for one query (or one repository query)."""
 
-    def __init__(self, docs=(), codec_eval: bool = True):
+    def __init__(self, docs=()):
         self.docs: list = list(docs)
-        #: evaluate predicates over dictionary codes where possible
-        #: (``use_codecs=False`` clears this; results are byte-identical)
-        self.codec_eval = codec_eval
         self._caches: dict[int, VectorCache] = {}
         self._passes: dict[tuple, int] = {}
-        # per-context accounting windows, keyed by id(I/O unit): logical
-        # scans, physical page reads, and decoded string values performed
+        # one accounting window per document, ``{I/O unit: [logical
+        # scans, physical page reads, decoded string values]}`` performed
         # *by this context* — the shared vectors carry no per-query state,
         # so concurrent contexts over the same document never see each
-        # other's counts
-        self._scans: dict[int, int] = {}
-        self._io: dict[int, int] = {}
-        self._decodes: dict[int, int] = {}
+        # other's counts.  A window holds only the units the query
+        # touched; ``_window`` is the one the open guard writes to.
+        self._windows: dict[int, dict] = {}
+        self._window: dict = {}
         #: absolute monotonic instant after which checkpoint() raises
         self.deadline: float | None = None
         #: the deadline budget in seconds (for the error message)
@@ -155,7 +167,7 @@ class EvalContext:
         """The per-document vector cache (created on first use)."""
         c = self._caches.get(id(vdoc))
         if c is None:
-            c = VectorCache(vdoc.vectors, codec_eval=self.codec_eval)
+            c = VectorCache(vdoc.vectors)
             self._caches[id(vdoc)] = c
         return c
 
@@ -200,32 +212,32 @@ class EvalContext:
 
     def begin(self, vdoc) -> None:
         """Open a fresh accounting window for a query over ``vdoc``: drop
-        this context's scan/IO counts for its I/O units, drop its cached
+        this context's previous window for it whole, drop its cached
         columns, reset pass counts.  The document itself is untouched —
         other contexts evaluating it concurrently keep their windows."""
         self.add(vdoc)
-        for u in vdoc.io_units():
-            uid = id(u)
-            self._scans.pop(uid, None)
-            self._io.pop(uid, None)
-            self._decodes.pop(uid, None)
+        self._window = self._windows[id(vdoc)] = {}
         self._caches.pop(id(vdoc), None)
         self._passes = {k: v for k, v in self._passes.items()
                         if k[0] != id(vdoc)}
+
+    def _counts(self, unit) -> list:
+        counts = self._window.get(unit)
+        if counts is None:
+            counts = self._window[unit] = [0, 0, 0]
+        return counts
 
     def note_scan(self, unit) -> None:
         """Record one logical scan of ``unit`` (a vector or index handle)
         by this context — called by ``Vector.scan()`` through the
         thread-local active context."""
-        uid = id(unit)
-        self._scans[uid] = self._scans.get(uid, 0) + 1
+        self._counts(unit)[0] += 1
 
     def note_io(self, unit, pages: int) -> None:
         """Record ``pages`` physical page reads performed by this context
         while materializing ``unit``."""
         if pages:
-            uid = id(unit)
-            self._io[uid] = self._io.get(uid, 0) + pages
+            self._counts(unit)[1] += pages
 
     def note_decode(self, unit, count: int) -> None:
         """Record ``count`` string values decoded from encoded storage by
@@ -235,24 +247,30 @@ class EvalContext:
         zero.  The decode-free evaluation claim is asserted through
         :meth:`decode_counts`, not taken on faith."""
         if count:
-            uid = id(unit)
-            self._decodes[uid] = self._decodes.get(uid, 0) + count
+            self._counts(unit)[2] += count
+
+    def _per_unit(self, vdoc, kind: int) -> dict[tuple, int]:
+        window = self._windows.get(id(vdoc), {})
+        return {u.path: window[u][kind] if u in window else 0
+                for u in vdoc.io_units()}
 
     def scan_counts(self, vdoc) -> dict[tuple, int]:
         """This context's per-unit scan counts for ``vdoc`` (tests assert
         the scan-once invariant through this)."""
-        return {u.path: self._scans.get(id(u), 0) for u in vdoc.io_units()}
+        return self._per_unit(vdoc, 0)
 
     def decode_counts(self, vdoc) -> dict[tuple, int]:
         """This context's per-unit decoded-value counts for ``vdoc`` (the
         zero-decode machine assertion for code-space evaluation reads
         this)."""
-        return {u.path: self._decodes.get(id(u), 0)
-                for u in vdoc.io_units()}
+        return self._per_unit(vdoc, 2)
 
     def pages_in_window(self, unit) -> int:
         """Physical pages this context read while materializing ``unit``."""
-        return self._io.get(id(unit), 0)
+        for window in self._windows.values():
+            if unit in window:
+                return window[unit][1]
+        return 0
 
     def note_pass(self, vdoc, key: tuple) -> None:
         """Record one full-column kernel sweep attributed to ``key``
@@ -278,8 +296,7 @@ class EvalContext:
         leak behind them.  Single-threaded, it is exactly the old
         pool-wide check."""
         for pool in self.pools():
-            local = getattr(pool, "pinned_local", None)
-            pinned = local() if local is not None else pool.pinned_total()
+            pinned = pool.pinned_local()
             if pinned:
                 raise EngineInvariantError(
                     f"{pinned} buffer-pool page pin(s) leaked by the query"
@@ -298,8 +315,8 @@ class EvalContext:
     def check(self, vdoc) -> None:
         """Post-query assertions for ``vdoc``: scan-once (logical and
         physical), once-per-operation passes, and zero pins pool-wide."""
-        units = vdoc.io_units()
-        over = [u.path for u in units if self._scans.get(id(u), 0) > 1]
+        window = self._windows.get(id(vdoc), {})
+        over = [u.path for u, counts in window.items() if counts[0] > 1]
         if over:
             raise EngineInvariantError(
                 "vectors scanned more than once in one query: "
@@ -309,10 +326,8 @@ class EvalContext:
         # checked against *physical* I/O — within the query window this
         # context may not read more pages of a vector (or index segment)
         # than one full pass over its chain(s).
-        over_io = [
-            u.path for u in units
-            if self._io.get(id(u), 0) > u.n_pages
-        ]
+        over_io = [u.path for u, counts in window.items()
+                   if counts[1] > u.n_pages]
         if over_io:
             raise EngineInvariantError(
                 "vectors read more pages than one full chain pass: "

@@ -64,13 +64,8 @@ class TreeResult:
 
 
 def eval_query(vdoc: VectorizedDocument, query: str | Path, mode: str = "vx",
-               ctx: EvalContext | None = None, use_codecs: bool = True):
-    """Evaluate ``query`` (an XPath string or parsed :class:`Path`).
-
-    ``use_codecs=False`` forbids code-space predicate evaluation over
-    dictionary-coded vectors — every predicate then runs over the
-    decoded string column, with byte-identical results (the reference
-    side of the codec differential tests)."""
+               ctx: EvalContext | None = None):
+    """Evaluate ``query`` (an XPath string or parsed :class:`Path`)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     path = query if isinstance(query, Path) else parse_xpath(query)
@@ -81,7 +76,6 @@ def eval_query(vdoc: VectorizedDocument, query: str | Path, mode: str = "vx",
 
     if ctx is None:
         ctx = EvalContext.for_doc(vdoc)
-    ctx.codec_eval = use_codecs
     with ctx.guard(vdoc):
         result: VXResult = evaluate_vx(vdoc, path, ctx)
     return result
@@ -123,22 +117,16 @@ class XQVXResult:
 
 
 def eval_xq(vdoc: VectorizedDocument, query: str | XQuery, mode: str = "vx",
-            ctx: EvalContext | None = None,
-            use_indexes: bool = True, use_codecs: bool = True):
+            ctx: EvalContext | None = None):
     """Evaluate an XQ query (string or parsed :class:`XQuery`).
 
     ``vx`` compiles to (Gq, Gr), plans, reduces over extended vectors and
     constructs the result — all inside the context guard (no
     decompression, scan-at-most-once, one sweep per plan operation, zero
     leaked pins).  ``naive`` reconstructs the tree and runs the
-    nested-loop reference evaluator.
-
-    ``use_indexes=False`` forbids index probes (the planner prices every
-    op as a scan) — the measured baseline of the indexed benchmark regime
-    and the reference side of the indexed-vs-scan identity tests.
-    ``use_codecs=False`` likewise forbids code-space evaluation over
-    dictionary-coded vectors; results are byte-identical with any
-    combination.
+    nested-loop reference evaluator.  How the query runs — index probe,
+    code-space sweep or column scan per plan operation — is decided by
+    what the document's file holds, never by the caller.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -152,10 +140,8 @@ def eval_xq(vdoc: VectorizedDocument, query: str | XQuery, mode: str = "vx",
 
     if ctx is None:
         ctx = EvalContext.for_doc(vdoc)
-    ctx.codec_eval = use_codecs
     with ctx.guard(vdoc):
-        plan = plan_query(gq, vdoc, use_indexes=use_indexes,
-                          use_codecs=use_codecs)
+        plan = plan_query(gq, vdoc)
         table = reduce_query(vdoc, gq, plan, ctx)
         out = build_result(vdoc, gr, table, ctx)
     return XQVXResult(out, plan, table)

@@ -19,14 +19,15 @@ repeated compiles of the same query against the same statistics produce
 the *identical* plan — plan snapshots are reproducible.
 
 **Index-aware access paths** — when the document carries persistent value
-indexes (:mod:`repro.index`), each selection and equality join is priced
-twice: the scan estimate (total matching text occurrences — the column
-sweep) against the probe estimate (expected posting size ``n/u`` from the
-catalog's distinct counts, plus the probe overhead).  The cheaper side
-wins and the op is stamped ``access='index'`` or ``'scan'`` — the
-``IndexProbe`` variant the reduction executes.  An op only becomes a
-probe when *every* candidate concrete text path is indexed; the executor
-still degrades to a scan per path if an index goes missing at run time.
+indexes (:mod:`repro.index`), each selection is priced twice: the scan
+estimate (total matching text occurrences — the column sweep) against
+the probe estimate (expected posting size ``n/u`` from the catalog's
+distinct counts, plus the probe overhead).  The cheaper side wins and
+the op is stamped ``access='index'`` or ``'scan'`` — the ``IndexProbe``
+variant the reduction executes.  An op only becomes a probe when *every*
+candidate concrete text path is indexed; the executor still degrades to
+a scan per path if an index goes missing at run time.  Joins have one
+kernel and always carry ``access='scan'``.
 
 The plan is computed once per query against aggregate dataguide
 statistics and reused for every concrete-path combination.
@@ -197,9 +198,8 @@ def _dict_coded(vdoc, cpaths, rel) -> bool:
         all(vdoc.codec_of(q) == "dict" for q in qpaths)
 
 
-def _sel_access(vdoc, sel: ConstEdge, cpaths, scan_cost: float,
-                use_indexes: bool = True,
-                use_codecs: bool = True) -> tuple[str, float]:
+def _sel_access(vdoc, sel: ConstEdge, cpaths,
+                scan_cost: float) -> tuple[str, float]:
     """Choose the access path of one selection:
     ``('scan'|'index'|'dict', cost)``.
 
@@ -210,51 +210,25 @@ def _sel_access(vdoc, sel: ConstEdge, cpaths, scan_cost: float,
     decode).  Ties prefer index over dict over scan (a probe touches the
     fewest pages, a code sweep the fewest CPU cycles)."""
     candidates = [(scan_cost, 2, "scan")]
-    if use_indexes:
-        stats = _probe_stats(vdoc, cpaths, sel.rel)
-        if stats is not None:
-            n_total, u_total = stats
-            if sel.op in ("=", "!="):
-                # expected posting size of one key
-                probe = n_total / max(u_total, 1.0) + PROBE_OVERHEAD
-            else:
-                # range probe: gathers + sorts an assumed fraction of rows
-                probe = n_total * RANGE_FRACTION + PROBE_OVERHEAD
-            candidates.append((probe, 0, "index"))
-    if use_codecs and sel.op in ("=", "!=") and \
-            _dict_coded(vdoc, cpaths, sel.rel):
+    stats = _probe_stats(vdoc, cpaths, sel.rel)
+    if stats is not None:
+        n_total, u_total = stats
+        if sel.op in ("=", "!="):
+            # expected posting size of one key
+            probe = n_total / max(u_total, 1.0) + PROBE_OVERHEAD
+        else:
+            # range probe: gathers + sorts an assumed fraction of rows
+            probe = n_total * RANGE_FRACTION + PROBE_OVERHEAD
+        candidates.append((probe, 0, "index"))
+    if sel.op in ("=", "!=") and _dict_coded(vdoc, cpaths, sel.rel):
         candidates.append(
             (scan_cost * DICT_SWEEP_FRACTION + PROBE_OVERHEAD, 1, "dict"))
     cost, _, access = min(candidates)
     return access, cost
 
 
-def _join_access(vdoc, join: EqEdge, var_paths,
-                 scan_cost: float) -> tuple[str, float]:
-    """Choose the access path of one join.  Only ``=`` / ``!=`` have an
-    index variant (dictionary-merge coding); ordering joins always scan."""
-    if join.op not in ("=", "!="):
-        return "scan", scan_cost
-    s1 = _probe_stats(vdoc, var_paths[join.var1], join.rel1)
-    s2 = _probe_stats(vdoc, var_paths[join.var2], join.rel2)
-    if s1 is None or s2 is None:
-        return "scan", scan_cost
-    # dictionary merge is u-proportional; the per-row work drops from a
-    # string sort to integer gathers — price it at a quarter of the sweep
-    probe = (s1[1] + s2[1]) / 2 + (s1[0] + s2[0]) / 4 + PROBE_OVERHEAD
-    if probe < scan_cost:
-        return "index", probe
-    return "scan", scan_cost
-
-
-def plan_query(gq: QueryGraph, vdoc, use_indexes: bool = True,
-               use_codecs: bool = True) -> Plan:
-    """Topological + heuristic operation ordering for one document.
-
-    ``use_indexes`` admits value-index probes, ``use_codecs`` admits the
-    code-space (``access='dict'``) sweep for equality selections over
-    dictionary-coded vectors — both are costing switches; results are
-    byte-identical with any combination."""
+def plan_query(gq: QueryGraph, vdoc) -> Plan:
+    """Topological + heuristic operation ordering for one document."""
     var_paths = candidate_var_paths(gq, vdoc.catalog.guide)
     var_card = {v: _cardinality(vdoc, var_paths[v]) for v in gq.variables}
     # stable op ids: variables, then selections, then joins, in graph order
@@ -267,17 +241,12 @@ def plan_query(gq: QueryGraph, vdoc, use_indexes: bool = True,
     sel_plan: dict[int, tuple[str, float, float]] = {}
     for s in gq.selections:
         scan = _text_cardinality(vdoc, var_paths[s.var], s.rel)
-        access, cost = _sel_access(vdoc, s, var_paths[s.var], scan,
-                                   use_indexes=use_indexes,
-                                   use_codecs=use_codecs)
+        access, cost = _sel_access(vdoc, s, var_paths[s.var], scan)
         sel_plan[id(s)] = (access, cost, scan)
-    join_plan: dict[int, tuple[str, float, float]] = {}
-    for j in gq.joins:
-        scan = (_text_cardinality(vdoc, var_paths[j.var1], j.rel1)
+    join_cost = {
+        id(j): (_text_cardinality(vdoc, var_paths[j.var1], j.rel1)
                 + _text_cardinality(vdoc, var_paths[j.var2], j.rel2))
-        access, cost = (_join_access(vdoc, j, var_paths, scan)
-                        if use_indexes else ("scan", scan))
-        join_plan[id(j)] = (access, cost, scan)
+        for j in gq.joins}
 
     placed: set[str] = set()
     pending_sel = list(gq.selections)
@@ -303,12 +272,12 @@ def plan_query(gq: QueryGraph, vdoc, use_indexes: bool = True,
                      if j.var1 in placed and j.var2 in placed]
             if not ready:
                 break
-            ready.sort(key=lambda j: (join_plan[id(j)][1], join_id[id(j)]))
+            ready.sort(key=lambda j: (join_cost[id(j)], join_id[id(j)]))
             j = ready[0]
             pending_join.remove(j)
-            access, cost, scan = join_plan[id(j)]
+            cost = join_cost[id(j)]
             ops.append(PlanOp("join", j, cost, op_id=join_id[id(j)],
-                              access=access, scan_cost=scan))
+                              scan_cost=cost))
 
     while pending_var:
         ready = [v for v in pending_var

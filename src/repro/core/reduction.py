@@ -12,8 +12,10 @@ planner's operations reduce ``Gq`` edge by edge:
 * **select** (constant edge) — one vectorized comparison over the text
   vector plus a prefix-sum existential per row;
 * **join** (equality edge) — existential set comparison per row, entirely
-  columnar (value codes from ``np.unique`` + key intersection for ``=`` /
-  ``!=``; per-row min/max aggregation for the ordering operators).
+  columnar: for ``=`` / ``!=`` each operand vector's own value coding
+  (its stored dictionary, or one coding of the reached values), merged
+  into one code space, then integer key intersection; per-row min/max
+  aggregation for the ordering operators.
 
 Variables range over *concrete* label paths, so a query with wildcard or
 descendant bindings is a union over concrete-path *combos* — one per
@@ -177,33 +179,26 @@ class _Reducer:
             return None
         return self.vdoc.vindex(qpath)
 
-    def _index_join_codes(self, parts1, parts2, access: str):
-        """Row ids + *shared-space* value codes for both join sides via
-        the per-path indexes: local row codes remapped through one
-        dictionary merge — all row-proportional work is integer work.
-        ``None`` means scan (chosen by the plan, or an index is missing)."""
-        if access != "index":
-            return None
-        idx: dict = {}
-        for _, q, _ in (*parts1, *parts2):
-            if q not in idx:
-                vi = self.vdoc.vindex(q)
-                if vi is None:
-                    return None
-                idx[q] = vi
-        qlist = list(idx)
-        remaps, m = merge_codings([idx[q] for q in qlist])
-        remap = dict(zip(qlist, remaps))
+    def _join_codes(self, parts1, parts2):
+        """Row ids + *shared-space* value codes of both join sides: per
+        text path the vector's own coding at the ordinals either side
+        reaches (:meth:`VectorCache.value_codes`), remapped through one
+        dictionary merge — all row-proportional work is integer work."""
+        reached: dict[tuple, list] = {}
+        for _, q, o in (*parts1, *parts2):
+            reached.setdefault(q, []).append(o)
+        coded = {q: self.cache.value_codes(q, np.concatenate(os))
+                 for q, os in reached.items()}
+        remaps, m = merge_codings([keys for keys, _ in coded.values()])
+        remap = dict(zip(coded, remaps))
 
         def side(parts):
-            rs = [p[0] for p in parts]
-            gs = [remap[q][idx[q].row_codes()[o]] for _, q, o in parts]
+            rs = [r for r, _, _ in parts]
+            gs = [remap[q][coded[q][1][o]] for _, q, o in parts]
             return (np.concatenate(rs) if rs else _EMPTY,
                     np.concatenate(gs) if gs else _EMPTY)
 
-        r1, g1 = side(parts1)
-        r2, g2 = side(parts2)
-        return r1, g1, r2, g2, max(m, 1)
+        return (*side(parts1), *side(parts2), max(m, 1))
 
     def _cum_mask(self, op_idx: int, qpath: tuple, op: str,
                   value: str) -> np.ndarray:
@@ -290,34 +285,13 @@ class _Reducer:
             sides.append((lengths_all, parts))
         return sides
 
-    def _join(self, op_idx, join: EqEdge, assigns, cid, cols,
-              access: str = "scan"):
+    def _join(self, join: EqEdge, assigns, cid, cols):
         n = len(cid)
         (l1, parts1), (l2, parts2) = self._join_sides(join, assigns,
                                                       cid, cols)
         op = join.op
         if op in ("=", "!="):
-            coded = self._index_join_codes(parts1, parts2, access)
-            if coded is not None:
-                r1, g1, r2, g2, m = coded
-            else:
-                # gather both sides (row-proportional work), then ONE
-                # global value coding + key intersection across every
-                # combo at once
-                r1 = (np.concatenate([p[0] for p in parts1])
-                      if parts1 else np.empty(0, dtype=np.int64))
-                r2 = (np.concatenate([p[0] for p in parts2])
-                      if parts2 else np.empty(0, dtype=np.int64))
-                v1 = (np.concatenate([self.cache.column(q)[o]
-                                      for _, q, o in parts1])
-                      if parts1 else np.empty(0, dtype=np.str_))
-                v2 = (np.concatenate([self.cache.column(q)[o]
-                                      for _, q, o in parts2])
-                      if parts2 else np.empty(0, dtype=np.str_))
-                uniq, codes = np.unique(np.concatenate([v1, v2]),
-                                        return_inverse=True)
-                m = max(len(uniq), 1)
-                g1, g2 = codes[: len(v1)], codes[len(v1):]
+            r1, g1, r2, g2, m = self._join_codes(parts1, parts2)
             k1 = r1 * m + g1
             k2 = r2 * m + g2
             if op == "=":
@@ -372,8 +346,7 @@ class _Reducer:
                     keep = self._select(op_idx, edge, assigns, cid, cols,
                                         op.access)
                 else:
-                    keep = self._join(op_idx, edge, assigns, cid, cols,
-                                      op.access)
+                    keep = self._join(edge, assigns, cid, cols)
                 cid = cid[keep]
                 cols = {v: c[keep] for v, c in cols.items()}
         return cid, cols
@@ -404,10 +377,8 @@ def _order_table(vdoc, gq: QueryGraph,
 
 
 def reduce_query(vdoc, gq: QueryGraph, plan: Plan,
-                 ctx: EvalContext | None = None) -> ReducedTable:
+                 ctx: EvalContext) -> ReducedTable:
     """Reduce ``Gq`` to its binding-tuple table, globally ordered."""
-    if ctx is None:
-        ctx = EvalContext.for_doc(vdoc)
     assigns = _enumerate_combos(gq, vdoc, ctx)
     cid, cols = _Reducer(vdoc, ctx).run(plan, assigns)
     raw = []

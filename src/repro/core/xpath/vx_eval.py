@@ -40,10 +40,9 @@ def pred_mask(cache: VectorCache, qpath: tuple, op: str, const: str) -> np.ndarr
 
     Every predicate evaluator funnels through here — XPath predicates and
     both XQ executors — so this is the one place code-space evaluation
-    plugs in: when the vector is stored dictionary-coded (and codec
-    evaluation is on), an equality predicate maps its constant into code
-    space with one binary search over the ``u`` sorted keys
-    (:func:`~repro.index.key_code`, the lookup a value index also uses)
+    plugs in: when the vector is stored dictionary-coded, an equality
+    predicate maps its constant into code space with one binary search
+    over the ``u`` sorted keys (:func:`~repro.index.key_code`, the lookup a value index also uses)
     and compares integers; the string column is never built.  An absent
     constant maps to code -1, which no value code equals — exactly the
     all-False (``=``) / all-True (``!=``) masks of the string compare, so
@@ -197,7 +196,7 @@ class VXResult:
         return [items[i] for i in order]
 
 
-def evaluate_vx(vdoc, path: Path, ctx=None) -> VXResult:
+def evaluate_vx(vdoc, path: Path, ctx) -> VXResult:
     """Evaluate an XPath of the fragment P[*,//] over a vectorized document.
 
     ``ctx`` (an :class:`~repro.core.context.EvalContext`) lets a larger
@@ -205,14 +204,12 @@ def evaluate_vx(vdoc, path: Path, ctx=None) -> VXResult:
     share one per-document vector cache so the scan-once invariant spans
     the whole query, and carries the pool-wide invariant guards."""
     catalog: PathsCatalog = vdoc.catalog
-    cache = ctx.cache(vdoc) if ctx is not None \
-        else VectorCache(vdoc.vectors)
+    cache = ctx.cache(vdoc)
     result: list[tuple] = []
     for cpath, aligns in catalog.guide.resolve(path.steps):
-        if ctx is not None:
-            ctx.checkpoint()   # per candidate path: a structural query may
-            # select without ever scanning a value vector, and the
-            # cooperative deadline must still be able to stop it
+        ctx.checkpoint()   # per candidate path: a structural query may
+        # select without ever scanning a value vector, and the
+        # cooperative deadline must still be able to stop it
         parts: list = []
         for align in aligns:
             ids = _eval_alignment(catalog, cache, cpath, align, path.steps)

@@ -1,17 +1,16 @@
 """Value indexes over data vectors ("vindex", paper §6).
 
-One :class:`ValueIndex` accelerates the two hot operations of graph
-reduction over one text-path vector of ``n`` values with ``u`` distinct
-strings:
+One :class:`ValueIndex` accelerates **constant selections** over one
+text-path vector of ``n`` values with ``u`` distinct strings: instead of
+a full-column predicate mask plus prefix sum, a probe returns the sorted
+row ordinals matching the constant and the per-row existential becomes
+two ``searchsorted`` calls.
 
-* **constant selections** — instead of a full-column predicate mask plus
-  prefix sum, a probe returns the sorted row ordinals matching the
-  constant and the per-row existential becomes two ``searchsorted`` calls;
-* **equality joins** — instead of ``np.unique`` over the gathered string
-  values of both sides (a string sort proportional to the row count), the
-  precomputed per-row value codes of each side are remapped into one
-  shared code space by merging the (much smaller, already sorted) key
-  dictionaries — all row-proportional work is integer work.
+The sorted key dictionary is the structure shared with everything else
+that codes values — a ``dict``-coded vector stores the same kind, and
+the equality join makes one for any other operand; :func:`key_code`
+looks one key up in it and :func:`merge_codings` maps several of them
+into one code space.
 
 Structure (all numpy, all derivable from the column alone — the
 persistent form in :mod:`repro.index.segment` stores exactly these
@@ -80,7 +79,7 @@ class ValueIndex:
     """The in-memory (and only) probe form of one vector's value index."""
 
     __slots__ = ("path", "n", "keys", "offsets", "rows", "num_codes",
-                 "num_vals", "_row_codes")
+                 "num_vals")
 
     def __init__(self, path: tuple, n: int, keys: np.ndarray,
                  offsets: np.ndarray, rows: np.ndarray,
@@ -92,7 +91,6 @@ class ValueIndex:
         self.rows = rows
         self.num_codes = num_codes
         self.num_vals = num_vals
-        self._row_codes = None
 
     @property
     def distinct(self) -> int:
@@ -103,16 +101,6 @@ class ValueIndex:
         return self
 
     # -- probes ------------------------------------------------------------
-
-    def row_codes(self) -> np.ndarray:
-        """Key code of every row (built lazily: one integer scatter)."""
-        if self._row_codes is None:
-            counts = np.diff(self.offsets)
-            codes = np.empty(self.n, dtype=np.int64)
-            codes[self.rows] = np.repeat(
-                np.arange(len(self.keys), dtype=np.int64), counts)
-            self._row_codes = codes
-        return self._row_codes
 
     def code_of(self, value: str) -> int:
         """The key code of ``value``, or -1."""
@@ -223,23 +211,23 @@ def build_value_index_from_codes(path: tuple, keys: np.ndarray,
                       num_vals[order])
 
 
-def merge_codings(indexes: list[ValueIndex]) -> tuple[list[np.ndarray], int]:
-    """Map each index's local key codes into one shared code space.
+def merge_codings(dictionaries: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """Map the local codes of several key dictionaries — each a strictly
+    increasing string array, ``np.unique`` order — into one shared code
+    space.
 
-    Equal strings across indexes always share a code; distinct strings
-    never collide.  Work is proportional to the *dictionaries* (sorted
-    string arrays, merged via searchsorted), never to the row counts —
-    this is what makes the index join cheaper than re-coding the gathered
-    values with ``np.unique``.
+    Equal strings across dictionaries always share a code; distinct
+    strings never collide.  Work is proportional to the *dictionaries*
+    (sorted string arrays, merged via searchsorted), never to the row
+    counts — this is what lets an equality join compare integers only.
 
     Returns ``(remaps, size)``: one ``local code -> shared code`` array
-    per index, and the shared space size.
+    per dictionary, and the shared space size.
     """
     remaps: list[np.ndarray] = []
     coded: list[tuple[np.ndarray, np.ndarray]] = []
     next_code = 0
-    for vi in indexes:
-        keys = vi.keys
+    for keys in dictionaries:
         remap = np.full(len(keys), -1, dtype=np.int64)
         for prev_keys, prev_codes in coded:
             todo = np.flatnonzero(remap < 0)

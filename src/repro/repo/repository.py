@@ -541,12 +541,11 @@ class Repository:
     def _cache_key(self, name: str, tail: tuple) -> tuple | None:
         """The result-cache key of ``(member, query)`` — ``None`` when the
         member file cannot be stat'ed.  Keyed on the file's identity
-        (name, mtime_ns, size) plus ``tail``: the query kind, the
+        (name, mtime_ns, size) plus ``tail``: the query kind and the
         *normalized* query text (whitespace around the query carries no
         meaning; whitespace inside it may — string literals — so
-        normalization is ``strip()`` only) and the evaluation flags, so
-        any change to the underlying file or to how the query is
-        evaluated changes the key."""
+        normalization is ``strip()`` only).  How a query is evaluated is
+        a function of the file and the text, so the key is complete."""
         entry = self._entry(name)
         try:
             st = os.stat(os.path.join(self.dirpath, entry["file"]))
@@ -623,8 +622,7 @@ class Repository:
                 cache.put(key, *pack(res))
             yield name, res
 
-    def xq(self, query: str | XQuery, prune: bool = True,
-           use_indexes: bool = True, use_codecs: bool = True,
+    def xq(self, query: str | XQuery,
            deadline: float | None = None,
            ctx: EvalContext | None = None) -> RepoXQResult:
         """Evaluate an XQ query over every member, in member order.
@@ -639,9 +637,6 @@ class Repository:
         Members whose cataloged paths prove them empty for this query are
         skipped with zero page I/O, and survivors are evaluated
         most-selective-first; results are reassembled in manifest order.
-        ``prune=False``, ``use_indexes=False`` and ``use_codecs=False``
-        are the byte-identical reference paths of the differential tests
-        (no pruning / no index probes / no code-space predicates).
 
         ``deadline`` arms a cooperative budget (seconds) spanning *all*
         members of this query; expiry raises
@@ -661,12 +656,9 @@ class Repository:
                 f"query ranges over collection {gq.collection!r} but this "
                 f"repository is {self.name!r}")
         qtext = query.strip() if isinstance(query, str) else None
-        if prune:
-            order, pruned = self._memoized(
-                ("xq-order", qtext) if qtext is not None else None,
-                lambda: self._member_order(gq))
-        else:
-            order, pruned = self.members(), []
+        order, pruned = self._memoized(
+            ("xq-order", qtext) if qtext is not None else None,
+            lambda: self._member_order(gq))
         if ctx is None:
             ctx = EvalContext()
         if deadline is not None:
@@ -679,23 +671,19 @@ class Repository:
         quarantined: list[str] = []
         by_name = dict(self._each_member(
             order, quarantined,
-            None if qtext is None
-            else ("xq", qtext, use_indexes, use_codecs),
-            lambda vdoc: eval_xq(vdoc, xq, ctx=ctx, use_indexes=use_indexes,
-                                 use_codecs=use_codecs),
-            pack))
+            None if qtext is None else ("xq", qtext),
+            lambda vdoc: eval_xq(vdoc, xq, ctx=ctx), pack))
         results = [(name, by_name[name]) for name in self.members()
                    if name in by_name]
         return RepoXQResult(xq.root_tag, results, pruned,
                             sorted(quarantined))
 
-    def xpath(self, query: str, prune: bool = True,
-              use_codecs: bool = True,
+    def xpath(self, query: str,
               deadline: float | None = None,
               ctx: EvalContext | None = None,
               skipped: list | None = None) -> list[tuple[str, object]]:
         """Evaluate an XPath over every member; per-member ``VXResult``\\ s
-        in member order.  With ``prune=True`` a member whose cataloged
+        in member order.  A member whose cataloged
         paths admit no alignment with the query steps is answered with an
         empty result straight from the manifest (it is never opened).
         When the result cache is enabled, a member hit is answered as a
@@ -713,7 +701,7 @@ class Repository:
             ctx = EvalContext()
         if deadline is not None:
             ctx.set_deadline(deadline)
-        prunable: frozenset = frozenset() if not prune else self._memoized(
+        prunable: frozenset = self._memoized(
             ("xpath-prune", qtext),
             lambda: frozenset(
                 name for name, guide in self._guides.items()
@@ -724,9 +712,8 @@ class Repository:
                  or self.quarantine.is_quarantined(n)]
         gone: list[str] = []
         by_name = dict(self._each_member(
-            names, gone, ("xpath", qtext, use_codecs),
-            lambda vdoc: eval_query(vdoc, path, ctx=ctx,
-                                    use_codecs=use_codecs),
+            names, gone, ("xpath", qtext),
+            lambda vdoc: eval_query(vdoc, path, ctx=ctx),
             lambda res: (CachedCount(res.count()), 32)))
         if skipped is not None:
             skipped.extend(gone)

@@ -21,3 +21,62 @@ def save_identity():
                        lambda values: IDENTITY)
             return vdoc.save(path, **kwargs)
     return save
+
+
+class Twins:
+    """One XML text in every configuration a query can meet (see the
+    ``twins`` fixture)."""
+
+    def __init__(self, xml, files):
+        from repro.core.vdoc import VectorizedDocument
+
+        #: memory-resident, nothing coded, nothing indexed
+        self.memory = VectorizedDocument.from_xml(xml)
+        #: memory-resident with every value index built
+        self.memory_indexed = VectorizedDocument.from_xml(xml)
+        self.memory_indexed.build_indexes()
+        #: twin name -> ``.vdoc`` path
+        self.files = files
+
+    def open(self, name, pool_pages=64):
+        from repro.storage.vdocfile import open_vdoc
+
+        return open_vdoc(self.files[name], pool_pages=pool_pages)
+
+    def each(self, pool_pages=64):
+        """``(name, document)`` per twin, each file over its own pool."""
+        yield "memory", self.memory
+        yield "memory-indexed", self.memory_indexed
+        for name in self.files:
+            with self.open(name, pool_pages) as doc:
+                yield name, doc
+
+    def naive(self, query) -> str:
+        """The one oracle: nested loops over the rebuilt tree."""
+        from repro.core.engine import eval_xq
+
+        return eval_xq(self.memory, query, mode="naive").to_xml()
+
+
+@pytest.fixture(scope="session")
+def twins(tmp_path_factory, save_identity):
+    """``twins(xml, page_size=512)``: the reference twins of one XML
+    text — the memory document (plain and with in-memory indexes) and
+    its three saves: ``identity`` (every vector stored as text:
+    predicates and joins run on strings), ``coded`` (per-vector codecs,
+    no index: code-space evaluation, every op a scan or dict sweep) and
+    ``indexed`` (``coded`` plus ``index_paths="all"``: selections
+    probe).  ``src/`` has no switch between these behaviours — what a
+    query does follows from the file it runs on — so the differential
+    tests compare twins, each against ``mode="naive"`` bytes."""
+    def build(xml, page_size=512):
+        d = tmp_path_factory.mktemp("twins")
+        files = {name: str(d / f"{name}.vdoc")
+                 for name in ("identity", "coded", "indexed")}
+        t = Twins(xml, files)
+        save_identity(t.memory, files["identity"], page_size=page_size)
+        t.memory.save(files["coded"], page_size=page_size)
+        t.memory.save(files["indexed"], page_size=page_size,
+                      index_paths="all")
+        return t
+    return build

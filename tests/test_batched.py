@@ -63,9 +63,8 @@ def test_check_passes_has_teeth(vdoc):
     with pytest.raises(EngineInvariantError, match="person/name"):
         ctx.check_passes()
     # the paper states the invariant without exceptions: the context has
-    # nothing but documents and the codec switch to configure
-    assert list(inspect.signature(EvalContext).parameters) == \
-        ["docs", "codec_eval"]
+    # nothing but documents to configure
+    assert list(inspect.signature(EvalContext).parameters) == ["docs"]
     assert list(inspect.signature(EvalContext.for_doc).parameters) == ["vdoc"]
 
 

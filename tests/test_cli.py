@@ -59,8 +59,8 @@ def test_cli_reports_errors(tmp_path, capsys):
     ["save", "f", "out", "--format", "3"],
 ])
 def test_cli_removed_escape_hatches_are_unknown_options(argv, capsys):
-    """The byte-identical alternate paths are library kwargs for the
-    differential tests now, not user features: argparse rejects each
+    """The byte-identical alternate paths are file twins in the
+    differential tests now, not switches anywhere: argparse rejects each
     former flag (exit 2) before any file is touched."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -79,6 +79,36 @@ def test_cli_deadline_must_be_positive_finite_seconds(cmd, value, capsys):
         main([*cmd, f"--deadline={value}"])
     assert exc.value.code == 2
     assert "--deadline" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["serve", "d", "--result-cache", "nan"], "--result-cache"),
+    (["serve", "d", "--result-cache", "-1"], "--result-cache"),
+    (["serve", "d", "--result-cache", "inf"], "--result-cache"),
+    (["serve", "d", "--queue", "-1"], "--queue"),
+    (["serve", "d", "--queue-timeout", "nan"], "--queue-timeout"),
+    (["serve", "d", "--queue-timeout", "0"], "--queue-timeout"),
+    (["serve", "d", "--workers", "0"], "--workers"),
+    (["serve", "d", "--port", "99999"], "--port"),
+    (["serve", "d", "--port", "-1"], "--port"),
+    (["serve", "d", "--pool", "1"], "--pool"),
+    (["stats", "f", "--pool", "1"], "--pool"),
+    (["query", "f", "q", "--pool", "0"], "--pool"),
+    (["reconstruct", "f", "--pool", "-4"], "--pool"),
+    (["open", "f", "--pool", "1"], "--pool"),
+    (["repo", "query", "d", "q", "--pool", "1"], "--pool"),
+])
+def test_cli_numeric_flags_are_validated_by_argparse(argv, flag, capsys):
+    """Regression: ``serve`` validated only ``--deadline`` — a NaN or
+    negative cache budget, a negative queue and an out-of-range port
+    died with Python tracebacks, ``--queue-timeout nan`` and
+    ``--workers 0`` started serving, and ``--pool 1`` was a runtime
+    StorageError (exit 1).  Each is a usage error naming the flag,
+    before any file is touched."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_cli_rejects_inapplicable_flags(tmp_path, capsys):

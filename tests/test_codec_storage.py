@@ -2,7 +2,7 @@
 across memory / identity-coded / codec-coded files (``v3`` / ``v4``
 below, after the formats that introduced them) under tiny buffer pools, the
 zero-decode machine assertion for code-space predicate evaluation, the
-planner's ``dict`` access path and its ``use_codecs=False`` reference,
+planner's ``dict`` access path against its identity-coded twin,
 compression accounting in IOStats and the catalog, the repository
 manifest summary, and a targeted corruption sweep over a codec-rich
 file (exact answer or located StorageError, never wrong bytes)."""
@@ -142,17 +142,22 @@ def test_dict_selection_runs_without_decoding(saved):
         assert res.n_tuples == 60
 
 
-def test_no_codec_eval_hatch_is_byte_identical(saved):
-    v4, _, _, _ = saved
+def test_identity_twin_evaluates_on_strings_byte_identically(saved, mem):
+    """Code space vs. strings, as twins: the identity-coded save of the
+    same document has no dictionary to sweep, so the same query runs the
+    string compare there — and answers with the same bytes."""
+    v4, v3, _, _ = saved
+    oracle = eval_xq(mem, XQ_SELECT, mode="naive").to_xml()
     with VectorizedDocument.open(v4, pool_pages=8) as disk:
         on = eval_xq(disk, XQ_SELECT)
-    with VectorizedDocument.open(v4, pool_pages=8) as disk:
+        assert "[dict ]" in on.plan.explain()
+    with VectorizedDocument.open(v3, pool_pages=8) as disk:
         ctx = EvalContext.for_doc(disk)
-        off = eval_xq(disk, XQ_SELECT, use_codecs=False, ctx=ctx)
+        off = eval_xq(disk, XQ_SELECT, ctx=ctx)
         assert "[dict ]" not in off.plan.explain()
         dec = ctx.decode_counts(disk)
-        assert dec[CAT] > 0      # the hatch really decodes the strings
-    assert off.to_xml() == on.to_xml()
+        assert dec[CAT] > 0      # the twin really decodes the strings
+    assert off.to_xml() == on.to_xml() == oracle
 
 
 def test_xpath_dict_predicate_runs_without_decoding(saved):
@@ -266,10 +271,10 @@ def test_repo_manifest_records_compression(tmp_path, saved):
         assert comp["codecs"] == s4["codecs"]
         assert repo._entry("m3")["compression"]["codecs"] == \
             {"identity": s4["vectors"]}
-        # queries agree across members and across the codec hatch
-        on = repo.xq(XQ_SELECT).to_xml()
-        off = repo.xq(XQ_SELECT, use_codecs=False).to_xml()
-        assert on == off
+        # the codec-coded member and its identity-coded twin answer
+        # with the same bytes (code space vs. strings)
+        by_member = dict(repo.xq(XQ_SELECT).results)
+        assert by_member["m4"].fragment() == by_member["m3"].fragment() != ""
 
 
 def test_manifest_rejects_bad_compression_entry():

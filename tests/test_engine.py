@@ -50,6 +50,21 @@ def test_vx_touches_only_predicate_vectors(vdoc):
     assert touched == {("site", "people", "person", "profile", "age", "#")}
 
 
+def test_guard_never_enumerates_the_documents_units(vdoc, monkeypatch):
+    """The accounting window holds the units the query touched: opening
+    and checking it does not walk ``io_units()`` (thousands per
+    TreeBank-shaped member); only the reporting surface does, on request."""
+    walks = []
+    units = vdoc.io_units()
+    monkeypatch.setattr(vdoc, "io_units",
+                        lambda: walks.append(1) or units)
+    ctx = EvalContext.for_doc(vdoc)
+    eval_query(vdoc, "/site/people/person[profile/age = '32']/name", ctx=ctx)
+    assert not walks
+    counts = ctx.scan_counts(vdoc)
+    assert walks and len(counts) == len(units) and sum(counts.values()) == 1
+
+
 def test_existence_predicate_touches_no_vector(vdoc):
     ctx = EvalContext.for_doc(vdoc)
     eval_query(vdoc, "//person[phone]/name", mode="vx", ctx=ctx)

@@ -1,16 +1,15 @@
-"""Index-aware execution: indexed and scan access produce byte-identical
-results (memory and disk), the planner stamps the access path it
-actually priced cheaper, and repeated compiles yield the identical plan."""
+"""Index-aware execution: the indexed and unindexed twins of one document
+produce byte-identical results (memory and disk, each against the naive
+oracle), the planner stamps the access path it actually priced cheaper,
+and repeated compiles yield the identical plan."""
 
 import pytest
 
 from repro.core.engine import eval_xq
 from repro.core.planner import plan_query
 from repro.core.qgraph import compile_query
-from repro.core.vdoc import VectorizedDocument
 from repro.core.xquery.parser import parse_xq
 from repro.datasets.synth import xmark_like_xml
-from repro.storage.vdocfile import open_vdoc, save_vdoc
 
 N_PEOPLE = 60
 
@@ -43,47 +42,53 @@ QUERIES = {
 
 
 @pytest.fixture(scope="module")
-def mem_vdoc():
-    vdoc = VectorizedDocument.from_xml(xmark_like_xml(N_PEOPLE, seed=9))
-    vdoc.build_indexes()
-    return vdoc
+def doc_twins(twins):
+    return twins(xmark_like_xml(N_PEOPLE, seed=9))
 
 
 @pytest.fixture(scope="module")
-def disk_path(tmp_path_factory):
-    vdoc = VectorizedDocument.from_xml(xmark_like_xml(N_PEOPLE, seed=9))
-    path = str(tmp_path_factory.mktemp("ix") / "doc.vdoc")
-    save_vdoc(vdoc, path, page_size=512, index_paths="all")
-    return path
+def mem_vdoc(doc_twins):
+    return doc_twins.memory_indexed
+
+
+def _filters(plan):
+    return [op for op in plan.ops if op.kind in ("select", "join")]
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
-def test_indexed_equals_scan_in_memory(mem_vdoc, name):
+def test_indexed_equals_scan_in_memory(doc_twins, name):
     query = QUERIES[name]
-    ix = eval_xq(mem_vdoc, query, use_indexes=True)
-    scan = eval_xq(mem_vdoc, query, use_indexes=False)
-    assert ix.to_xml() == scan.to_xml()
+    oracle = doc_twins.naive(query)
+    ix = eval_xq(doc_twins.memory_indexed, query)
+    scan = eval_xq(doc_twins.memory, query)
+    assert ix.to_xml() == oracle
+    assert scan.to_xml() == oracle
     assert all(op.access == "scan" for op in scan.plan.ops)
-    # filters on indexed vectors of this size must actually probe
-    filters = [op for op in ix.plan.ops if op.kind in ("select", "join")]
-    assert filters and all(op.access == "index" for op in filters), name
+    # selections on indexed vectors of this size must actually probe;
+    # a join has one kernel whatever the file holds
+    assert _filters(ix.plan)
+    for op in _filters(ix.plan):
+        assert op.access == ("index" if op.kind == "select" else "scan"), name
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
-def test_indexed_equals_scan_on_disk(disk_path, name):
+def test_indexed_equals_scan_on_disk(doc_twins, name):
     query = QUERIES[name]
-    with open_vdoc(disk_path, pool_pages=64) as doc:
-        ix = eval_xq(doc, query, use_indexes=True).to_xml()
-        doc.drop_caches()
-        scan = eval_xq(doc, query, use_indexes=False).to_xml()
-    assert ix == scan
+    oracle = doc_twins.naive(query)
+    with doc_twins.open("indexed") as doc:
+        ix = eval_xq(doc, query)
+        assert ix.to_xml() == oracle
+        assert any(op.access == "index" for op in ix.plan.ops) \
+            == ("selection" in name)
+    with doc_twins.open("coded") as doc:
+        assert eval_xq(doc, query).to_xml() == oracle
 
 
-def test_probe_skips_the_column_on_disk(disk_path):
+def test_probe_skips_the_column_on_disk(doc_twins):
     """A selective probe must not materialize the indexed vector: the
     index segment is read, the name column itself is not."""
-    with open_vdoc(disk_path, pool_pages=64) as doc:
-        eval_xq(doc, QUERIES["eq-selection"], use_indexes=True)
+    with doc_twins.open("indexed") as doc:
+        eval_xq(doc, QUERIES["eq-selection"])
         name_path = ("site", "people", "person", "name", "#")
         assert not doc.vectors[name_path].is_loaded()
         assert doc._vindexes[name_path].is_loaded()
@@ -117,8 +122,12 @@ def test_repeated_compiles_produce_identical_plans(mem_vdoc):
         assert plans[0].explain() == plans[1].explain()
 
 
-def test_use_indexes_false_never_probes(disk_path):
-    with open_vdoc(disk_path, pool_pages=64) as doc:
-        res = eval_xq(doc, QUERIES["eq-join"], use_indexes=False)
-        assert all(op.access == "scan" for op in res.plan.ops)
-        assert not any(h.is_loaded() for h in doc._vindexes.values())
+def test_unindexed_twin_plans_no_probe(doc_twins):
+    """Whether a query probes is a property of its file: the plan over
+    the unindexed twin has no ``[index]`` op, for any query."""
+    with doc_twins.open("coded") as doc:
+        assert doc._vindexes == {}
+        for query in QUERIES.values():
+            plan = eval_xq(doc, query).plan
+            assert "[index]" not in plan.explain()
+            assert all(op.access in ("scan", "dict") for op in plan.ops)

@@ -45,10 +45,17 @@ def _docs(tmp_path):
     return files
 
 
-def make_repo(tmp_path, pool_pages=None, page_size=512):
-    d = str(tmp_path / "repo")
+def make_repo(tmp_path, pool_pages=None, page_size=512, indexed=False):
+    """The three-member repository; ``indexed=True`` builds its twin whose
+    members carry a value index on every vector (saved first, then added
+    as ``.vdoc`` files)."""
+    d = str(tmp_path / ("repo-indexed" if indexed else "repo"))
     repo = Repository.init(d, "auctions")
     for f in _docs(tmp_path):
+        if indexed:
+            vdoc = VectorizedDocument.from_xml(f.read_text(encoding="utf-8"))
+            f = f.with_suffix(".vdoc")
+            vdoc.save(str(f), page_size=page_size, index_paths="all")
         repo.add(str(f), page_size=page_size)
     repo.close()
     return Repository.open(d, pool_pages=pool_pages)
@@ -277,9 +284,17 @@ def test_collection_query_matches_concatenated_per_doc(tmp_path):
         res2 = repo.xq(PLAIN_XQ)
         assert res2.to_xml() == expected_concat(tmp_path, PLAIN_XQ)
 
-        # indexed and scan-only plans agree over the repository
-        res3 = repo.xq(COLL_XQ, use_indexes=False)
-        assert res3.to_xml() == res.to_xml()
+    # the indexed twin of the repository agrees byte for byte, and on an
+    # equality selection its largest member really probes
+    eq_xq = COLL_XQ.replace("$p/profile/age > '40'", "$p/name = 'name 3'")
+    with make_repo(tmp_path, pool_pages=8, page_size=512,
+                   indexed=True) as twin:
+        assert twin.xq(COLL_XQ).to_xml() == expected_concat(tmp_path, COLL_XQ)
+        res3 = twin.xq(eq_xq)
+        assert any(op.access == "index"
+                   for _, r in res3.results for op in r.plan.ops)
+        assert res3.n_tuples > 0
+        assert res3.to_xml() == expected_concat(tmp_path, eq_xq)
 
 
 def test_collection_xpath(tmp_path):

@@ -138,17 +138,6 @@ def test_xq_hits_are_byte_identical(tmp_path):
         assert repo.result_cache.stats()["hits"] == 6
 
 
-def test_xq_flags_key_separately(tmp_path):
-    """use_indexes and use_codecs change how a query is evaluated, so
-    they are part of the key — a hit must never cross evaluation modes."""
-    with _make_repo(tmp_path, result_cache_bytes=1 << 20) as repo:
-        a = repo.xq(XQ, use_indexes=True).to_xml()
-        assert repo.result_cache.stats()["hits"] == 0
-        b = repo.xq(XQ, use_indexes=False).to_xml()
-        assert repo.result_cache.stats()["hits"] == 0  # different key
-        assert a == b
-
-
 def test_add_invalidates_cache(tmp_path):
     with _make_repo(tmp_path, result_cache_bytes=1 << 20) as repo:
         before = repo.xq(XQ).to_xml()

@@ -71,13 +71,6 @@ def test_probes_match_naive_reference():
         assert vi.range_rows(op, "not a number") is None
 
 
-def test_row_codes_is_the_inverse_coding():
-    col = _column(random.Random(3), 64)
-    vi = build_value_index(VPATH, col)
-    codes = vi.row_codes()
-    assert [str(vi.keys[c]) for c in codes] == col
-
-
 @pytest.mark.parametrize("seed", range(25))
 def test_code_of_equals_a_plain_dict_lookup(seed):
     """The sorted-key binary search answers exactly what a Python dict
@@ -154,14 +147,21 @@ def test_numeric_subindex_excludes_nan_and_text():
 
 
 def test_merge_codings_shares_codes_for_equal_strings():
-    a = build_value_index(VPATH, ["x", "y", "z"])
-    b = build_value_index(VPATH, ["y", "z", "w"])
-    remaps, size = merge_codings([a, b])
-    shared = {str(k): remaps[0][c] for c, k in enumerate(a.keys)}
-    other = {str(k): remaps[1][c] for c, k in enumerate(b.keys)}
+    """Raw sorted key arrays in (any source: an index, a ``dict`` codec,
+    one ``np.unique``), of different widths, one of them empty."""
+    a = np.array(["x", "y", "z"])
+    b = np.array(["longer key", "w", "y", "z"])
+    empty = np.empty(0, dtype="<U1")
+    remaps, size = merge_codings([a, empty, b, a])
+    assert [len(r) for r in remaps] == [3, 0, 4, 3]
+    shared = {str(k): remaps[0][c] for c, k in enumerate(a)}
+    other = {str(k): remaps[2][c] for c, k in enumerate(b)}
     assert shared["y"] == other["y"] and shared["z"] == other["z"]
+    assert remaps[3].tolist() == remaps[0].tolist()
     all_codes = set(shared.values()) | set(other.values())
-    assert len(all_codes) == size == 4  # w x y z
+    assert len(all_codes) == size == 5  # 'longer key' w x y z
+    assert merge_codings([]) == ([], 0)
+    assert merge_codings([empty])[1] == 0
 
 
 # -- persistent segment ----------------------------------------------------
