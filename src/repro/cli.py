@@ -92,6 +92,16 @@ _mebibytes = _number(float, lambda mb: 0 <= mb < math.inf,
                      "a finite number of MiB >= 0")
 
 
+def _rate_seed(text: str) -> tuple[float, int]:
+    rate, _, seed = text.partition(":")
+    return float(rate), int(seed) if seed else 0
+
+
+#: ``--chaos RATE[:SEED]``: the fault injector's rate and seed
+_chaos = _number(_rate_seed, lambda rs: 0 <= rs[0] <= 1,
+                 "RATE[:SEED] with RATE in [0, 1] (e.g. 0.05:7)")
+
+
 def _usage_error(message: str) -> int:
     print(f"repro-xq: error: {message}", file=sys.stderr)
     return USAGE_ERROR
@@ -377,7 +387,8 @@ def main(argv: list[str] | None = None) -> int:
                               "seconds; over-budget requests get HTTP "
                               "504 (X-Deadline-Ms may tighten it per "
                               "request; default: none)")
-    p_serve.add_argument("--chaos", default=None, metavar="RATE[:SEED]",
+    p_serve.add_argument("--chaos", type=_chaos, default=None,
+                         metavar="RATE[:SEED]",
                          help="inject deterministic transient read "
                               "faults (OSError/bitflip/torn) into the "
                               "pool at RATE — the live chaos harness "

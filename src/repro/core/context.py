@@ -16,9 +16,9 @@ Invariants enforced here (all machine checks, not comments):
 * **no decompression** — :meth:`EvalContext.guard` wraps the evaluation in
   :func:`~repro.core.reconstruct.forbid_decompression`;
 * **scan-at-most-once** — after the query, no touched vector may have been
-  scanned more than once, logically (per-context scan counts reported by
-  ``Vector.scan()`` through the thread's active context) or physically
-  (pages read *by this context* bounded by one full chain pass);
+  scanned more than once, logically (one scan per first touch through
+  the context's :class:`VectorCache`) or physically (pages read *by this
+  context* bounded by one full chain pass);
 * **one pass per plan operation** — batched combo execution promises each
   data vector is swept at most once per plan *operation* across all
   concrete-path combos; full-column kernel sweeps register through
@@ -30,8 +30,9 @@ The context also carries the query's **cooperative deadline**: an
 absolute monotonic instant set by :meth:`EvalContext.set_deadline`.
 :meth:`EvalContext.checkpoint` — one counter bump plus at most one
 ``time.monotonic()`` call — is sprinkled through the engine's loops
-(vector scans, plan operations, combo enumeration, result-row assembly)
-and the buffer pool's fault path, so a runaway query raises a typed
+(vector touches, plan operations, combo enumeration, result-row
+assembly) and every heap-chain page a materialization walks, so a
+runaway query raises a typed
 :class:`~repro.errors.DeadlineExceededError` at the next checkpoint and
 unwinds through the ordinary failure path — which asserts zero leaked
 pins, leaving the pool fully reusable.  Checkpoints are *numbered*, and
@@ -43,17 +44,27 @@ prove the unwind is clean at every single checkpoint of a query.
 from __future__ import annotations
 
 import time
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
 
 from ..errors import DeadlineExceededError, EngineInvariantError
 from .reconstruct import forbid_decompression
-from .vectors import Vector, set_active_context
+from .vectors import Vector
 
 
 class VectorCache:
-    """Per-query lazy vector loads; guarantees one scan per touched vector.
+    """One query's door to a document's vectors and value-index handles.
+
+    Built by :meth:`EvalContext.cache`, it holds that context and is the
+    only way a query reads data.  The first touch of a unit (a vector or
+    an index handle) is a deadline checkpoint and one logical scan
+    charged to the context; the context is then handed down to the
+    storage materialization, which charges its page reads and decoded
+    values to it as well.  A read is therefore charged to the context
+    that owns the cache — not to whichever context happens to be
+    evaluating on the calling thread.
 
     Shared across every operation of a query — including all operations of
     an XQ graph reduction — so the engine's scan-at-most-once invariant
@@ -62,42 +73,38 @@ class VectorCache:
     A vector may be read through several *representations* in one query —
     the string column, the dictionary codes of a ``dict``-coded vector,
     the float view — all derived from the same single chain pass.  The
-    cache funnels them through one logical **touch** per vector
-    (:meth:`Vector.note_touch`), so the scan-once invariant counts
-    physical passes, not representations."""
+    cache funnels them through one touch per unit, so the scan-once
+    invariant counts physical passes, not representations."""
 
-    def __init__(self, vectors: dict[tuple, Vector]):
-        self._vectors = vectors
-        self._loaded: dict[tuple, np.ndarray] = {}
-        self._codes: dict[tuple, tuple] = {}
-        self._touched: set[tuple] = set()
+    def __init__(self, ctx: "EvalContext", vdoc):
+        # weak: the context owns its caches, and a strong back-reference
+        # would make every context a cycle that outlives its query — with
+        # its documents and their columns — until a full collection
+        self._ctx = weakref.proxy(ctx)
+        self._vectors: dict[tuple, Vector] = vdoc.vectors
+        self._vindexes: dict[tuple, object] = vdoc._vindexes
+        #: units touched through this cache: its document's share of the
+        #: context's accounting window
+        self.touched: set = set()
 
-    def _touch(self, path: tuple, vec: Vector) -> None:
-        if path not in self._touched:
-            self._touched.add(path)
-            vec.note_touch()
+    def _touch(self, unit) -> None:
+        if unit not in self.touched:
+            self._ctx.checkpoint()
+            self._ctx.note_scan(unit)
+            self.touched.add(unit)
+
+    def _vector(self, path: tuple) -> Vector:
+        vec = self._vectors[path]
+        self._touch(vec)
+        return vec
 
     def column(self, path: tuple) -> np.ndarray:
-        col = self._loaded.get(path)
-        if col is None:
-            vec = self._vectors[path]
-            self._touch(path, vec)
-            col = vec._col()
-            self._loaded[path] = col
-        return col
+        return self._vector(path).column(self._ctx)
 
     def dict_codes(self, path: tuple):
         """``(keys, codes)`` of a dictionary-coded vector — the
         decode-free predicate surface — or ``None`` (not dict-coded)."""
-        dc = self._codes.get(path)
-        if dc is None:
-            vec = self._vectors[path]
-            dc = vec.dict_codes()
-            if dc is None:
-                return None
-            self._touch(path, vec)
-            self._codes[path] = dc
-        return dc
+        return self._vector(path).dict_codes(self._ctx)
 
     def value_codes(self, path: tuple, ords: np.ndarray):
         """``(sorted keys, per-value codes)`` valid at the ordinals
@@ -123,9 +130,16 @@ class VectorCache:
         return keys, codes
 
     def floats(self, path: tuple) -> np.ndarray:
-        vec = self._vectors[path]
-        self._touch(path, vec)  # ensure the load is accounted for
-        return vec.floats()
+        return self._vector(path).floats(self._ctx)
+
+    def vindex(self, path: tuple):
+        """The value index of ``path`` to probe, or ``None`` (the vector
+        has none)."""
+        handle = self._vindexes.get(path)
+        if handle is None:
+            return None
+        self._touch(handle)
+        return handle.get(self._ctx)
 
 
 class EvalContext:
@@ -135,13 +149,12 @@ class EvalContext:
         self.docs: list = list(docs)
         self._caches: dict[int, VectorCache] = {}
         self._passes: dict[tuple, int] = {}
-        # one accounting window per document, ``{I/O unit: [logical
-        # scans, physical page reads, decoded string values]}`` performed
-        # *by this context* — the shared vectors carry no per-query state,
-        # so concurrent contexts over the same document never see each
-        # other's counts.  A window holds only the units the query
-        # touched; ``_window`` is the one the open guard writes to.
-        self._windows: dict[int, dict] = {}
+        # the accounting window, ``{I/O unit: [logical scans, physical
+        # page reads, decoded string values]}`` performed *by this
+        # context* — the shared vectors carry no per-query state, so
+        # concurrent contexts over the same document never see each
+        # other's counts.  It holds only the units this context touched;
+        # begin() reopens one document's share of it.
         self._window: dict = {}
         #: absolute monotonic instant after which checkpoint() raises
         self.deadline: float | None = None
@@ -167,8 +180,7 @@ class EvalContext:
         """The per-document vector cache (created on first use)."""
         c = self._caches.get(id(vdoc))
         if c is None:
-            c = VectorCache(vdoc.vectors)
-            self._caches[id(vdoc)] = c
+            c = self._caches[id(vdoc)] = VectorCache(self, vdoc)
         return c
 
     def pools(self) -> list:
@@ -212,12 +224,15 @@ class EvalContext:
 
     def begin(self, vdoc) -> None:
         """Open a fresh accounting window for a query over ``vdoc``: drop
-        this context's previous window for it whole, drop its cached
-        columns, reset pass counts.  The document itself is untouched —
-        other contexts evaluating it concurrently keep their windows."""
+        this context's cache of it and the counts of every unit that
+        cache touched, reset pass counts.  The document itself is
+        untouched — other contexts evaluating it concurrently keep their
+        windows."""
         self.add(vdoc)
-        self._window = self._windows[id(vdoc)] = {}
-        self._caches.pop(id(vdoc), None)
+        old = self._caches.pop(id(vdoc), None)
+        if old is not None:
+            for unit in old.touched:
+                self._window.pop(unit, None)
         self._passes = {k: v for k, v in self._passes.items()
                         if k[0] != id(vdoc)}
 
@@ -229,13 +244,14 @@ class EvalContext:
 
     def note_scan(self, unit) -> None:
         """Record one logical scan of ``unit`` (a vector or index handle)
-        by this context — called by ``Vector.scan()`` through the
-        thread-local active context."""
+        by this context — called by its :class:`VectorCache` on the
+        unit's first touch."""
         self._counts(unit)[0] += 1
 
     def note_io(self, unit, pages: int) -> None:
         """Record ``pages`` physical page reads performed by this context
-        while materializing ``unit``."""
+        while materializing ``unit`` (called by the storage layer, which
+        the cache handed this context)."""
         if pages:
             self._counts(unit)[1] += pages
 
@@ -250,7 +266,7 @@ class EvalContext:
             self._counts(unit)[2] += count
 
     def _per_unit(self, vdoc, kind: int) -> dict[tuple, int]:
-        window = self._windows.get(id(vdoc), {})
+        window = self._window
         return {u.path: window[u][kind] if u in window else 0
                 for u in vdoc.io_units()}
 
@@ -267,10 +283,8 @@ class EvalContext:
 
     def pages_in_window(self, unit) -> int:
         """Physical pages this context read while materializing ``unit``."""
-        for window in self._windows.values():
-            if unit in window:
-                return window[unit][1]
-        return 0
+        counts = self._window.get(unit)
+        return counts[1] if counts else 0
 
     def note_pass(self, vdoc, key: tuple) -> None:
         """Record one full-column kernel sweep attributed to ``key``
@@ -315,8 +329,10 @@ class EvalContext:
     def check(self, vdoc) -> None:
         """Post-query assertions for ``vdoc``: scan-once (logical and
         physical), once-per-operation passes, and zero pins pool-wide."""
-        window = self._windows.get(id(vdoc), {})
-        over = [u.path for u, counts in window.items() if counts[0] > 1]
+        cache = self._caches.get(id(vdoc))
+        window = [(u, self._window[u])
+                  for u in (cache.touched if cache is not None else ())]
+        over = [u.path for u, counts in window if counts[0] > 1]
         if over:
             raise EngineInvariantError(
                 "vectors scanned more than once in one query: "
@@ -326,8 +342,7 @@ class EvalContext:
         # checked against *physical* I/O — within the query window this
         # context may not read more pages of a vector (or index segment)
         # than one full pass over its chain(s).
-        over_io = [u.path for u, counts in window.items()
-                   if counts[1] > u.n_pages]
+        over_io = [u.path for u, counts in window if counts[1] > u.n_pages]
         if over_io:
             raise EngineInvariantError(
                 "vectors read more pages than one full chain pass: "
@@ -338,18 +353,15 @@ class EvalContext:
 
     @contextmanager
     def guard(self, vdoc):
-        """The engine's evaluation envelope: fresh accounting window, this
-        context installed as the thread's scan/IO sink, no decompression
-        inside, pin check on failure, full check on success."""
+        """The engine's evaluation envelope: fresh accounting window, no
+        decompression inside, pin check on failure, full check on
+        success.  It installs nothing: every read the query makes goes
+        through this context's caches, which charge it here."""
         self.begin(vdoc)
-        prev = set_active_context(self)
         try:
-            try:
-                with forbid_decompression():
-                    yield self
-            except BaseException:
-                self.check_pins()  # a failed query must not leak pins either
-                raise
-        finally:
-            set_active_context(prev)
+            with forbid_decompression():
+                yield self
+        except BaseException:
+            self.check_pins()  # a failed query must not leak pins either
+            raise
         self.check(vdoc)

@@ -177,7 +177,7 @@ class _Reducer:
         degradation when a planned index is missing)."""
         if access != "index":
             return None
-        return self.vdoc.vindex(qpath)
+        return self.cache.vindex(qpath)
 
     def _join_codes(self, parts1, parts2):
         """Row ids + *shared-space* value codes of both join sides: per

@@ -28,7 +28,8 @@ class VectorizedDocument:
         self._catalog = None
         self._catalog_lock = threading.Lock()
         #: vector path -> value-index handle (anything with ``.distinct``
-        #: and ``.get() -> ValueIndex``); in-memory docs fill it via
+        #: and ``.get(ctx) -> ValueIndex``, read through a query's
+        #: ``VectorCache``); in-memory docs fill it via
         #: :meth:`build_indexes`, disk docs from the file catalog.
         self._vindexes: dict[tuple, object] = {}
 
@@ -97,8 +98,8 @@ class VectorizedDocument:
 
     def io_units(self) -> list:
         """Everything the per-context I/O invariants cover (``path``,
-        cumulative ``pages_read``, ``n_pages``): the data vectors, plus —
-        for disk-backed documents — the persistent index segments."""
+        ``n_pages``): the data vectors, plus — for disk-backed documents —
+        the persistent index segments."""
         return list(self.vectors.values())
 
     def codec_of(self, path) -> str | None:
@@ -109,12 +110,6 @@ class VectorizedDocument:
         return None
 
     # -- value indexes -----------------------------------------------------
-
-    def vindex(self, path: tuple):
-        """The :class:`~repro.index.ValueIndex` of one text-path vector,
-        or ``None`` (disk-backed documents materialize lazily here)."""
-        handle = self._vindexes.get(path)
-        return None if handle is None else handle.get()
 
     def vindex_stats(self, path: tuple) -> dict | None:
         """Planner-facing statistics of one vector's value index — no
@@ -132,8 +127,6 @@ class VectorizedDocument:
         built = []
         for p, vec in sorted(self.vectors.items()):
             if paths is None or p in paths:
-                # _col(), not scan(): index builds are not query scans and
-                # must not be charged to any active evaluation context
                 self._vindexes[p] = build_value_index(p, vec._col())
                 built.append(p)
         return built

@@ -2,53 +2,33 @@
 
 Values are held as a numpy unicode column array so predicate evaluation is a
 single vectorized comparison.  A cached float view supports the ordering
-operators.  ``scan()`` is the instrumented access path used by the query
-evaluators — the engine asserts each touched vector is scanned at most once
-per query, the paper's "each data vector is scanned at most once" guarantee.
+operators.
 
-Scan accounting is **per evaluation context, not per vector**: a query's
-:class:`~repro.core.context.EvalContext` installs itself as the calling
-thread's *active context* (:func:`set_active_context`) for the duration of
-its guard, and ``scan()`` reports each scan to it.  The shared ``Vector``
-carries no per-query state, which is what lets two requests evaluate the
-same document concurrently, each with its own scan-once invariant
-machine-checked.
-
-All access to the column goes through the :meth:`Vector._col` hook so a
-disk-backed subclass (``repro.storage.vdocfile.LazyVector``) can defer
-materialization to the first touch — loading its pages through the buffer
-pool, charging the physical reads to the cumulative per-vector
-``pages_read`` counter *and* to the active context, which checks them
-against ``n_pages`` (at most one full page pass per vector per query).
-For the in-memory vector both counters stay 0.
+Two kinds of access.  The **query** surface — :meth:`Vector.column`,
+:meth:`Vector.dict_codes`, :meth:`Vector.floats` — takes the
+:class:`~repro.core.context.EvalContext` that reads; the query reaches it
+only through that context's :class:`~repro.core.context.VectorCache`,
+which reports one logical scan per touched vector per query (the paper's
+"each data vector is scanned at most once") and hands the context down.
+A disk-backed subclass (``repro.storage.vdocfile.LazyVector``) defers
+materialization to the first touch and charges its page reads and
+decoded values to the context it was handed; the shared ``Vector``
+itself carries no per-query state, which is what lets two requests
+evaluate the same document concurrently, each with its own scan-once
+invariant machine-checked.  The **uncharged** surface — ``at``/
+``gather``/``take``/``slice``/``tolist``, all through :meth:`Vector._col`
+— serves reconstruction, result gathers, save and fsck, which no query
+owns.  ``n_pages`` (the on-disk chain length, 0 in memory) bounds one
+query's physical reads of the vector.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
 from ..util import parse_float
 
 PathKey = tuple  # tuple[str, ...] root label path, ending with '#'
-
-#: the calling thread's active evaluation context (scan/IO sink)
-_ACTIVE = threading.local()
-
-
-def set_active_context(ctx):
-    """Install ``ctx`` as this thread's scan/IO accounting sink; returns
-    the previous one so nested guards can restore it."""
-    prev = getattr(_ACTIVE, "ctx", None)
-    _ACTIVE.ctx = ctx
-    return prev
-
-
-def active_context():
-    """The calling thread's active :class:`EvalContext`, or ``None``."""
-    return getattr(_ACTIVE, "ctx", None)
-
 
 def parse_float_column(col: np.ndarray) -> np.ndarray:
     """One string column parsed as float64 (NaN where non-numeric) — the
@@ -73,7 +53,7 @@ def parse_float_column(col: np.ndarray) -> np.ndarray:
 
 
 class Vector:
-    __slots__ = ("path", "_values", "_floats", "pages_read", "n_pages")
+    __slots__ = ("path", "_values", "_floats", "n_pages")
 
     def __init__(self, path: PathKey, values):
         self.path = path
@@ -84,7 +64,6 @@ class Vector:
             if self._values.dtype.kind != "U":  # e.g. empty input
                 self._values = self._values.astype(np.str_)
         self._floats: np.ndarray | None = None
-        self.pages_read = 0   # physical pages read for this column, ever
         self.n_pages = 0      # pages of its on-disk chain (0 = in memory)
 
     def __len__(self) -> int:
@@ -98,36 +77,21 @@ class Vector:
     def _col(self) -> np.ndarray:
         return self._values
 
-    # -- instrumented access (query hot path) -----------------------------
+    # -- query access: charged to the reading context ---------------------
 
-    def note_touch(self) -> None:
-        """Report one logical scan of this vector to the calling thread's
-        active evaluation context (if any).  A touch is also a deadline
-        checkpoint — column materialization is the unit of work a
-        cooperative cancellation must interleave with.  The
-        :class:`~repro.core.context.VectorCache` funnels *every* access
-        representation (string column, dictionary codes, floats) through
-        one touch per vector per query, so reading a vector both as codes
-        and as strings still counts as the single scan it physically is."""
-        ctx = active_context()
-        if ctx is not None:
-            ctx.checkpoint()
-            ctx.note_scan(self)
+    def column(self, ctx) -> np.ndarray:
+        """The full column; a disk-backed vector charges its
+        materialization to ``ctx``."""
+        return self._values
 
-    def scan(self) -> np.ndarray:
-        """Return the full column, reporting one sequential scan to the
-        calling thread's active evaluation context (if any)."""
-        self.note_touch()
-        return self._col()
-
-    def dict_codes(self):
+    def dict_codes(self, ctx):
         """``(sorted keys, per-value int64 codes)`` when the vector is
         stored dictionary-coded and can be queried in code space without
         building the string column; ``None`` otherwise (always ``None``
         for in-memory vectors — there is nothing to avoid decoding)."""
         return None
 
-    def floats(self) -> np.ndarray:
+    def floats(self, ctx) -> np.ndarray:
         """The column parsed as float64 (NaN where non-numeric), cached.
 
         Derived from the already-loaded column; it does not count as an
@@ -138,10 +102,10 @@ class Vector:
         the numpy version's ``astype`` string parser).
         """
         if self._floats is None:
-            self._floats = parse_float_column(self._col())
+            self._floats = parse_float_column(self._values)
         return self._floats
 
-    # -- uninstrumented access (reconstruction / materialization) ---------
+    # -- uncharged access (reconstruction, result gathers, save) ---------
 
     def at(self, i: int) -> str:
         return str(self._col()[i])

@@ -81,6 +81,10 @@ class ValueIndex:
     __slots__ = ("path", "n", "keys", "offsets", "rows", "num_codes",
                  "num_vals")
 
+    #: a built index has no page chain: the I/O-unit bound a query's
+    #: window checks it against (the persistent handle has its own)
+    n_pages = 0
+
     def __init__(self, path: tuple, n: int, keys: np.ndarray,
                  offsets: np.ndarray, rows: np.ndarray,
                  num_codes: np.ndarray, num_vals: np.ndarray):
@@ -96,8 +100,9 @@ class ValueIndex:
     def distinct(self) -> int:
         return len(self.keys)
 
-    def get(self) -> "ValueIndex":
-        """Uniform handle interface (disk-backed handles materialize)."""
+    def get(self, ctx) -> "ValueIndex":
+        """Uniform handle interface (disk-backed handles materialize,
+        charging ``ctx``)."""
         return self
 
     # -- probes ------------------------------------------------------------

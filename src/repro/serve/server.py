@@ -470,24 +470,6 @@ class QueryServer:
         self.shutdown()
 
 
-def parse_chaos(spec: str):
-    """``--chaos RATE[:SEED]`` → a live-server
-    :class:`~repro.storage.faults.FaultInjector` (transient OSErrors,
-    bitflips and torn reads on the pool's physical reads)."""
-    from ..storage.faults import FaultInjector
-    rate_s, _, seed_s = spec.partition(":")
-    try:
-        rate = float(rate_s)
-        seed = int(seed_s) if seed_s else 0
-    except ValueError:
-        raise ValueError(
-            f"bad --chaos spec {spec!r} (want RATE[:SEED], e.g. 0.05:7)") \
-            from None
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"--chaos rate {rate} outside [0, 1]")
-    return FaultInjector(seed=seed, rate=rate)
-
-
 def run_serve(args) -> int:
     """``repro-xq serve`` entry point (argparse namespace in, exit code
     out).  SIGTERM/SIGINT trigger graceful shutdown; the final metrics
@@ -496,14 +478,13 @@ def run_serve(args) -> int:
 
     injector = None
     chaos_cm = None
-    if getattr(args, "chaos", None):
-        # installed before the repository opens so every member page file
-        # is wrapped; stays installed until after drain
-        try:
-            injector = parse_chaos(args.chaos)
-        except ValueError as exc:
-            print(f"repro-xq: error: {exc}", file=sys.stderr)
-            return 2
+    if args.chaos is not None:
+        # a live-server injector (transient OSErrors, bitflips and torn
+        # reads on the pool's physical reads), installed before the
+        # repository opens so every member page file is wrapped; stays
+        # installed until after drain
+        rate, seed = args.chaos
+        injector = faults.FaultInjector(seed=seed, rate=rate)
         chaos_cm = faults.inject(injector)
         chaos_cm.__enter__()
     try:
@@ -524,7 +505,8 @@ def run_serve(args) -> int:
           f"workers={server.workers} max_inflight={server.max_inflight} "
           f"pool={'unbounded' if pool is None else pool}"
           + (f" deadline={server.deadline}s" if server.deadline else "")
-          + (f" chaos={args.chaos}" if injector is not None else ""),
+          + (f" chaos={injector.rate}:{injector.seed}"
+             if injector is not None else ""),
           flush=True)
 
     def _on_signal(signum, frame):

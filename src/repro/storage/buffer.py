@@ -61,12 +61,12 @@ Fault tolerance (the ``repro.serve`` robustness substrate):
   (checksum mismatch — the bytes themselves are wrong) is **never**
   retried: re-reading deterministic corruption wastes the budget and
   delays quarantine;
-* every fault-in is also a **deadline checkpoint**: the thread's active
-  :class:`~repro.core.context.EvalContext` (if any) may raise
-  :class:`~repro.errors.DeadlineExceededError` before the physical read,
-  and the reserved loading frame is rolled back exactly like any failed
-  fault — an expired query unwinds with zero leaked pins and the pool
-  stays fully usable.
+* any failed fault-in rolls its reserved loading frame back, so an error
+  raised under a pin leaves zero leaked pins and the pool fully usable.
+  The pool knows nothing of queries: a query's deadline is checked by
+  the heap-chain walk before each page it pins
+  (:meth:`~repro.storage.heap.HeapFile.records`), and what a query read
+  is charged by the materialization that walked the chain.
 """
 
 from __future__ import annotations
@@ -221,7 +221,8 @@ class BufferPool:
             raise StorageError("buffer pool needs a capacity of >= 2 pages")
         self.capacity = capacity
         #: checksum-verify every physical page read (format v2 integrity);
-        #: off only for benchmarking the verification overhead itself.
+        #: off only for fsck, which sweeps every page's checksum itself
+        #: and reports mismatches as findings instead of raising.
         self.verify = verify
         #: transient-OSError read retries per fault (0 disables)
         self.io_retries = max(0, io_retries)
@@ -351,18 +352,11 @@ class BufferPool:
         """The physical read of one fault-in (pool lock NOT held; the
         loading frame reserves the slot).
 
-        Checks the calling thread's cooperative deadline first — a fault
-        is exactly where a runaway disk-bound query spends its time — and
-        retries a transient ``OSError`` up to ``io_retries`` times with
+        Retries a transient ``OSError`` up to ``io_retries`` times with
         doubling backoff.  :class:`~repro.errors.CorruptDataError` is
         deterministic (the bytes on disk are wrong) and surfaces
         immediately so the repository can quarantine the member instead
         of burning the retry budget re-reading known-bad data."""
-        from ..core.vectors import active_context
-
-        ctx = active_context()
-        if ctx is not None:
-            ctx.checkpoint()   # raises DeadlineExceededError when expired
         delay = self.io_retry_delay
         attempt = 0
         while True:
@@ -380,21 +374,18 @@ class BufferPool:
                     time.sleep(delay)
                 delay *= 2
 
-    def note_decode(self, view: FileView | None, logical: int = 0,
+    def note_decode(self, view: FileView, logical: int = 0,
                     physical: int = 0, values: int = 0) -> None:
         """Charge one column materialization's codec traffic: ``logical``
         uncompressed bytes served, ``physical`` encoded bytes they
         occupied, ``values`` strings actually decoded (0 for a column
-        answered purely in code space).  Counted pool-wide and — when
-        ``view`` is given — per file, mirroring how page reads are."""
+        answered purely in code space).  Counted pool-wide and per file
+        (``view``), mirroring how page reads are."""
         with self._lock:
-            self.stats.logical_bytes += logical
-            self.stats.physical_bytes += physical
-            self.stats.decoded_values += values
-            if view is not None:
-                view.stats.logical_bytes += logical
-                view.stats.physical_bytes += physical
-                view.stats.decoded_values += values
+            for stats in (self.stats, view.stats):
+                stats.logical_bytes += logical
+                stats.physical_bytes += physical
+                stats.decoded_values += values
 
     def new_page_at(self, fid: int) -> tuple[int, bytearray]:
         """Allocate a fresh page in file ``fid``, returned pinned (dirty,

@@ -152,7 +152,7 @@ class Codec:
         raise NotImplementedError
 
     def decode(self, path: tuple, n: int, records: list[bytes],
-               lbytes: int | None, checkpoint=None):
+               lbytes: int, checkpoint=None):
         raise NotImplementedError
 
     def n_records(self, n: int) -> int:
@@ -354,10 +354,8 @@ class ZlibCodec(Codec):
         # catalog's logical byte count bounds the declaration (values
         # plus n-1 NUL separators) — a crafted header cannot make this
         # a decompression bomb
-        expected = (lbytes + n - 1) if (lbytes is not None and n) else \
-            (0 if lbytes is not None else None)
-        if payload_len < 0 or \
-                (expected is not None and payload_len != expected):
+        expected = lbytes + n - 1 if n else 0
+        if payload_len != expected:
             raise CorruptDataError(
                 f"vector {name}: declared payload of {payload_len} bytes, "
                 f"catalog implies {expected}")

@@ -9,7 +9,10 @@ back transparently.
 
 All page access goes through the owning :class:`BufferPool`; a scan pins
 one page at a time and copies the fragments out before unpinning, so an
-abandoned iterator can never leak a pin.
+abandoned iterator can never leak a pin.  A scan calls the checkpoint it
+is handed before each page it pins — the cooperative deadline of the
+query the walk serves, so an expired query stops before the next page's
+physical read.
 
 Chain walks are corruption-hardened: a ``next_page`` link that points
 outside the file, revisits a page already on this walk (a cycle), or
@@ -110,14 +113,16 @@ class HeapFile:
             self.n_pages = len(out)
         return out
 
-    def records(self) -> Iterator[bytes]:
-        """All records in insertion order, one sequential chain pass."""
+    def records(self, checkpoint) -> Iterator[bytes]:
+        """All records in insertion order, one sequential chain pass;
+        ``checkpoint()`` runs before each page is pinned."""
         pool = self.pool
         pid = self.head
         pending = bytearray()
         open_record = False
         visited: set[int] = set()
         while pid != -1:
+            checkpoint()
             visited.add(pid)
             complete: list[bytes] = []
             with pool.page(pid) as buf:

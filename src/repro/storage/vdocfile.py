@@ -36,11 +36,16 @@ a strict schema — every malformed byte pattern at this boundary surfaces
 as :class:`StorageError`/:class:`CorruptDataError`, never as a raw
 ``json``/``unicode``/``KeyError``.  Each vector becomes a
 :class:`LazyVector`: no pages of its chain are touched until the first
-``scan()`` (or any other column access), which materializes the column to
-numpy through the buffer pool in one sequential chain pass and charges
-the physical reads to the vector — the counter the engine checks against
-``n_pages`` ("each data vector is scanned at most once", now falsifiable
-against real page I/O).
+column access, which materializes the column to numpy through the buffer
+pool in one sequential chain pass.  A query reaches it through its
+:class:`~repro.core.context.VectorCache`, which hands the query's
+:class:`~repro.core.context.EvalContext` down: the pass charges its
+physical reads and decoded values to that context — which checks them
+against ``n_pages`` ("each data vector is scanned at most once",
+falsifiable against real page I/O) — and checks its deadline before
+every page.  This module is the only one in ``repro.storage`` that knows
+``repro.core``; reads no query owns (reconstruct, save, result gathers)
+are charged to nobody.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import numpy as np
 
 from ..core.skeleton import NodeStore
 from ..core.vdoc import VectorizedDocument
-from ..core.vectors import Vector, active_context, parse_float_column
+from ..core.vectors import Vector, parse_float_column
 from ..errors import CorruptDataError, StorageError
 from ..index import (build_value_index, build_value_index_from_codes,
                      decode_segment, encode_segment)
@@ -94,18 +99,32 @@ def _decode_node(record: bytes) -> tuple[str, tuple]:
     return label, runs
 
 
-def _read_chain(unit, heap: HeapFile):
-    """One sequential pass over ``heap``: its records, the calling
-    thread's physical reads charged to ``unit`` (a vector or index handle)
-    and to the active evaluation context, which is returned alongside."""
+class _Unowned:
+    """The context of a read no query owns — reconstruct, save, fsck,
+    result gathers, catalog and skeleton loads: nothing is charged to it
+    and it never expires."""
+
+    def checkpoint(self) -> None:
+        pass
+
+    def note_io(self, unit, pages: int) -> None:
+        pass
+
+    def note_decode(self, unit, count: int) -> None:
+        pass
+
+
+_UNOWNED = _Unowned()
+
+
+def _read_chain(unit, heap: HeapFile, ctx):
+    """One sequential pass over ``heap``, a deadline checkpoint of
+    ``ctx`` before each page; the calling thread's physical reads are
+    charged to ``ctx`` against ``unit`` (a vector or index handle)."""
     before = heap.pool.pages_read_local()
-    records = list(heap.records())
-    read = heap.pool.pages_read_local() - before
-    unit.pages_read += read
-    ctx = active_context()
-    if ctx is not None:
-        ctx.note_io(unit, read)
-    return records, ctx
+    records = list(heap.records(ctx.checkpoint))
+    ctx.note_io(unit, heap.pool.pages_read_local() - before)
+    return records
 
 
 class LazyVector(Vector):
@@ -125,14 +144,17 @@ class LazyVector(Vector):
     reports **zero decoded values** — the machine-checkable form of
     "queried without decoding".
 
-    ``pages_read`` counts the *physical* reads charged to this vector —
-    at most ``n_pages`` per materialization — measured as the
-    materializing thread's own read delta
+    The query surface (:meth:`column`, :meth:`dict_codes`,
+    :meth:`floats`) is handed the reading query's context: the
+    materializing pass charges it the *physical* reads — at most
+    ``n_pages``, measured as the materializing thread's own read delta
     (:meth:`~repro.storage.buffer.BufferPool.pages_read_local`) so a
-    concurrent request faulting other pages never inflates it, and
-    reported to the thread's active evaluation context, which bounds it.
-    Concurrent first touches are serialized on a per-vector lock: one
-    thread materializes, the others reuse the published state.
+    concurrent request faulting other pages never inflates it — and the
+    decoded values, and passes it the deadline checkpoint.  The
+    uncharged surface (``at``/``gather``/``take``/``tolist``) reads as
+    no query.  Concurrent first touches are serialized on a per-vector
+    lock: one thread materializes (and is charged), the others reuse the
+    published state.
     """
 
     __slots__ = ("_heap", "_n", "_mat_lock", "_codec", "_state",
@@ -143,7 +165,6 @@ class LazyVector(Vector):
         self.path = path
         self._values = None
         self._floats = None
-        self.pages_read = 0
         self.n_pages = heap.n_pages or 0
         self._heap = heap
         self._n = n
@@ -160,75 +181,72 @@ class LazyVector(Vector):
     def codec_name(self) -> str:
         return self._codec.name
 
-    def _charge(self, logical: int = 0, physical: int = 0,
+    def _charge(self, ctx, logical: int = 0, physical: int = 0,
                 values: int = 0) -> None:
-        """Report codec traffic to the pool stats (``--io-stats`` /
-        ``/stats``) and decoded values to the active evaluation context
-        (the zero-decode assertion)."""
-        holder = self._heap.pool
-        pool = getattr(holder, "pool", holder)   # FileView -> its pool
-        view = holder if holder is not pool else None
-        pool.note_decode(view, logical=logical, physical=physical,
-                         values=values)
-        if values:
-            ctx = active_context()
-            if ctx is not None:
-                ctx.note_decode(self, values)
+        """Report codec traffic to the pool and file stats
+        (``--io-stats`` / ``/stats``) and decoded values to ``ctx`` (the
+        zero-decode assertion)."""
+        view = self._heap.pool
+        view.pool.note_decode(view, logical=logical, physical=physical,
+                              values=values)
+        ctx.note_decode(self, values)
 
-    def _ensure_state(self):
+    def _ensure_state(self, ctx):
         state = self._state
         if state is None:
             with self._mat_lock:
                 state = self._state
                 if state is None:
-                    state = self._materialize()
+                    state = self._materialize(ctx)
                     self._state = state
         return state
 
-    def _materialize(self):
-        records, ctx = _read_chain(self, self._heap)
+    def _materialize(self, ctx):
+        records = _read_chain(self, self._heap, ctx)
         enc = sum(len(r) for r in records)
         if enc != self._pbytes:
             raise CorruptDataError(
                 f"vector {'/'.join(self.path)}: catalog says {self._pbytes}"
                 f" encoded bytes, chain holds {enc}")
-        state = self._codec.decode(
-            self.path, self._n, records, self._lbytes,
-            checkpoint=ctx.checkpoint if ctx is not None else None)
-        self._charge(logical=self._lbytes, physical=enc,
+        state = self._codec.decode(self.path, self._n, records,
+                                   self._lbytes, checkpoint=ctx.checkpoint)
+        self._charge(ctx, logical=self._lbytes, physical=enc,
                      values=self._n if self._codec.eager_column else 0)
         return state
 
-    def _col(self) -> np.ndarray:
+    def column(self, ctx) -> np.ndarray:
         col = self._values
         if col is None:
-            state = self._ensure_state()
+            state = self._ensure_state(ctx)
             with self._mat_lock:
                 col = self._values
                 if col is None:
                     col = self._codec.column(state)
                     if not self._codec.eager_column:
                         # the decode happens here, not at materialization
-                        self._charge(values=self._n)
+                        self._charge(ctx, values=self._n)
                     self._values = col
         return col
 
-    def dict_codes(self):
+    def _col(self) -> np.ndarray:
+        return self.column(_UNOWNED)
+
+    def dict_codes(self, ctx):
         """``(sorted keys, int64 codes)`` of a dictionary-coded vector —
-        loads the coded state (counting pages and one scan as usual) but
-        never builds the string column."""
+        loads the coded state (charging its pages as usual) but never
+        builds the string column."""
         if self._codec.name != "dict":
             return None
-        return self._codec.codes(self._ensure_state())
+        return self._codec.codes(self._ensure_state(ctx))
 
-    def floats(self) -> np.ndarray:
+    def floats(self, ctx) -> np.ndarray:
         """Float view without decoding where the codec allows it: delta
         state *is* numeric; a dict state parses only the ``u`` distinct
         keys and gathers — same per-value semantics
         (:func:`~repro.core.vectors.parse_float_column`) as the column
         path, so results are byte-identical."""
         if self._floats is None:
-            state = self._ensure_state()
+            state = self._ensure_state(ctx)
             f = self._codec.floats(state)
             if f is None:
                 dc = self._codec.codes(state)
@@ -237,7 +255,7 @@ class LazyVector(Vector):
                     f = parse_float_column(np.asarray(keys,
                                                       dtype=np.str_))[codes]
                 else:
-                    f = parse_float_column(self._col())
+                    f = parse_float_column(self.column(ctx))
             self._floats = f
         return self._floats
 
@@ -260,17 +278,17 @@ class DiskValueIndex:
     no page of it is touched until the first :meth:`get`, which
     materializes (and structurally validates) the
     :class:`~repro.index.ValueIndex` through the buffer pool in one
-    sequential pass and charges the physical reads here.  The
-    handle carries the same accounting surface as a vector (``path``,
-    cumulative ``pages_read``, ``n_pages``) — ``vdoc.io_units()`` includes
-    it, so the per-context scan-once / bounded-physical-I/O assertions
-    cover index probes too: a materialization reports one scan and its
-    thread-local read delta to the active evaluation context, under the
-    same per-handle lock discipline as :class:`LazyVector`.  ``distinct``
-    comes from the catalog: the planner prices a probe without I/O.
+    sequential pass and charges the physical reads to the context it is
+    handed.  The handle carries the same accounting surface as a vector
+    (``path``, ``n_pages``) — ``vdoc.io_units()`` includes it, and a
+    query's :class:`~repro.core.context.VectorCache` touches it like a
+    vector, so the per-context scan-once / bounded-physical-I/O
+    assertions cover index probes too, under the same per-handle lock
+    discipline as :class:`LazyVector`.  ``distinct`` comes from the
+    catalog: the planner prices a probe without I/O.
     """
 
-    __slots__ = ("path", "vpath", "distinct", "pages_read", "n_pages",
+    __slots__ = ("path", "vpath", "distinct", "n_pages",
                  "_heap", "_n", "_vi", "_mat_lock")
 
     def __init__(self, vpath: tuple, n: int, entry: dict, view):
@@ -282,25 +300,23 @@ class DiskValueIndex:
         self._heap = HeapFile(view, entry["head"], n_pages=entry["pages"])
         self._n = n
         self._vi = None
-        self.pages_read = 0
         self.n_pages = entry["pages"]
         self._mat_lock = threading.Lock()
 
-    def get(self):
-        """The probe-able index, materialized on first use."""
+    def get(self, ctx):
+        """The probe-able index, materialized on first use (charged to
+        ``ctx``)."""
         vi = self._vi
         if vi is None:
             with self._mat_lock:
                 vi = self._vi
                 if vi is None:
-                    vi = self._materialize()
+                    vi = self._materialize(ctx)
                     self._vi = vi
         return vi
 
-    def _materialize(self):
-        records, ctx = _read_chain(self, self._heap)
-        if ctx is not None:
-            ctx.note_scan(self)
+    def _materialize(self, ctx):
+        records = _read_chain(self, self._heap, ctx)
         vi = decode_segment(self.vpath, self._n, records)
         if vi.distinct != self.distinct:
             raise CorruptDataError(
@@ -610,7 +626,8 @@ def _read_catalog(pool, path: str, meta_page: int, n_pages: int) -> dict:
         raise CorruptDataError(
             f"{path}: catalog head page {meta_page} outside the "
             f"file ({n_pages} pages)")
-    meta_records = list(HeapFile(pool, meta_page).records())
+    meta_records = list(HeapFile(pool, meta_page).records(
+        _UNOWNED.checkpoint))
     if not meta_records:
         raise StorageError(f"{path}: empty vdoc catalog")
     try:
@@ -630,7 +647,7 @@ def _replay_skeleton(pool, meta: dict, path: str) -> NodeStore:
     store = NodeStore()
     skel = HeapFile(pool, meta["skeleton"]["head"],
                     n_pages=meta["skeleton"]["pages"])
-    for nid, record in enumerate(skel.records()):
+    for nid, record in enumerate(skel.records(_UNOWNED.checkpoint)):
         label, runs = _decode_node(record)
         if nid == 0:
             if label != "#" or runs:

@@ -137,4 +137,4 @@ def test_bitflip_in_transit_caught_by_checksum(docs, tmp_path):
     with VectorizedDocument.open(dst, pool_pages=8) as disk:
         with pytest.raises(StorageError):
             for vec in disk.vectors.values():
-                vec.scan()
+                vec.tolist()

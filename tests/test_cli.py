@@ -97,14 +97,18 @@ def test_cli_deadline_must_be_positive_finite_seconds(cmd, value, capsys):
     (["reconstruct", "f", "--pool", "-4"], "--pool"),
     (["open", "f", "--pool", "1"], "--pool"),
     (["repo", "query", "d", "q", "--pool", "1"], "--pool"),
+    (["serve", "d", "--chaos", ""], "--chaos"),
+    (["serve", "d", "--chaos", "2"], "--chaos"),
+    (["serve", "d", "--chaos", "x:1"], "--chaos"),
 ])
 def test_cli_numeric_flags_are_validated_by_argparse(argv, flag, capsys):
     """Regression: ``serve`` validated only ``--deadline`` — a NaN or
     negative cache budget, a negative queue and an out-of-range port
     died with Python tracebacks, ``--queue-timeout nan`` and
     ``--workers 0`` started serving, and ``--pool 1`` was a runtime
-    StorageError (exit 1).  Each is a usage error naming the flag,
-    before any file is touched."""
+    StorageError (exit 1); ``--chaos ''`` served with no injector and
+    ``--chaos 2`` exited 2 without argparse's usage line.  Each is a
+    usage error naming the flag, before any file is touched."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

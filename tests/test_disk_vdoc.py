@@ -21,6 +21,9 @@ XPATH_QUERIES = [
     "//person[phone]",
 ]
 
+AGE = ("site", "people", "person", "profile", "age", "#")
+NAME = ("site", "people", "person", "name", "#")
+
 XQ_JOIN = ("for $c in /site/closed_auctions/closed_auction, "
            "$p in /site/people/person where $c/buyer = $p/@id "
            "return <pair>{$p/name}{$c/price}</pair>")
@@ -136,11 +139,11 @@ def test_unbounded_pool_warm_rescan_hits_only(saved):
 def test_bounded_pool_cold_rescan_rereads(saved):
     with _open_small(saved) as disk:
         for vec in disk.vectors.values():
-            vec.scan()
+            vec.tolist()
         disk.drop_caches()
         before = disk.pool.stats.pages_read
         for vec in disk.vectors.values():
-            vec.scan()
+            vec.tolist()
         # all chains together exceed the 8-page pool: real I/O must recur
         assert disk.pool.stats.pages_read > before
 
@@ -149,7 +152,7 @@ def test_engine_flags_page_overread(saved):
     """A vector that reads more pages than one chain pass trips the
     engine's I/O variant of the scan-once assertion."""
     with _open_small(saved) as disk:
-        vec = disk.vectors[("site", "people", "person", "profile", "age", "#")]
+        vec = disk.vectors[AGE]
         ctx = EvalContext.for_doc(disk)
         original_begin = ctx.begin
 
@@ -165,9 +168,28 @@ def test_engine_flags_page_overread(saved):
                        ctx=ctx)
 
 
+def test_reads_are_charged_to_the_owning_context(saved):
+    """A read is charged to the context whose cache made it, not to the
+    one evaluating on the thread: B's read inside A's guard charges B
+    only, and a cache read outside any guard still charges its owner."""
+    with _open_small(saved) as disk:
+        age, name = disk.vectors[AGE], disk.vectors[NAME]
+        a, b = EvalContext.for_doc(disk), EvalContext.for_doc(disk)
+        with a.guard(disk):
+            b.cache(disk).column(AGE)
+        assert a.scan_counts(disk)[AGE] == 0 and a.pages_in_window(age) == 0
+        assert b.scan_counts(disk)[AGE] == 1
+        assert b.pages_in_window(age) == age.n_pages
+        c = EvalContext.for_doc(disk)
+        c.cache(disk).column(NAME)
+        assert c.scan_counts(disk)[NAME] == 1
+        assert c.pages_in_window(name) == name.n_pages
+        assert b.scan_counts(disk)[NAME] == 0
+
+
 def test_engine_flags_pin_leak(saved):
     with _open_small(saved) as disk:
-        head = disk.vectors[("site", "people", "person", "name", "#")]._heap.head
+        head = disk.vectors[NAME]._heap.head
         disk.pool.pin(head)
         try:
             with pytest.raises(EngineInvariantError, match="pin"):
@@ -177,30 +199,34 @@ def test_engine_flags_pin_leak(saved):
 
 
 def test_memory_documents_report_zero_io(mem):
-    eval_query(mem, "//item[quantity > 5]/name", mode="vx")
-    assert all(v.pages_read == 0 and v.n_pages == 0
+    ctx = EvalContext.for_doc(mem)
+    eval_query(mem, "//item[quantity > 5]/name", mode="vx", ctx=ctx)
+    assert any(ctx.scan_counts(mem).values())
+    assert all(ctx.pages_in_window(v) == 0 and v.n_pages == 0
                for v in mem.vectors.values())
     assert mem.pool is None
 
 
 def test_lazy_vector_counts_pages_once(saved):
     with _open_small(saved) as disk:
-        vec = disk.vectors[("site", "people", "person", "profile", "age", "#")]
-        assert vec.pages_read == 0
-        col = vec.scan()
+        vec = disk.vectors[AGE]
+        ctx = EvalContext.for_doc(disk)
+        col = ctx.cache(disk).column(AGE)
         assert isinstance(col, np.ndarray) and col.dtype.kind == "U"
-        assert 0 < vec.pages_read <= vec.n_pages
-        after_first = vec.pages_read
-        vec.scan()  # cached: no further physical reads
-        assert vec.pages_read == after_first
+        assert 0 < ctx.pages_in_window(vec) <= vec.n_pages
+        read = disk.view.stats.pages_read
+        again = EvalContext.for_doc(disk)
+        again.cache(disk).column(AGE)  # cached: no further physical reads
+        assert again.pages_in_window(vec) == 0
+        assert disk.view.stats.pages_read == read
 
 
 def test_value_count_mismatch_detected(saved):
     with _open_small(saved) as disk:
-        vec = disk.vectors[("site", "people", "person", "name", "#")]
+        vec = disk.vectors[NAME]
         vec._n += 1  # simulate a corrupt catalog entry
         with pytest.raises(StorageError, match="catalog"):
-            vec.scan()
+            vec.tolist()
 
 
 def test_open_rejects_xml(tmp_path, xml):

@@ -11,7 +11,8 @@ import time
 import pytest
 
 from repro.core.context import EvalContext
-from repro.core.vectors import set_active_context
+from repro.core.engine import eval_query
+from repro.core.vdoc import VectorizedDocument
 from repro.datasets.synth import xmark_like_xml
 from repro.errors import (
     CorruptDataError,
@@ -76,23 +77,40 @@ def _wait_until(cond, timeout):
 
 def test_deadline_expiry_sweep_every_checkpoint(tmp_path):
     """The deterministic sweep: force expiry at *every* checkpoint index
-    a warm evaluation passes — each must unwind with a clean
-    DeadlineExceededError and zero leaked pins, and the repository must
-    answer the next query normally."""
+    a warm evaluation passes, then a cold one (members' columns dropped
+    before each run, so materializations walk their chains) — each must
+    unwind with a clean DeadlineExceededError and zero leaked pins, and
+    the repository must answer the next query normally.  Checkpoints
+    count chain pages walked, not pool faults, so the cold count does
+    not depend on which pages the pool still holds."""
     repo_dir = _build_repo(tmp_path)
     with Repository.open(repo_dir, pool_pages=16) as repo:
         expected = repo.xq(XQ_JOIN).to_xml()   # cold: materializes columns
-        ctx = EvalContext()
-        assert repo.xq(XQ_JOIN, ctx=ctx).to_xml() == expected
-        n_checkpoints = ctx.checkpoints        # warm, deterministic count
-        assert n_checkpoints >= 5
+        counts = {}
+        for cold in (False, True):
+            def run(ctx):
+                if cold:
+                    for name in repo.members():
+                        repo.member(name).drop_caches()
+                return repo.xq(XQ_JOIN, ctx=ctx)
 
-        for i in range(n_checkpoints):
             ctx = EvalContext()
-            ctx.expire_at_checkpoint = i
-            with pytest.raises(DeadlineExceededError):
-                repo.xq(XQ_JOIN, ctx=ctx)
-            assert repo.pool.pinned_total() == 0, f"pins leaked at cp {i}"
+            assert run(ctx).to_xml() == expected
+            counts[cold] = n_checkpoints = ctx.checkpoints  # deterministic
+            assert n_checkpoints >= 5
+
+            for i in range(n_checkpoints):
+                ctx = EvalContext()
+                ctx.expire_at_checkpoint = i
+                with pytest.raises(DeadlineExceededError):
+                    run(ctx)
+                assert repo.pool.pinned_total() == 0, \
+                    f"pins leaked at cp {i} (cold={cold})"
+
+            ctx = EvalContext()
+            assert run(ctx).to_xml() == expected
+            assert ctx.checkpoints == n_checkpoints
+        assert counts[True] > counts[False]
 
         # expiry is the request's budget, never the member's health
         assert repo.quarantine.active() == []
@@ -113,32 +131,45 @@ def test_deadline_wall_clock_and_disarm(tmp_path):
         assert repo.xpath(XP_NAMES)
 
 
-def test_pool_fault_is_a_checkpoint(tmp_path):
-    """A buffer-pool page fault consults the thread's active context, so
-    an expired deadline stops a scan *before* the physical read — and the
-    unwind leaves no pin behind."""
-    path = str(tmp_path / "t.pf")
-    with PageFile.create(path, page_size=256) as pf:
-        pid = pf.allocate()
-        pf.write_page(pid, bytearray(b"\x07" * 256))
-        pf.sync_close()
-    pf = PageFile.open(path)
-    pool = BufferPool(pf, capacity=4)
-    view = pool._views[0]
-    ctx = EvalContext()
-    ctx.expire_at_checkpoint = 0
-    set_active_context(ctx)
-    try:
+def test_chain_walk_is_a_checkpoint(tmp_path):
+    """Every chain page a cold materialization walks is a checkpoint of
+    the context reading through its cache: an expired deadline stops the
+    walk *before* that page's physical read, and the unwind leaves no pin
+    behind and the pool serving."""
+    path = str(tmp_path / "t.vdoc")
+    VectorizedDocument.from_xml(xmark_like_xml(60, seed=3)).save(
+        path, page_size=128)
+    with VectorizedDocument.open(path, pool_pages=8) as disk:
+        vpath = max(disk.vectors, key=lambda p: disk.vectors[p].n_pages)
+        vec = disk.vectors[vpath]
+        assert vec.n_pages >= 3
+        stats = disk.view.stats
+        # checkpoint 0 is the cache's touch; k >= 1 precedes chain page k
+        for expire, pages in ((1, 0), (3, 2)):
+            before = stats.pages_read
+            ctx = EvalContext.for_doc(disk)
+            ctx.expire_at_checkpoint = expire
+            with pytest.raises(DeadlineExceededError):
+                ctx.cache(disk).column(vpath)
+            assert stats.pages_read == before + pages
+            assert disk.pool.pinned_total() == 0
+            assert not vec.is_loaded()
+        # a walk over pages the pool still holds is checkpointed the same:
+        # the last page is a pool hit, and still where the walk stops
+        vec.tolist()
+        vec.drop_cache()
+        before = stats.pages_read
+        ctx = EvalContext.for_doc(disk)
+        ctx.expire_at_checkpoint = vec.n_pages
         with pytest.raises(DeadlineExceededError):
-            pool.pin_at(view.fid, pid)
-    finally:
-        set_active_context(None)
-    assert pool.pinned_total() == 0
-    assert pool.stats.pages_read == 0   # expired before the physical read
-    # the same pool serves the page once the context is gone
-    assert bytes(pool.pin_at(view.fid, pid)[:4]) == b"\x07\x07\x07\x07"
-    pool.unpin_at(view.fid, pid)
-    pool.close()
+            ctx.cache(disk).column(vpath)
+        assert stats.pages_read == before
+        assert disk.pool.pinned_total() == 0
+        ctx = EvalContext.for_doc(disk)
+        assert eval_query(disk, "/site/people/person/name",
+                          ctx=ctx).count() == 60
+        assert len(ctx.cache(disk).column(vpath)) == len(vec)
+        assert disk.pool.pinned_total() == 0
 
 
 # -- bounded transient-I/O retry -------------------------------------------

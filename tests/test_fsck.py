@@ -159,7 +159,7 @@ def test_invalid_utf8_value_is_deep_only(vdoc_path):
     structurally sound — only --deep decodes values and reports it."""
     with VectorizedDocument.open(vdoc_path) as disk:
         vpath = next(p for p in sorted(disk.vectors)
-                     if len(disk.vectors[p]) and disk.vectors[p].scan()[0])
+                     if len(disk.vectors[p]) and disk.vectors[p].at(0))
         pid = disk.vectors[vpath]._heap.head
 
     def smash(buf):

@@ -73,7 +73,7 @@ def test_bitflip_in_page_detected_on_read(heap_file):
     file = PageFile.open(path)
     heap = HeapFile(BufferPool(file), head)
     with pytest.raises(CorruptDataError, match="page 2.*checksum"):
-        list(heap.records())
+        list(heap.records(lambda: None))
     file.close()
 
 
@@ -82,7 +82,7 @@ def test_bitflip_in_crc_field_detected(heap_file):
     _flip(path, FILE_HEADER + 1 * 128 + CRC_OFFSET)
     file = PageFile.open(path)
     with pytest.raises(CorruptDataError, match="page 1.*checksum"):
-        list(HeapFile(BufferPool(file), head).records())
+        list(HeapFile(BufferPool(file), head).records(lambda: None))
     file.close()
 
 
@@ -190,7 +190,7 @@ def test_heap_chain_cycle_detected(heap_file):
     file = PageFile.open(path)
     heap = HeapFile(BufferPool(file), head)
     with pytest.raises(CorruptDataError, match="cycle"):
-        list(heap.records())
+        list(heap.records(lambda: None))
     with pytest.raises(CorruptDataError, match="cycle"):
         heap.pages()
     file.close()
@@ -202,7 +202,7 @@ def test_heap_chain_link_out_of_range(heap_file):
                 SlottedPage(buf, 128).__setattr__("next_page", 999))
     file = PageFile.open(path)
     with pytest.raises(CorruptDataError, match="outside the file"):
-        list(HeapFile(BufferPool(file), head).records())
+        list(HeapFile(BufferPool(file), head).records(lambda: None))
     file.close()
 
 
@@ -211,7 +211,7 @@ def test_heap_chain_longer_than_cataloged(heap_file):
     file = PageFile.open(path)
     heap = HeapFile(BufferPool(file), head, n_pages=2)  # lies: chain is >2
     with pytest.raises(CorruptDataError, match="cataloged 2 pages"):
-        list(heap.records())
+        list(heap.records(lambda: None))
     file.close()
 
 
@@ -241,7 +241,7 @@ def test_invalid_utf8_value_raises_storage_error(saved_vdoc):
     _patch_page(path, pid, 256, smash)
     with VectorizedDocument.open(path) as disk:
         with pytest.raises(CorruptDataError, match="UTF-8"):
-            disk.vectors[vpath].scan()
+            disk.vectors[vpath].tolist()
 
 
 def test_corrupt_catalog_json_raises_storage_error(saved_vdoc):

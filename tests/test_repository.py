@@ -363,7 +363,7 @@ def _vector_pages(path, vec_path):
     try:
         with open_vdoc(path) as vd:
             pages.clear()
-            vd.vectors[vec_path].scan()
+            vd.vectors[vec_path].tolist()
     finally:
         B.FileView.pin = orig
     return sorted(set(pages))

@@ -87,5 +87,5 @@ def test_revectorization_is_stable(seed):
     v2 = VectorizedDocument.from_tree(v1.to_tree())
     assert set(v1.vectors) == set(v2.vectors)
     for path, vec in v1.vectors.items():
-        assert list(vec.scan()) == list(v2.vectors[path].scan())
+        assert vec.tolist() == v2.vectors[path].tolist()
     assert v1.stats() == v2.stats()

@@ -19,7 +19,7 @@ def test_text_values_do_not_split_runs():
     # Different text values share the '#' marker: skeleton is value-blind.
     store, root, vectors = vectorize_xml("<r><a>x</a><a>y</a><a>z</a></r>")
     assert store.children(root) == ((store.children(root)[0][0], 3),)
-    assert list(vectors[("r", "a", "#")].scan()) == ["x", "y", "z"]
+    assert vectors[("r", "a", "#")].tolist() == ["x", "y", "z"]
 
 
 def test_skeleton_never_larger_than_tree():
@@ -47,7 +47,7 @@ def test_attributes_become_labelled_nodes():
     a = store.children(root)[0][0]
     assert store.children(root)[0][1] == 2
     assert store.label(store.children(a)[0][0]) == "@id"
-    assert list(vectors[("r", "a", "@id", "#")].scan()) == ["1", "2"]
+    assert vectors[("r", "a", "@id", "#")].tolist() == ["1", "2"]
 
 
 def test_interning_is_idempotent():

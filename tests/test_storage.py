@@ -68,7 +68,7 @@ def test_heap_random_write_read_back(tmp_path, page_size, capacity):
         expect[h].append(rec)
 
     for h, heap in enumerate(heaps):
-        assert list(heap.records()) == expect[h]
+        assert list(heap.records(lambda: None)) == expect[h]
         assert len(heap.pages()) == heap.n_pages
     assert pool.pinned_total() == 0
     if capacity is not None:
@@ -82,7 +82,7 @@ def test_heap_random_write_read_back(tmp_path, page_size, capacity):
     file2 = PageFile.open(path)
     pool2 = BufferPool(file2, capacity=capacity)
     for h, head in enumerate(heads):
-        assert list(HeapFile(pool2, head).records()) == expect[h]
+        assert list(HeapFile(pool2, head).records(lambda: None)) == expect[h]
     assert pool2.pinned_total() == 0
     file2.close()
 
@@ -94,7 +94,7 @@ def test_empty_and_huge_records(tmp_path):
     records = [b"", b"a", b"", b"x" * 5000, b"", b"tail"]
     for r in records:
         heap.append(r)
-    assert list(heap.records()) == records
+    assert list(heap.records(lambda: None)) == records
     assert heap.n_pages > 5000 // 64  # really fragmented across the chain
     assert pool.pinned_total() == 0
     file.close()
@@ -107,7 +107,7 @@ def test_pool_hits_vs_misses(tmp_path):
     for i in range(50):
         heap.append(f"record-{i}".encode())
     base_misses = pool.stats.misses
-    list(heap.records())  # first pass: writer left everything resident
+    list(heap.records(lambda: None))  # first pass: writer left everything resident
     assert pool.stats.misses == base_misses
     assert pool.stats.pages_read == 0  # nothing ever hit the disk
     assert pool.stats.hits > 0
@@ -127,7 +127,7 @@ def test_pool_eviction_writes_back_dirty_pages(tmp_path):
     pool.flush()
     file.close()
     file2 = PageFile.open(path)
-    assert list(HeapFile(BufferPool(file2), heap.head).records()) == recs
+    assert list(HeapFile(BufferPool(file2), heap.head).records(lambda: None)) == recs
     file2.close()
 
 

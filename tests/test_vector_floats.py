@@ -2,7 +2,7 @@
 
 Python's ``float()`` accepts underscore digit separators while numpy's
 column ``astype(float)`` treats them version-dependently, so
-``Vector.floats()``'s fast and slow paths could disagree — the numeric
+the float view's fast and slow paths could disagree — the numeric
 interpretation of ``"1_0"`` depended on whether a *sibling* value forced
 the per-element fallback.  Everything now goes through
 ``repro.util.parse_float``, which rejects underscores outright."""
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.engine import eval_query
 from repro.core.vdoc import VectorizedDocument
-from repro.core.vectors import Vector
+from repro.core.vectors import parse_float_column
 from repro.util import parse_float
 
 
@@ -27,13 +27,13 @@ def test_parse_float_rejects_underscores():
 
 def test_underscore_is_nan_in_clean_column():
     # every sibling casts cleanly: the bulk path must still reject "1_0"
-    f = Vector(("a", "#"), ["1_0", "5", "7.5"]).floats()
+    f = parse_float_column(np.array(["1_0", "5", "7.5"]))
     assert np.isnan(f[0]) and f[1] == 5.0 and f[2] == 7.5
 
 
 def test_underscore_is_nan_in_dirty_column():
     # a non-numeric sibling forces the per-element path: same answer
-    f = Vector(("a", "#"), ["1_0", "banana", "5"]).floats()
+    f = parse_float_column(np.array(["1_0", "banana", "5"]))
     assert np.isnan(f[0]) and np.isnan(f[1]) and f[2] == 5.0
 
 
