@@ -33,20 +33,39 @@ def _template_leaves(gr: ResultSkeleton) -> list[tuple]:
     """Text/splice leaves in template preorder, each with the label path of
     its enclosing output element (starting at the result root)."""
     leaves: list[tuple] = []
-
-    def walk(item, opath: tuple) -> None:
-        if isinstance(item, TText):
-            leaves.append(("text", item, opath))
-        elif isinstance(item, TSplice):
-            leaves.append(("splice", item, opath))
-        else:
-            assert isinstance(item, TElem)
-            for c in item.children:
-                walk(c, (*opath, item.tag))
-
     for item in gr.items:
-        walk(item, (gr.root_tag,))
+        _walk_leaves(item, (gr.root_tag,), leaves)
     return leaves
+
+
+def _walk_leaves(item, opath: tuple, leaves: list) -> None:
+    # module-level: a recursive closure is a reference cycle that keeps
+    # the query alive until the collector runs
+    if isinstance(item, TText):
+        leaves.append(("text", item, opath))
+    elif isinstance(item, TSplice):
+        leaves.append(("splice", item, opath))
+    else:
+        assert isinstance(item, TElem)
+        for c in item.children:
+            _walk_leaves(c, (*opath, item.tag), leaves)
+
+
+def _instantiate(item, r: int, store, splices: dict,
+                 counter: list[int]) -> list[int]:
+    """Node ids of one template item for result row ``r`` (``counter``:
+    leaf number in template preorder, the key of ``splices``)."""
+    if isinstance(item, TText):
+        counter[0] += 1
+        return [store.text_id]
+    if isinstance(item, TSplice):
+        li = counter[0]
+        counter[0] += 1
+        ids, offs = splices[li]
+        return [int(x) for x in ids[offs[r]:offs[r + 1]]]
+    kids = [cid for c in item.children
+            for cid in _instantiate(c, r, store, splices, counter)]
+    return [store.intern_list(item.tag, kids)]
 
 
 def build_result(vdoc, gr: ResultSkeleton, table: ReducedTable,
@@ -145,25 +164,13 @@ def build_result(vdoc, gr: ResultSkeleton, table: ReducedTable,
 
     # assemble the skeleton bottom-up, one row at a time: fresh template
     # elements are interned immediately — stepwise compression
-    def instantiate(item, r: int, counter: list[int]) -> list[int]:
-        if isinstance(item, TText):
-            counter[0] += 1
-            return [store.text_id]
-        if isinstance(item, TSplice):
-            li = counter[0]
-            counter[0] += 1
-            ids, offs = splices[li]
-            return [int(x) for x in ids[offs[r]:offs[r + 1]]]
-        kids = [cid for c in item.children
-                for cid in instantiate(c, r, counter)]
-        return [store.intern_list(item.tag, kids)]
-
     for r in range(n_rows):
         if not r % 64:
             ctx.checkpoint()   # row assembly is the builder's long loop
         counter = [0]
-        row_children[r] = [cid for item in gr.items
-                           for cid in instantiate(item, r, counter)]
+        row_children[r] = [
+            cid for item in gr.items
+            for cid in _instantiate(item, r, store, splices, counter)]
 
     root_id = store.intern_list(
         gr.root_tag, [cid for kids in row_children for cid in kids])

@@ -337,15 +337,6 @@ class PathsCatalog:
         self._ext[key] = (counts, base)
         return counts, base
 
-    def extension_total(self, path: tuple, rel: tuple) -> int:
-        pidx = self.index(path)
-        if pidx is None:
-            return 0
-        counts, base = self._ext_stats(path, rel)
-        if len(base) == 0:
-            return 0
-        return int(base[-1] + pidx.run_counts[-1] * counts[-1])
-
     def extension_ranges(self, path: tuple, ids: np.ndarray | None, rel: tuple):
         """Contiguous descendant ranges of each occurrence in ``ids``.
 

@@ -1,15 +1,20 @@
-"""Heuristic operation ordering for graph reduction (paper §4.1, step 3).
+"""Binding and operation ordering for graph reduction (paper §4.1, step 3).
 
-``Gq`` is reduced one edge at a time; the order is a topological sort of
-the operations (a variable must be instantiated before anything that
-filters it) refined by the classic relational heuristics the paper cites:
+**Binding.** :func:`bind_query` is the one place an XQ query meets the
+dataguide's step matcher, in one pass; the :class:`Plan` carries its
+:class:`Binding` and the reduction runs what it bound.  Repository
+pruning binds a member's manifest guide the same way.
+
+**Ordering.** ``Gq`` is reduced one edge at a time; the order is a
+topological sort of the operations (a variable must be instantiated
+before anything that filters it) refined by the classic relational
+heuristics the paper cites:
 
 * **selections before joins** — constant edges are applied as soon as
   their variable is instantiated, joins only once both sides are;
 * **cheapest vector first** — among ready selections (and ready joins)
   the one whose operand vector is smallest goes first, estimated from the
-  skeleton's bulk ``occ`` statistics (``extension_total`` — no vector is
-  touched to plan);
+  index totals of the bound paths (no vector is touched to plan);
 * projections that unlock selections are preferred over bare projections,
   tie-broken by smallest estimated instantiation.
 
@@ -28,14 +33,11 @@ variant the reduction executes.  An op only becomes a probe when *every*
 candidate concrete text path is indexed; the executor still degrades to
 a scan per path if an index goes missing at run time.  Joins have one
 kernel and always carry ``access='scan'``.
-
-The plan is computed once per query against aggregate dataguide
-statistics and reused for every concrete-path combination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .paths import Dataguide
 from .qgraph import ConstEdge, EqEdge, QueryGraph, TreeEdge
@@ -67,114 +69,114 @@ class PlanOp:
 
 
 @dataclass
+class Binding:
+    """``Gq`` resolved against one dataguide (:func:`bind_query`).  An
+    operand table holds only the paths whose text path exists: a missing
+    entry *is* the proof that the existential fails there."""
+
+    #: root variable -> ``[(concrete path, step alignments)]``, sorted
+    roots: dict[str, list[tuple]]
+    #: relative variable -> ``{parent's concrete path: [own paths]}``
+    rels: dict[str, dict[tuple, list[tuple]]]
+    #: ``(variable, rel)`` operand -> ``{variable's path: text path}``
+    operands: dict[tuple, dict[tuple, tuple]]
+    #: variable -> its distinct concrete paths
+    var_paths: dict[str, list[tuple]]
+
+    def can_match(self) -> bool:
+        """``False`` proves no tuple: some variable has no concrete path,
+        or some comparison operand no text path for any of them."""
+        return all(self.var_paths.values()) and all(self.operands.values())
+
+    def estimate(self, counts) -> float:
+        """Crude upper-bound tuple count: the product over variables of
+        their paths' total occurrences under ``counts[path]``."""
+        est = 1.0
+        for paths in self.var_paths.values():
+            est *= float(max(sum(counts[cp] for cp in paths), 1))
+        return est
+
+
+def _text_paths(guide: Dataguide, cpaths: list[tuple],
+                rel: tuple) -> dict[tuple, tuple]:
+    """The one operand rule: per concrete path ``cp``, the text path the
+    operand ``rel`` reaches — ``cp`` itself for a variable bound to text
+    compared as ``#``, else ``cp/rel`` when the guide holds it."""
+    out: dict[tuple, tuple] = {}
+    for cp in cpaths:
+        if cp[-1] == "#":
+            if rel == ("#",):
+                out[cp] = cp
+        elif (q := (*cp, *rel)) in guide:
+            out[cp] = q
+    return out
+
+
+def bind_query(gq: QueryGraph, guide) -> Binding:
+    """Resolve every variable and comparison operand of ``gq`` against
+    any dataguide (:meth:`Dataguide.of`) — the document's own, or a
+    repository member's cataloged path list — one matcher pass per root
+    variable and per (relative variable, parent path)."""
+    guide = Dataguide.of(guide)
+    roots: dict[str, list[tuple]] = {}
+    rels: dict[str, dict[tuple, list[tuple]]] = {}
+    var_paths: dict[str, list[tuple]] = {}
+    for var in gq.variables:
+        edge = gq.tree_edges[var]
+        if edge.parent is None:
+            roots[var] = guide.resolve(edge.abs_path.steps)
+            var_paths[var] = [p for p, _ in roots[var]]
+        else:
+            rels[var] = {base: [p for p, _ in guide.resolve(edge.steps, base)]
+                         for base in var_paths[edge.parent]}
+            # distinct paths (several bases may reach the same guide entry)
+            var_paths[var] = list(dict.fromkeys(
+                p for ps in rels[var].values() for p in ps))
+    sides = [(s.var, s.rel) for s in gq.selections] \
+        + [(j.var1, j.rel1) for j in gq.joins] \
+        + [(j.var2, j.rel2) for j in gq.joins]
+    operands = {(v, rel): _text_paths(guide, var_paths[v], rel)
+                for v, rel in sides}
+    return Binding(roots, rels, operands, var_paths)
+
+
+@dataclass
 class Plan:
     ops: list[PlanOp]
-    #: variable -> candidate concrete label paths (dataguide matches)
-    var_paths: dict[str, list[tuple]] = field(default_factory=dict)
+    binding: Binding
+
+    @property
+    def var_paths(self) -> dict[str, list[tuple]]:
+        """Variable -> candidate concrete label paths."""
+        return self.binding.var_paths
 
     def explain(self) -> str:
         return "\n".join(f"{i + 1}. {op}" for i, op in enumerate(self.ops))
 
 
-def candidate_var_paths(gq: QueryGraph, guide) -> dict[str, list[tuple]]:
-    """Concrete label paths each variable may bind to, against any
-    dataguide (:meth:`Dataguide.of`) — the document's own, or a repository
-    member's cataloged path list (which is how pruning prices a member
-    without opening it)."""
-    guide = Dataguide.of(guide)
-    out: dict[str, list[tuple]] = {}
-    for var in gq.variables:
-        edge = gq.tree_edges[var]
-        if edge.parent is None:
-            out[var] = [p for p, _ in guide.resolve(edge.abs_path.steps)]
-        else:
-            # distinct paths (several bases may reach the same guide entry)
-            out[var] = list(dict.fromkeys(
-                p for base in out[edge.parent]
-                for p, _ in guide.resolve(edge.steps, base)))
-    return out
-
-
-def _side_qpaths(guide: Dataguide, cpaths: list[tuple],
-                 rel: tuple) -> list[tuple]:
-    """The concrete text paths one comparison operand can touch: the
-    variable's candidates extended by the relative path, kept when the
-    dataguide holds them (plus the identity case for text-bound
-    variables)."""
-    out: list[tuple] = []
-    for cp in cpaths:
-        if cp[-1] == "#":
-            if rel == ("#",):
-                out.append(cp)
-            continue
-        q = (*cp, *rel)
-        if q in guide:
-            out.append(q)
-    return list(dict.fromkeys(out))
-
-
 def member_can_match(gq: QueryGraph, guide) -> bool:
     """Can a document whose dataguide is ``guide`` contribute *any* tuple
-    to ``gq``?  ``False`` is a proof of emptiness: some variable has no
-    concrete path, or some selection/join operand resolves to no text path
-    anywhere — the conjunctive existential then fails for every row (the
-    reduction's ``_side() is None`` case), so the member can be skipped
-    without reading a single page."""
-    guide = Dataguide.of(guide)
-    vp = candidate_var_paths(gq, guide)
-    if any(not vp[v] for v in gq.variables):
-        return False
-    for s in gq.selections:
-        if not _side_qpaths(guide, vp[s.var], s.rel):
-            return False
-    for j in gq.joins:
-        if not _side_qpaths(guide, vp[j.var1], j.rel1) or \
-                not _side_qpaths(guide, vp[j.var2], j.rel2):
-            return False
-    return True
+    to ``gq``?  ``False`` proves it cannot: skip it without reading a
+    page."""
+    return bind_query(gq, guide).can_match()
 
 
 def match_estimate(gq: QueryGraph, guide_counts) -> float:
-    """Crude upper-bound tuple estimate from per-path occurrence counts
-    alone (a member's manifest catalog, as a ``{path: count}`` dict or a
-    counted :class:`Dataguide`): the product over variables of their
-    candidates' total occurrences.  Used to order surviving repository
-    members most-selective-first."""
-    vp = candidate_var_paths(gq, guide_counts)
-    est = 1.0
-    for var in gq.variables:
-        est *= float(max(sum(guide_counts[cp] for cp in vp[var]), 1))
-    return est
+    """:meth:`Binding.estimate` from a member's manifest catalog (a
+    ``{path: count}`` dict or a counted :class:`Dataguide`)."""
+    return bind_query(gq, guide_counts).estimate(guide_counts)
 
 
-def _cardinality(vdoc, cpaths: list[tuple]) -> float:
-    """Total occurrences over all candidate concrete paths."""
-    catalog = vdoc.catalog
-    total = 0
-    for cp in cpaths:
-        idx = catalog.index(cp)
-        if idx is not None:
-            total += idx.total
-    return float(total)
+def _cardinality(vdoc, paths) -> float:
+    """Total occurrences over bound concrete paths — for an operand's
+    text paths, the size of the vector(s) it would scan."""
+    index = vdoc.catalog.index
+    return float(sum(index(p).total for p in paths))
 
 
-def _text_cardinality(vdoc, cpaths: list[tuple], rel: tuple) -> float:
-    """Total matching text occurrences under the candidate paths — the size
-    of the vector(s) a selection/join side would scan."""
-    catalog = vdoc.catalog
-    total = 0
-    for cp in cpaths:
-        use_rel = rel
-        if cp and cp[-1] == "#":
-            use_rel = rel[:-1] if rel and rel[-1] == "#" else rel
-        total += catalog.extension_total(cp, use_rel)
-    return float(total)
-
-
-def _probe_stats(vdoc, cpaths: list[tuple], rel: tuple):
+def _probe_stats(vdoc, qpaths):
     """``(total n, total distinct)`` over the operand's text paths when
     *every* one carries a value index; ``None`` otherwise (no probe)."""
-    qpaths = _side_qpaths(vdoc.catalog.guide, cpaths, rel)
     if not qpaths:
         return None
     n_total, u_total = 0.0, 0.0
@@ -182,23 +184,21 @@ def _probe_stats(vdoc, cpaths: list[tuple], rel: tuple):
         stats = vdoc.vindex_stats(q)
         if stats is None:
             return None
-        idx = vdoc.catalog.index(q)
-        n_total += float(idx.total if idx is not None else 0)
+        n_total += float(vdoc.catalog.index(q).total)
         u_total += float(stats["distinct"])
     return n_total, u_total
 
 
-def _dict_coded(vdoc, cpaths, rel) -> bool:
+def _dict_coded(vdoc, qpaths) -> bool:
     """Is *every* concrete text path of this operand stored
     dictionary-coded?  (Catalog lookup only — no page I/O.)  All paths
     must be coded: a mixed operand would decode the stragglers anyway,
     so it is priced as a plain scan."""
-    qpaths = _side_qpaths(vdoc.catalog.guide, cpaths, rel)
     return bool(qpaths) and \
         all(vdoc.codec_of(q) == "dict" for q in qpaths)
 
 
-def _sel_access(vdoc, sel: ConstEdge, cpaths,
+def _sel_access(vdoc, sel: ConstEdge, qpaths,
                 scan_cost: float) -> tuple[str, float]:
     """Choose the access path of one selection:
     ``('scan'|'index'|'dict', cost)``.
@@ -210,7 +210,7 @@ def _sel_access(vdoc, sel: ConstEdge, cpaths,
     decode).  Ties prefer index over dict over scan (a probe touches the
     fewest pages, a code sweep the fewest CPU cycles)."""
     candidates = [(scan_cost, 2, "scan")]
-    stats = _probe_stats(vdoc, cpaths, sel.rel)
+    stats = _probe_stats(vdoc, qpaths)
     if stats is not None:
         n_total, u_total = stats
         if sel.op in ("=", "!="):
@@ -220,7 +220,7 @@ def _sel_access(vdoc, sel: ConstEdge, cpaths,
             # range probe: gathers + sorts an assumed fraction of rows
             probe = n_total * RANGE_FRACTION + PROBE_OVERHEAD
         candidates.append((probe, 0, "index"))
-    if sel.op in ("=", "!=") and _dict_coded(vdoc, cpaths, sel.rel):
+    if sel.op in ("=", "!=") and _dict_coded(vdoc, qpaths):
         candidates.append(
             (scan_cost * DICT_SWEEP_FRACTION + PROBE_OVERHEAD, 1, "dict"))
     cost, _, access = min(candidates)
@@ -228,9 +228,13 @@ def _sel_access(vdoc, sel: ConstEdge, cpaths,
 
 
 def plan_query(gq: QueryGraph, vdoc) -> Plan:
-    """Topological + heuristic operation ordering for one document."""
-    var_paths = candidate_var_paths(gq, vdoc.catalog.guide)
-    var_card = {v: _cardinality(vdoc, var_paths[v]) for v in gq.variables}
+    """Bind ``gq`` to the document's dataguide, then order its
+    operations (topological + heuristic) for that document."""
+    bound = bind_query(gq, vdoc.catalog.guide)
+    texts = {side: list(table.values())
+             for side, table in bound.operands.items()}
+    var_card = {v: _cardinality(vdoc, bound.var_paths[v])
+                for v in gq.variables}
     # stable op ids: variables, then selections, then joins, in graph order
     var_id = {v: i for i, v in enumerate(gq.variables)}
     sel_id = {id(s): len(gq.variables) + i
@@ -240,12 +244,12 @@ def plan_query(gq: QueryGraph, vdoc) -> Plan:
 
     sel_plan: dict[int, tuple[str, float, float]] = {}
     for s in gq.selections:
-        scan = _text_cardinality(vdoc, var_paths[s.var], s.rel)
-        access, cost = _sel_access(vdoc, s, var_paths[s.var], scan)
+        scan = _cardinality(vdoc, texts[s.var, s.rel])
+        access, cost = _sel_access(vdoc, s, texts[s.var, s.rel], scan)
         sel_plan[id(s)] = (access, cost, scan)
     join_cost = {
-        id(j): (_text_cardinality(vdoc, var_paths[j.var1], j.rel1)
-                + _text_cardinality(vdoc, var_paths[j.var2], j.rel2))
+        id(j): (_cardinality(vdoc, texts[j.var1, j.rel1])
+                + _cardinality(vdoc, texts[j.var2, j.rel2]))
         for j in gq.joins}
 
     placed: set[str] = set()
@@ -297,4 +301,4 @@ def plan_query(gq: QueryGraph, vdoc) -> Plan:
         flush_filters()
 
     assert not pending_sel and not pending_join
-    return Plan(ops, var_paths)
+    return Plan(ops, bound)

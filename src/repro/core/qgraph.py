@@ -98,10 +98,6 @@ class QueryGraph:
     joins: list[EqEdge] = field(default_factory=list)
     collection: str | None = None
 
-    def children_of(self, var: str) -> list[str]:
-        return [v for v in self.variables
-                if self.tree_edges[v].parent == var]
-
 
 @dataclass
 class ResultSkeleton:
@@ -117,6 +113,24 @@ def _norm_text_rel(rel: tuple) -> tuple:
     if not rel or rel[-1] != "#":
         return (*rel, "#")
     return rel
+
+
+def _check_var(gq: QueryGraph, var: str, where: str) -> None:
+    if var not in gq.tree_edges:
+        raise XQCompileError(f"unknown variable ${var} in {where}")
+
+
+def _collect_slots(item, gq: QueryGraph, slots: list) -> None:
+    """Append the splices of one template item to ``slots`` in template
+    order."""
+    if isinstance(item, TSplice):
+        _check_var(gq, item.var, "return template")
+        slots.append(item)
+    elif isinstance(item, TElem):
+        for c in item.children:
+            _collect_slots(c, gq, slots)
+    else:
+        assert isinstance(item, TText)
 
 
 def compile_query(xq: XQuery) -> tuple[QueryGraph, ResultSkeleton]:
@@ -144,10 +158,6 @@ def compile_query(xq: XQuery) -> tuple[QueryGraph, ResultSkeleton]:
         gq.variables.append(b.var)
         gq.tree_edges[b.var] = edge
 
-    def check_var(var: str, where: str) -> None:
-        if var not in gq.tree_edges:
-            raise XQCompileError(f"unknown variable ${var} in {where}")
-
     for comp in xq.where:
         left, right = comp.left, comp.right
         if isinstance(left, Const) and isinstance(right, Const):
@@ -159,28 +169,17 @@ def compile_query(xq: XQuery) -> tuple[QueryGraph, ResultSkeleton]:
             comp_op = flip.get(comp.op, comp.op)
         else:
             comp_op = comp.op
-        check_var(left.var, "where clause")
+        _check_var(gq, left.var, "where clause")
         if isinstance(right, Const):
             gq.selections.append(ConstEdge(
                 left.var, _norm_text_rel(left.rel), comp_op, right.value))
         else:
-            check_var(right.var, "where clause")
+            _check_var(gq, right.var, "where clause")
             gq.joins.append(EqEdge(
                 left.var, _norm_text_rel(left.rel), comp_op,
                 right.var, _norm_text_rel(right.rel)))
 
     gr = ResultSkeleton(xq.root_tag, xq.ret)
-
-    def walk(item) -> None:
-        if isinstance(item, TSplice):
-            check_var(item.var, "return template")
-            gr.slots.append(item)
-        elif isinstance(item, TElem):
-            for c in item.children:
-                walk(c)
-        else:
-            assert isinstance(item, TText)
-
     for item in xq.ret:
-        walk(item)
+        _collect_slots(item, gq, gr.slots)
     return gq, gr

@@ -3,14 +3,15 @@
 The query graph ``Gq`` is evaluated collection-at-a-time: the state is a
 *tuple table* — one int64 occurrence-ordinal column per instantiated
 variable, all of equal length; a row is one candidate binding tuple.  The
-planner's operations reduce ``Gq`` edge by edge:
+plan binds ``Gq`` to the dataguide; this module runs what it bound and
+resolves nothing.  The operations reduce ``Gq`` edge by edge:
 
 * **instantiate** (tree edge) — root variables come from one vectorized
-  XPath evaluation; relative variables are a positional join:
-  ``extension_ranges`` + prefix-sum materialization, with the other
-  columns replicated by ``np.repeat``;
+  evaluation of their bound alignments; relative variables are a
+  positional join: ``extension_ranges`` + prefix-sum materialization,
+  with the other columns replicated by ``np.repeat``;
 * **select** (constant edge) — one vectorized comparison over the text
-  vector plus a prefix-sum existential per row;
+  vector plus a prefix-sum existential per row (XPath's predicate kernel);
 * **join** (equality edge) — existential set comparison per row, entirely
   columnar: for ``=`` / ``!=`` each operand vector's own value coding
   (its stored dictionary, or one coding of the reached values), merged
@@ -19,15 +20,15 @@ planner's operations reduce ``Gq`` edge by edge:
 
 Variables range over *concrete* label paths, so a query with wildcard or
 descendant bindings is a union over concrete-path *combos* — one per
-assignment of variables to dataguide paths, exactly the paper's expansion
-of ``//`` against the skeleton.  Execution is **batched**: the plan runs
-*once* over the union table, with a per-row combo-id column (``cid``) and
-one concrete path per (variable, combo).  Each operation partitions its
-rows by the distinct concrete paths involved — not by combo — so every
-full-column kernel (predicate mask, prefix sum) runs at most once per
-plan operation per vector no matter how many combos the dataguide
-yields; the :class:`~repro.core.context.EvalContext` counts those sweeps
-and the engine asserts the bound.
+assignment of variables to the plan's bound paths, exactly the paper's
+expansion of ``//`` against the skeleton.  Execution is **batched**: the
+plan runs *once* over the union table, with a per-row combo-id column
+(``cid``) and one concrete path per (variable, combo).  Each operation
+partitions its rows by the distinct concrete paths involved — not by
+combo — so every full-column kernel (predicate mask, prefix sum) runs at
+most once per plan operation per vector no matter how many combos the
+binding yields; the :class:`~repro.core.context.EvalContext` counts
+those sweeps and the engine asserts the bound.
 
 Each touched vector is loaded through the context's per-document cache
 (scanned at most once for the whole query) and the skeleton is never
@@ -49,7 +50,7 @@ from .context import EvalContext
 from .paths import ranges_to_ordinals
 from .planner import Plan
 from .qgraph import ConstEdge, EqEdge, QueryGraph
-from .xpath.vx_eval import evaluate_vx, pred_mask
+from .xpath.vx_eval import evaluate_aligned, exists_in, pred_prefix
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -75,46 +76,27 @@ class ReducedTable:
     n_rows: int
 
 
-def _enumerate_combos(gq: QueryGraph, vdoc, ctx: EvalContext) -> list[dict]:
-    """All assignments of variables to concrete dataguide paths.
-
-    Root variables carry their (already predicate-filtered) ordinal sets
-    from a single vectorized XPath evaluation per source; relative
-    variables only fix a path here — resolved once per concrete path of
-    their parent — and their ordinals come from positional expansion
-    during reduction.
-    """
-    guide = vdoc.catalog.guide
-    # variable -> {its parent's concrete path (None for a root variable):
-    #              [(own concrete path, ordinals or None)]}
-    choices: dict[str, dict] = {}
+def _enumerate_combos(gq: QueryGraph, vdoc, plan: Plan,
+                      ctx: EvalContext) -> list[dict]:
+    """All assignments ``{variable: (concrete path, ordinals or None)}``
+    of the plan's bound paths, in nested-loop order.  Root variables carry
+    their (already predicate-filtered) ordinals; a relative variable only
+    fixes a path here — its ordinals come from positional expansion."""
+    bound = plan.binding
+    combos: list[dict] = [{}]
     for var in gq.variables:
         edge = gq.tree_edges[var]
-        if edge.parent is None:
-            choices[var] = {
-                None: evaluate_vx(vdoc, edge.abs_path, ctx).groups}
-        else:
-            bases = dict.fromkeys(p for opts in choices[edge.parent].values()
-                                  for p, _ in opts)
-            choices[var] = {
-                base: [(p, None) for p, _ in guide.resolve(edge.steps, base)]
-                for base in bases}
-
-    combos: list[dict] = []
-
-    def rec(i: int, assign: dict) -> None:
-        if i == len(gq.variables):
+        parent = edge.parent
+        if parent is None:
+            roots = evaluate_aligned(vdoc, edge.abs_path.steps,
+                                     bound.roots[var], ctx).groups
+        out: list[dict] = []
+        for a in combos:
             ctx.checkpoint()   # combo enumeration can be combinatorial
-            combos.append(dict(assign))
-            return
-        var = gq.variables[i]
-        parent = gq.tree_edges[var].parent
-        for choice in choices[var][assign[parent][0] if parent else None]:
-            assign[var] = choice
-            rec(i + 1, assign)
-        assign.pop(var, None)
-
-    rec(0, {})
+            opts = roots if parent is None else \
+                [(p, None) for p in bound.rels[var][a[parent][0]]]
+            out.extend({**a, var: choice} for choice in opts)
+        combos = out
     return combos
 
 
@@ -148,36 +130,27 @@ class _Reducer:
     vector is swept at most once per plan operation across all combos —
     the invariant ``EvalContext.check_passes`` asserts."""
 
-    def __init__(self, vdoc, ctx: EvalContext):
+    def __init__(self, vdoc, plan: Plan, ctx: EvalContext):
         self.vdoc = vdoc
         self.catalog = vdoc.catalog
+        self.plan = plan
+        self.operands = plan.binding.operands
         self.ctx = ctx
         self.cache = ctx.cache(vdoc)
         self._cums: dict[tuple, np.ndarray] = {}
 
-    def _side(self, cpath: tuple, col: np.ndarray, rel: tuple):
-        """Resolve one comparison operand to per-row contiguous ranges in
-        the ordinal space of a text path: ``(qpath, starts, lengths)``.
-        ``None`` means no such text exists anywhere (∃ fails for all rows).
-        A variable bound directly to a text node compares its own value
-        (identity ranges)."""
-        if cpath[-1] == "#":
-            if rel == ("#",):
-                return cpath, col, np.ones(len(col), dtype=np.int64)
+    def _side(self, var: str, rel: tuple, cpath: tuple, col: np.ndarray):
+        """Operand ``$var/rel`` at ``cpath`` as per-row ranges over the
+        text path the plan bound: ``(qpath, starts, lengths)`` — identity
+        ranges for a text-bound variable; ``None`` when no such text
+        exists (∃ fails for all rows)."""
+        qpath = self.operands[var, rel].get(cpath)
+        if qpath is None:
             return None
-        qpath = (*cpath, *rel)
-        if self.catalog.index(qpath) is None:
-            return None
+        if qpath == cpath:
+            return qpath, col, np.ones(len(col), dtype=np.int64)
         starts, lengths = self.catalog.extension_ranges(cpath, col, rel)
         return qpath, starts, lengths
-
-    def _vindex(self, qpath: tuple, access: str):
-        """The value index to probe for ``qpath`` under the plan's chosen
-        access path — ``None`` means execute as a scan (also the runtime
-        degradation when a planned index is missing)."""
-        if access != "index":
-            return None
-        return self.cache.vindex(qpath)
 
     def _join_codes(self, parts1, parts2):
         """Row ids + *shared-space* value codes of both join sides: per
@@ -200,15 +173,14 @@ class _Reducer:
 
         return (*side(parts1), *side(parts2), max(m, 1))
 
-    def _cum_mask(self, op_idx: int, qpath: tuple, op: str,
-                  value: str) -> np.ndarray:
+    def _prefix(self, op_idx: int, qpath: tuple, op: str,
+                value: str) -> np.ndarray:
+        """The predicate's full-column sweep, once per operation."""
         key = (qpath, op, value)
         cum = self._cums.get(key)
         if cum is None:
             self.ctx.note_pass(self.vdoc, (op_idx, qpath))
-            mask = pred_mask(self.cache, qpath, op, value)
-            cum = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
-            self._cums[key] = cum
+            cum = self._cums[key] = pred_prefix(self.cache, qpath, op, value)
         return cum
 
     # -- operations --------------------------------------------------------
@@ -249,19 +221,21 @@ class _Reducer:
         keep = np.zeros(len(cid), dtype=bool)
         for rows, a in _combo_groups(cid, assigns,
                                      key=lambda a: a[sel.var][0]):
-            side = self._side(a[sel.var][0], cols[sel.var][rows], sel.rel)
+            side = self._side(sel.var, sel.rel, a[sel.var][0],
+                              cols[sel.var][rows])
             if side is None:
                 continue
             qpath, starts, lengths = side
-            vi = self._vindex(qpath, access)
+            # no handle: scan (also when a planned index is missing)
+            vi = self.cache.vindex(qpath) if access == "index" else None
             if vi is not None:
                 # IndexProbe: sorted matching rows from the index, two
                 # searchsorted calls per row group — no column sweep
                 keep[rows] = vindex_select_keep(vi, sel.op, sel.value,
                                                 starts, lengths)
                 continue
-            cum = self._cum_mask(op_idx, qpath, sel.op, sel.value)
-            keep[rows] = cum[starts + lengths] > cum[starts]
+            cum = self._prefix(op_idx, qpath, sel.op, sel.value)
+            keep[rows] = exists_in(cum, starts, lengths)
         return keep
 
     def _join_sides(self, join: EqEdge, assigns, cid, cols):
@@ -275,7 +249,7 @@ class _Reducer:
             parts = []
             for rows, a in _combo_groups(cid, assigns,
                                          key=lambda a, var=var: a[var][0]):
-                side = self._side(a[var][0], cols[var][rows], rel)
+                side = self._side(var, rel, a[var][0], cols[var][rows])
                 if side is None:
                     continue
                 qpath, s, ln = side
@@ -331,10 +305,10 @@ class _Reducer:
 
     # -- the one plan execution --------------------------------------------
 
-    def run(self, plan: Plan, assigns: list[dict]):
+    def run(self, assigns: list[dict]):
         cid = np.arange(len(assigns), dtype=np.int64)
         cols: dict[str, np.ndarray] = {}
-        for op_idx, op in enumerate(plan.ops):
+        for op_idx, op in enumerate(self.plan.ops):
             if len(cid) == 0:
                 break
             self.ctx.checkpoint()   # cancellation point between plan ops
@@ -379,8 +353,8 @@ def _order_table(vdoc, gq: QueryGraph,
 def reduce_query(vdoc, gq: QueryGraph, plan: Plan,
                  ctx: EvalContext) -> ReducedTable:
     """Reduce ``Gq`` to its binding-tuple table, globally ordered."""
-    assigns = _enumerate_combos(gq, vdoc, ctx)
-    cid, cols = _Reducer(vdoc, ctx).run(plan, assigns)
+    assigns = _enumerate_combos(gq, vdoc, plan, ctx)
+    cid, cols = _Reducer(vdoc, plan, ctx).run(assigns)
     raw = []
     for ci in range(len(assigns)):
         ctx.checkpoint()

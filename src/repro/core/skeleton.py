@@ -94,9 +94,6 @@ class NodeStore:
     def children(self, nid: int) -> Runs:
         return self._children[nid]
 
-    def is_text(self, nid: int) -> bool:
-        return nid == self.text_id
-
     def __len__(self) -> int:
         """Total interned nodes (across all documents sharing the store)."""
         return len(self._labels)

@@ -18,8 +18,9 @@ evaluated with pure child-axis columnar kernels:
 * existence filter — per-occurrence descendant counts ``> 0``, straight from
   skeleton statistics, touching no vector at all;
 * value predicate  — one vectorized comparison over the vector column, one
-  prefix sum, and a gather: ∃-semantics per occurrence without any per-node
-  loop.
+  prefix sum, and a gather (:func:`pred_prefix` + :func:`exists_in`, the
+  kernel the XQ reduction's selections share): ∃-semantics per occurrence
+  without any per-node loop.
 """
 
 from __future__ import annotations
@@ -32,18 +33,19 @@ from ..context import VectorCache
 from ..paths import PathsCatalog, ranges_to_ordinals
 from .ast import Path, Pred
 
-__all__ = ["VectorCache", "VXResult", "evaluate_vx", "pred_mask"]
+__all__ = ["VectorCache", "VXResult", "evaluate_aligned", "evaluate_vx",
+           "exists_in", "pred_mask", "pred_prefix"]
 
 
 def pred_mask(cache: VectorCache, qpath: tuple, op: str, const: str) -> np.ndarray:
     """Boolean mask over the ordinals of text path ``qpath``.
 
-    Every predicate evaluator funnels through here — XPath predicates and
-    both XQ executors — so this is the one place code-space evaluation
-    plugs in: when the vector is stored dictionary-coded, an equality
-    predicate maps its constant into code space with one binary search
-    over the ``u`` sorted keys (:func:`~repro.index.key_code`, the lookup a value index also uses)
-    and compares integers; the string column is never built.  An absent
+    XPath predicates and the XQ reduction's selections both funnel through
+    here, the one place code-space evaluation plugs in: on a
+    dictionary-coded vector an equality predicate maps its constant into
+    code space with one binary search over the ``u`` sorted keys
+    (:func:`~repro.index.key_code`) and compares integers; the string
+    column is never built.  An absent
     constant maps to code -1, which no value code equals — exactly the
     all-False (``=``) / all-True (``!=``) masks of the string compare, so
     results are byte-identical either way.  Ordering predicates use the
@@ -74,6 +76,21 @@ def pred_mask(cache: VectorCache, qpath: tuple, op: str, const: str) -> np.ndarr
     return f >= c
 
 
+def pred_prefix(cache: VectorCache, qpath: tuple, op: str,
+                const: str) -> np.ndarray:
+    """Prefix counts of :func:`pred_mask` (``cum[i]``: matches below
+    ``i``) — a predicate's one full-column sweep."""
+    mask = pred_mask(cache, qpath, op, const)
+    return np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
+
+
+def exists_in(cum: np.ndarray, starts: np.ndarray,
+              lengths: np.ndarray) -> np.ndarray:
+    """∃ per range: does ``[starts[i], starts[i]+lengths[i])`` hold a
+    match under the :func:`pred_prefix` counts ``cum``?"""
+    return cum[starts + lengths] > cum[starts]
+
+
 def _apply_pred(catalog: PathsCatalog, cache: VectorCache, prefix: tuple,
                 ids: np.ndarray, pred: Pred) -> np.ndarray:
     """Filter occurrence ordinals ``ids`` of ``prefix`` by one predicate."""
@@ -87,10 +104,8 @@ def _apply_pred(catalog: PathsCatalog, cache: VectorCache, prefix: tuple,
     if catalog.index(qpath) is None:
         return ids[:0]  # no such text anywhere: ∃ fails for every occurrence
     starts, lengths = catalog.extension_ranges(prefix, ids, rel)
-    mask = pred_mask(cache, qpath, pred.op, pred.value)
-    cum = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
-    keep = cum[starts + lengths] > cum[starts]
-    return ids[keep]
+    cum = pred_prefix(cache, qpath, pred.op, pred.value)
+    return ids[exists_in(cum, starts, lengths)]
 
 
 def _eval_alignment(catalog: PathsCatalog, cache: VectorCache, cpath: tuple,
@@ -197,22 +212,30 @@ class VXResult:
 
 
 def evaluate_vx(vdoc, path: Path, ctx) -> VXResult:
-    """Evaluate an XPath of the fragment P[*,//] over a vectorized document.
+    """Evaluate an XPath of the fragment P[*,//] over a vectorized document:
+    resolve its steps, then :func:`evaluate_aligned`.  ``ctx`` (an
+    :class:`~repro.core.context.EvalContext`) shares one per-document
+    vector cache across a larger computation, so the scan-once invariant
+    spans the whole query, and carries the pool-wide invariant guards."""
+    return evaluate_aligned(vdoc, path.steps,
+                            vdoc.catalog.guide.resolve(path.steps), ctx)
 
-    ``ctx`` (an :class:`~repro.core.context.EvalContext`) lets a larger
-    computation — the XQ graph reduction, or a repository-wide query —
-    share one per-document vector cache so the scan-once invariant spans
-    the whole query, and carries the pool-wide invariant guards."""
+
+def evaluate_aligned(vdoc, steps: tuple, resolved: list[tuple],
+                     ctx) -> VXResult:
+    """The evaluating half of :func:`evaluate_vx`, over ``steps`` already
+    resolved to ``(concrete path, alignments)`` pairs — also what the XQ
+    reduction runs for a root variable the plan bound."""
     catalog: PathsCatalog = vdoc.catalog
     cache = ctx.cache(vdoc)
     result: list[tuple] = []
-    for cpath, aligns in catalog.guide.resolve(path.steps):
+    for cpath, aligns in resolved:
         ctx.checkpoint()   # per candidate path: a structural query may
         # select without ever scanning a value vector, and the
         # cooperative deadline must still be able to stop it
         parts: list = []
         for align in aligns:
-            ids = _eval_alignment(catalog, cache, cpath, align, path.steps)
+            ids = _eval_alignment(catalog, cache, cpath, align, steps)
             if ids is None:
                 # every occurrence selected; no need for more
                 parts = [catalog.index(cpath).all_ordinals()]

@@ -36,29 +36,32 @@ def _resolve_lets(xq: XQuery) -> dict[str, tuple[str, tuple]]:
             raise XQCompileError(f"duplicate variable ${let.var}")
         raw[let.var] = (let.base, let.rel)
     resolved: dict[str, tuple[str, tuple]] = {}
-
-    def resolve(var: str, seen: tuple = ()) -> tuple[str, tuple]:
-        if var in resolved:
-            return resolved[var]
-        if var in seen:
-            raise XQCompileError(f"cyclic let chain through ${var}")
-        base, rel = raw[var]
-        if base in for_vars:
-            out = (base, rel)
-        elif base in raw:
-            bbase, brel = resolve(base, (*seen, var))
-            if brel and brel[-1] in ("#",) or (brel and brel[-1].startswith("@")):
-                raise XQCompileError(
-                    f"let ${var}: base ${base} ends at a text/attribute node")
-            out = (bbase, (*brel, *rel))
-        else:
-            raise XQCompileError(f"let ${var}: unknown base variable ${base}")
-        resolved[var] = out
-        return out
-
     for var in raw:
-        resolve(var)
+        _resolve_let(var, raw, for_vars, resolved, ())
     return resolved
+
+
+def _resolve_let(var: str, raw: dict, for_vars: set, resolved: dict,
+                 seen: tuple) -> tuple[str, tuple]:
+    """One let variable's (base, rel), memoized in ``resolved``."""
+    if var in resolved:
+        return resolved[var]
+    if var in seen:
+        raise XQCompileError(f"cyclic let chain through ${var}")
+    base, rel = raw[var]
+    if base in for_vars:
+        out = (base, rel)
+    elif base in raw:
+        bbase, brel = _resolve_let(base, raw, for_vars, resolved,
+                                   (*seen, var))
+        if brel and brel[-1] in ("#",) or (brel and brel[-1].startswith("@")):
+            raise XQCompileError(
+                f"let ${var}: base ${base} ends at a text/attribute node")
+        out = (bbase, (*brel, *rel))
+    else:
+        raise XQCompileError(f"let ${var}: unknown base variable ${base}")
+    resolved[var] = out
+    return out
 
 
 def normalize(xq: XQuery) -> XQuery:
@@ -99,13 +102,15 @@ def normalize(xq: XQuery) -> XQuery:
         for c in xq.where
     )
 
-    def map_template(t):
-        if isinstance(t, TText):
-            return t
-        if isinstance(t, TSplice):
-            return TSplice(*base_of(t.var, t.rel, "return"))
-        return TElem(t.tag, tuple(map_template(c) for c in t.children))
-
-    ret = tuple(map_template(t) for t in xq.ret)
+    ret = tuple(_map_template(t, base_of) for t in xq.ret)
     return XQuery(xq.root_tag, tuple(bindings), (), where, ret,
                   xq.source_text)
+
+
+def _map_template(t, base_of):
+    """Rewrite the splices of one template item through ``base_of``."""
+    if isinstance(t, TText):
+        return t
+    if isinstance(t, TSplice):
+        return TSplice(*base_of(t.var, t.rel, "return"))
+    return TElem(t.tag, tuple(_map_template(c, base_of) for c in t.children))

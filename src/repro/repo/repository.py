@@ -46,14 +46,14 @@ evaluated ones (fragment splicing, see :meth:`RepoXQResult.to_xml`).
 
 The catalog is also the repository's **pruning** structure: before a
 member is opened, its cataloged path list is checked against the query
-graph (:func:`repro.core.planner.member_can_match`) — a member holding no
-concrete path for some variable, or no text path for some comparison
-operand, cannot contribute a tuple, so it is skipped with *zero* page
-I/O (the skip list is reported on the result).  Surviving members are
-evaluated most-selective-first (:func:`match_estimate` over the cataloged
-occurrence counts) so small members warm the shared pool before large
-ones; results are reassembled in manifest member order, byte-identical
-to the unpruned evaluation.
+graph (:func:`repro.core.planner.bind_query`, once per member) — a member
+holding no concrete path for some variable, or no text path for some
+comparison operand, cannot contribute a tuple, so it is skipped with
+*zero* page I/O (the skip list is reported on the result).  Surviving
+members are evaluated most-selective-first (the same binding's estimate
+over the cataloged occurrence counts) so small members warm the shared
+pool before large ones; results are reassembled in manifest member
+order, byte-identical to the unpruned evaluation.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ import threading
 from ..core.context import EvalContext
 from ..core.engine import eval_query, eval_xq
 from ..core.paths import Dataguide
-from ..core.planner import match_estimate, member_can_match
+from ..core.planner import bind_query
 from ..core.qgraph import compile_query
 from ..core.vdoc import VectorizedDocument
 from ..core.xpath.ast import Path
@@ -575,10 +575,11 @@ class Repository:
         survivors: list[tuple[float, int, str]] = []
         pruned: list[str] = []
         for pos, (name, guide) in enumerate(self._guides.items()):
-            if not member_can_match(gq, guide):
+            bound = bind_query(gq, guide)   # one binding prices and prunes
+            if not bound.can_match():
                 pruned.append(name)
                 continue
-            survivors.append((match_estimate(gq, guide), pos, name))
+            survivors.append((bound.estimate(guide), pos, name))
         survivors.sort()
         return [name for _, _, name in survivors], pruned
 

@@ -415,10 +415,6 @@ class QueryServer:
         host, port = self._httpd.server_address[:2]
         return host, port
 
-    def url(self, path: str = "") -> str:
-        host, port = self.address
-        return f"http://{host}:{port}{path}"
-
     def start(self) -> "QueryServer":
         """Serve on a background thread (tests/benchmarks); returns self."""
         self._thread = threading.Thread(target=self._httpd.serve_forever,

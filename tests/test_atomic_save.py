@@ -2,7 +2,8 @@
 EVERY numbered I/O operation of ``save_vdoc`` leaves either the old file
 or the complete new file at the destination — never a torn mix.  Also:
 torn writes, transient OSErrors (with cleanup + retry), and in-transit
-bit flips that the checksums must catch at the next read."""
+bit flips and silently short writes that the checksums must catch at the
+next read."""
 
 import errno
 import os
@@ -10,12 +11,14 @@ import shutil
 
 import pytest
 
+from repro.core.engine import eval_query, eval_xq
 from repro.core.vdoc import VectorizedDocument
 from repro.datasets.synth import xmark_like_xml
 from repro.errors import StorageError
 from repro.storage import faults
 from repro.storage.faults import CrashInjected, FaultPlan
 from repro.storage.fsck import verify_vdoc
+from repro.storage.vdocfile import open_vdoc
 
 PAGE_SIZE = 512
 
@@ -138,3 +141,46 @@ def test_bitflip_in_transit_caught_by_checksum(docs, tmp_path):
         with pytest.raises(StorageError):
             for vec in disk.vectors.values():
                 vec.tolist()
+
+
+def _answers(vdoc):
+    """What a reader sees: three queries and the whole document."""
+    return (
+        eval_query(vdoc, "/site/people/person/name").canonical(),
+        eval_query(vdoc, "//item[quantity > 4]/location").canonical(),
+        eval_xq(vdoc, "for $p in //person where $p/profile/age > '40' "
+                      "return <r>{$p/name}</r>").to_xml(),
+        vdoc.to_xml(),
+    )
+
+
+@pytest.mark.parametrize("keep_bytes", [0, 100])
+def test_short_write_sweep_never_reads_back_wrong(docs, tmp_path,
+                                                  keep_bytes):
+    """A write that silently persists only a prefix — reported complete,
+    the rest lost — at every I/O op of one save: the file reads back
+    byte-identical, or reading it raises a StorageError (``open_vdoc``
+    itself, or the first read of a lost page — vectors load lazily) *and*
+    a deep fsck flags it.  Wrong bytes are never an outcome.  (Here, 43
+    ops x 2 prefixes: 15 identical, 21 refused at open, 50 at the first
+    read.)"""
+    _, new = docs
+    expected = _answers(new)
+    with faults.inject(FaultPlan()) as plan:
+        new.save(str(tmp_path / "count.vdoc"), page_size=PAGE_SIZE)
+    identical = refused = 0
+    for op in range(plan.ops):
+        dst = str(tmp_path / f"short{op}.vdoc")
+        with faults.inject(FaultPlan.short_at(op, keep_bytes)):
+            new.save(dst, page_size=PAGE_SIZE)
+        try:
+            with open_vdoc(dst) as disk:
+                got = _answers(disk)
+        except StorageError:
+            assert verify_vdoc(dst, deep=True), \
+                f"short write at op {op}: refused but fsck is clean"
+            refused += 1
+            continue
+        assert got == expected, f"short write at op {op}: wrong answers"
+        identical += 1
+    assert refused and identical

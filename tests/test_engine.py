@@ -2,16 +2,20 @@
 zero skeleton decompression, and scans each touched data vector at most
 once per query."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import repro.core.reconstruct as reconstruct_mod
 from repro.core.context import EvalContext
-from repro.core.engine import eval_query
+from repro.core.engine import eval_query, eval_xq
 from repro.core.reconstruct import forbid_decompression
 from repro.core.vdoc import VectorizedDocument
 from repro.datasets.synth import xmark_like_xml
 from repro.errors import DecompressionForbiddenError, EngineInvariantError
+from repro.repo.repository import Repository
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +123,32 @@ def test_result_ordinals_are_sorted_int64(vdoc):
     for _, ids in res.groups:
         assert ids.dtype == np.int64
         assert (np.diff(ids) > 0).all()
+
+
+def test_query_context_dies_with_the_query(vdoc, tmp_path):
+    """No evaluation step leaves a reference cycle holding the query: with
+    the collector off, the context (and its per-document caches) is freed
+    as soon as ``eval_xq`` / ``Repository.xq`` returns — reference
+    counting alone, no wait for a full collection."""
+    xq = ("for $p in //person where $p/profile/age > '30' "
+          "return <r>{$p/name}</r>")
+    (tmp_path / "m.xml").write_text(xmark_like_xml(12, seed=4),
+                                    encoding="utf-8")
+    with Repository.init(str(tmp_path / "r.repo"), name="r") as repo:
+        repo.add(str(tmp_path / "m.xml"), page_size=512)
+        runs = [(lambda ctx: eval_xq(vdoc, xq, ctx=ctx),
+                 lambda: EvalContext.for_doc(vdoc)),
+                (lambda ctx: repo.xq(xq, ctx=ctx), EvalContext)]
+        for run, make in runs:
+            run(make())          # warm: first-use state is not garbage
+            gc.collect()
+            gc.disable()
+            try:
+                ctx = make()
+                alive = weakref.ref(ctx)
+                result = run(ctx)
+                del ctx
+                assert alive() is None
+                assert result.n_tuples > 0
+            finally:
+                gc.enable()

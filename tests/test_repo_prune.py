@@ -5,6 +5,7 @@ member and concatenating in manifest order (XQ and XPath)."""
 
 import pytest
 
+from repro.core import paths as paths_mod
 from repro.core.engine import eval_query, eval_xq
 from repro.core.planner import member_can_match, plan_query
 from repro.core.qgraph import compile_query
@@ -68,6 +69,27 @@ def test_pruning_preserves_bytes(repo):
         pruned = repo.xq(query)
         assert sorted(pruned.pruned) == ["noise0", "noise1"]
         assert pruned.to_xml() == _every_member_xq(repo, query)
+
+
+def test_one_matcher_pass_per_guide(repo, monkeypatch):
+    """``Repository.xq`` binds each member's manifest guide once — pruning
+    and ordering read the same binding — and each opened member's own
+    guide once, in its plan; the reduction resolves nothing."""
+    seen = []
+    real = paths_mod._alignments
+
+    def spy(tests, cpath):
+        seen.append(cpath)
+        return real(tests, cpath)
+
+    monkeypatch.setattr(paths_mod, "_alignments", spy)
+    result = repo.xq(XQ)
+    assert [name for name, _ in result.results] == ["big", "small"]
+    manifest = [tuple(p) for m in repo.manifest["members"]
+                for p, _ in m["paths"]]
+    opened = [p for name in ("small", "big")
+              for p in repo.member(name).catalog.dataguide()]
+    assert seen == manifest + opened
 
 
 def test_results_come_back_in_manifest_order(repo):

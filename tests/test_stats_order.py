@@ -51,7 +51,8 @@ def test_occ_column_beyond_recursion_limit():
     rel = ("a",) * (depth - 1) + ("#",)
     # one occurrence of the full chain under the root; no RecursionError
     assert vdoc.store.occ(vdoc.root, rel) == 1
-    assert vdoc.catalog.extension_total(("a",), rel) == 1
+    _, lengths = vdoc.catalog.extension_ranges(("a",), None, rel)
+    assert lengths.tolist() == [1]
 
 
 def test_occ_column_extends_after_store_growth():
