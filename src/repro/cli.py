@@ -52,6 +52,7 @@ from .core.vdoc import VectorizedDocument
 from .datasets.synth import xmark_like_xml
 from .errors import ReproError
 from .storage.disk import PageFile
+from .storage.pages import MAX_PAGE_SIZE, MIN_PAGE_SIZE
 
 USAGE_ERROR = 2
 
@@ -88,6 +89,8 @@ _pool_pages = _number(int, lambda n: n >= 2, "a pool of >= 2 pages")
 _workers = _number(int, lambda n: n >= 1, "a worker count >= 1")
 _queue_length = _number(int, lambda n: n >= 0, "a queue length >= 0")
 _port = _number(int, lambda n: 0 <= n <= 65535, "a port in 0..65535")
+_page_size = _number(int, lambda b: MIN_PAGE_SIZE <= b <= MAX_PAGE_SIZE,
+                     f"a page size in [{MIN_PAGE_SIZE}, {MAX_PAGE_SIZE}]")
 _mebibytes = _number(float, lambda mb: 0 <= mb < math.inf,
                      "a finite number of MiB >= 0")
 
@@ -272,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
                                  "on-disk vdoc format to OUT")
     p_save.add_argument("file")
     p_save.add_argument("out")
-    p_save.add_argument("--page-size", type=int, default=None,
+    p_save.add_argument("--page-size", type=_page_size, default=None,
                         help="page size in bytes (default 4096)")
 
     p_open = sub.add_parser("open",
@@ -328,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     r_add.add_argument("file")
     r_add.add_argument("--name", default=None,
                        help="member name (default: the file's stem)")
-    r_add.add_argument("--page-size", type=int, default=None,
+    r_add.add_argument("--page-size", type=_page_size, default=None,
                        help="page size for XML inputs (default 4096)")
 
     r_ls = rsub.add_parser("ls", help="list members and catalog summary")

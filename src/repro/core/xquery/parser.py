@@ -9,10 +9,10 @@ Concrete grammar (see :mod:`repro.core.xquery.ast` for semantics)::
                 'return' titem+
     for_bind := VAR 'in' (abspath | VAR relsteps)
     let_bind := VAR ':=' VAR relpath
-    abspath  := an absolute XPath of P[*,//]  -- handed verbatim to
-                repro.core.xpath.parser.parse_xpath (wildcards,
-                descendants and predicates all work)
-    relsteps := (('/' | '//') test)*         -- test: NAME | '*' | '@' NAME
+    abspath  := ("collection(" STRING ")")? (('/' | '//') test pred*)+
+                                             -- P[*,//]: wildcards,
+                                                descendants, predicates
+    relsteps := (('/' | '//') test)+         -- test: NAME | '*' | '@' NAME
                                                      | 'text()'; no preds
     relpath  := ('/' ctest)*                 -- ctest: NAME | '@' NAME
                                                      | 'text()' (concrete)
@@ -23,15 +23,26 @@ Concrete grammar (see :mod:`repro.core.xquery.ast` for semantics)::
     tcontent := titem | raw text             -- raw text is trimmed
     VAR      := '$' NAME
 
-The absolute-path arm is what makes this the XQ[*,//] extension: ``for``
-bindings reuse the existing XPath machinery wholesale.
+The absolute-path arm is what makes this the XQ[*,//] extension.  Paths
+are parsed in place on the query's one scanner by the XPath parser's step
+loop (:func:`repro.core.xpath.parser.parse_steps`), so a path ends at the
+first token that is neither ``/`` nor ``//`` — the ``,``, ``let``,
+``where`` or ``return`` after it, spaced or not — and every error, in a
+path or not, is an ``XQSyntaxError`` positioned in the whole query.
 """
 
 from __future__ import annotations
 
 from ...errors import XQSyntaxError
-from ..xpath.ast import CHILD, DESCENDANT, OPS, Step
-from ..xpath.parser import parse_xpath
+from ..xpath.ast import OPS
+from ..xpath.parser import (
+    Scanner,
+    parse_abspath,
+    parse_literal,
+    parse_op,
+    parse_steps,
+    parse_test,
+)
 from .ast import (
     AbsSource,
     Comparison,
@@ -46,162 +57,14 @@ from .ast import (
     XQuery,
 )
 
-_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_NAME_CHARS = _NAME_START | set("0123456789-.:")
-_KEYWORDS = ("let", "where", "return")
 
-
-class _Scanner:
-    def __init__(self, s: str):
-        self.s = s
-        self.i = 0
-
-    def err(self, msg: str) -> XQSyntaxError:
-        return XQSyntaxError(f"{msg} at offset {self.i} in {self.s!r}")
-
-    def ws(self) -> None:
-        while self.i < len(self.s) and self.s[self.i] in " \t\r\n":
-            self.i += 1
-
-    def eof(self) -> bool:
-        self.ws()
-        return self.i >= len(self.s)
-
-    def peek(self, tok: str) -> bool:
-        self.ws()
-        return self.s.startswith(tok, self.i)
-
-    def eat(self, tok: str) -> bool:
-        if self.peek(tok):
-            self.i += len(tok)
-            return True
-        return False
-
-    def expect(self, tok: str) -> None:
-        if not self.eat(tok):
-            raise self.err(f"expected {tok!r}")
-
-    def name(self) -> str:
-        self.ws()
-        i = self.i
-        if i >= len(self.s) or self.s[i] not in _NAME_START:
-            raise self.err("expected a name")
-        j = i + 1
-        while j < len(self.s) and self.s[j] in _NAME_CHARS:
-            j += 1
-        self.i = j
-        return self.s[i:j]
-
-    def peek_word(self, word: str) -> bool:
-        """True iff ``word`` appears next as a whole word."""
-        self.ws()
-        j = self.i + len(word)
-        return (self.s.startswith(word, self.i)
-                and (j >= len(self.s) or self.s[j] not in _NAME_CHARS))
-
-    def eat_word(self, word: str) -> bool:
-        if self.peek_word(word):
-            self.i += len(word)
-            return True
-        return False
-
-    def expect_word(self, word: str) -> None:
-        if not self.eat_word(word):
-            raise self.err(f"expected {word!r}")
-
-    def var(self) -> str:
-        self.expect("$")
-        return self.name()
-
-
-def _scan_abspath(sc: _Scanner) -> str:
-    """Cut the absolute-XPath substring of a ``for`` source: everything up
-    to a top-level ',' or a top-level ``let``/``where``/``return`` keyword
-    (bracket depth and string literals are tracked so predicates may
-    contain anything)."""
-    s, start = sc.s, sc.i
-    i, depth = start, 0
-    while i < len(s):
-        c = s[i]
-        if c in "\"'":
-            end = s.find(c, i + 1)
-            if end < 0:
-                raise sc.err("unterminated string literal in path")
-            i = end + 1
-            continue
-        if c == "[":
-            depth += 1
-        elif c == "]":
-            depth -= 1
-        elif depth == 0:
-            if c == ",":
-                break
-            if c in " \t\r\n":
-                j = i
-                while j < len(s) and s[j] in " \t\r\n":
-                    j += 1
-                k = j
-                while k < len(s) and s[k] in _NAME_CHARS:
-                    k += 1
-                if s[j:k] in _KEYWORDS:
-                    break
-        i += 1
-    sc.i = i
-    text = s[start:i].strip()
-    if not text:
-        raise sc.err("expected an absolute path")
-    return text
-
-
-def _parse_relsteps(sc: _Scanner) -> tuple:
-    """``(('/' | '//') test)*`` with wildcard/descendant but no predicates
-    (conditions belong in ``where``)."""
-    steps: list[Step] = []
-    while True:
-        if sc.eat("//"):
-            axis = DESCENDANT
-        elif sc.eat("/"):
-            axis = CHILD
-        else:
-            break
-        if sc.eat("*"):
-            test = "*"
-        elif sc.eat("@"):
-            test = "@" + sc.name()
-        else:
-            name = sc.name()
-            if name == "text" and sc.eat("("):
-                sc.expect(")")
-                test = "#"
-            else:
-                test = name
-        if steps and steps[-1].test == "#":
-            raise sc.err("text() must be the last step")
-        if steps and steps[-1].test.startswith("@") and test != "#":
-            raise sc.err("an attribute step may only be followed by text()")
-        steps.append(Step(axis, test))
-        if sc.peek("["):
-            raise sc.err(
-                "predicates are not supported in relative bindings; "
-                "use a where clause")
-    return tuple(steps)
-
-
-def _parse_relpath(sc: _Scanner) -> tuple:
+def _parse_relpath(sc: Scanner) -> tuple:
     """Concrete child-axis relative path: ``('/' ctest)*`` -> label tuple."""
     rel: list[str] = []
     while sc.eat("/"):
         if sc.peek("/"):
             raise sc.err("'//' is not supported here (child axis only)")
-        if sc.eat("@"):
-            comp = "@" + sc.name()
-        else:
-            name = sc.name()
-            if name == "text" and sc.eat("("):
-                sc.expect(")")
-                comp = "#"
-            else:
-                comp = name
+        comp = parse_test(sc, allow_wild=False)
         if rel and rel[-1] == "#":
             raise sc.err("text() must be the last component")
         if rel and rel[-1].startswith("@") and comp != "#":
@@ -210,67 +73,38 @@ def _parse_relpath(sc: _Scanner) -> tuple:
     return tuple(rel)
 
 
-def _parse_source(sc: _Scanner) -> AbsSource | RelSource:
-    sc.ws()
+def _parse_source(sc: Scanner) -> AbsSource | RelSource:
     if sc.peek("$"):
         var = sc.var()
-        steps = _parse_relsteps(sc)
+        steps = parse_steps(sc, preds=False)
         if not steps:
             raise sc.err("a relative source needs at least one step")
         return RelSource(var, steps)
-    if sc.peek_word("collection"):
-        sc.eat_word("collection")
+    collection = None
+    if sc.eat_word("collection"):
         sc.expect("(")
-        sc.ws()
-        if sc.i >= len(sc.s) or sc.s[sc.i] not in "\"'":
+        if not (sc.peek("'") or sc.peek('"')):
             raise sc.err("collection() takes a quoted name")
-        name = _parse_literal(sc)
+        collection = parse_literal(sc)
         sc.expect(")")
-        if not sc.peek("/"):
-            raise sc.err("collection(...) must be followed by an "
-                         "absolute path")
-        return AbsSource(parse_xpath(_scan_abspath(sc)), collection=name)
-    if sc.peek("/"):
-        return AbsSource(parse_xpath(_scan_abspath(sc)))
-    raise sc.err("expected an absolute path, collection('name')/..., "
-                 "or $var/...")
+    elif not sc.peek("/"):
+        raise sc.err("expected an absolute path, collection('name')/..., "
+                     "or $var/...")
+    return AbsSource(parse_abspath(sc), collection)
 
 
-def _parse_literal(sc: _Scanner) -> str:
-    sc.ws()
-    if sc.i < len(sc.s) and sc.s[sc.i] in "\"'":
-        quote = sc.s[sc.i]
-        end = sc.s.find(quote, sc.i + 1)
-        if end < 0:
-            raise sc.err("unterminated string literal")
-        value = sc.s[sc.i + 1 : end]
-        sc.i = end + 1
-        return value
-    i = j = sc.i
-    while j < len(sc.s) and (sc.s[j].isdigit() or sc.s[j] in "+-.eE"):
-        j += 1
-    if j == i:
-        raise sc.err("expected a literal")
-    sc.i = j
-    return sc.s[i:j]
-
-
-def _parse_operand(sc: _Scanner) -> VarRel | Const:
+def _parse_operand(sc: Scanner) -> VarRel | Const:
     sc.ws()
     if sc.peek("$"):
         var = sc.var()
         return VarRel(var, _parse_relpath(sc))
-    return Const(_parse_literal(sc))
+    return Const(parse_literal(sc))
 
 
-def _parse_comparison(sc: _Scanner) -> Comparison:
+def _parse_comparison(sc: Scanner) -> Comparison:
     left = _parse_operand(sc)
-    sc.ws()
-    for candidate in ("<=", ">=", "!=", "=", "<", ">"):
-        if sc.eat(candidate):
-            op = candidate
-            break
-    else:
+    op = parse_op(sc)
+    if op is None:
         raise sc.err(f"expected a comparison operator (one of {OPS})")
     right = _parse_operand(sc)
     if isinstance(left, Const) and isinstance(right, Const):
@@ -278,7 +112,7 @@ def _parse_comparison(sc: _Scanner) -> Comparison:
     return Comparison(left, op, right)
 
 
-def _parse_template_item(sc: _Scanner):
+def _parse_template_item(sc: Scanner):
     sc.ws()
     if sc.eat("{"):
         var = sc.var()
@@ -293,7 +127,7 @@ def _parse_template_item(sc: _Scanner):
     raise sc.err("expected '<tag>', '{$var...}' or '$var...' in template")
 
 
-def _parse_constructor(sc: _Scanner) -> TElem:
+def _parse_constructor(sc: Scanner) -> TElem:
     sc.expect("<")
     tag = sc.name()
     if sc.eat("/>"):
@@ -327,7 +161,7 @@ def _parse_constructor(sc: _Scanner) -> TElem:
                 children.append(TText(text))
 
 
-def _parse_flwr(sc: _Scanner, root_tag: str, source_text: str) -> XQuery:
+def _parse_flwr(sc: Scanner, root_tag: str, source_text: str) -> XQuery:
     sc.expect_word("for")
     bindings: list[ForBinding] = []
     while True:
@@ -372,7 +206,7 @@ DEFAULT_ROOT_TAG = "result"
 def parse_xq(s: str) -> XQuery:
     """Parse an XQ query.  A bare FLWR expression is implicitly wrapped in
     a ``<result>`` element so the output is always a single document."""
-    sc = _Scanner(s)
+    sc = Scanner(s, XQSyntaxError)
     sc.ws()
     if sc.peek("<"):
         sc.expect("<")

@@ -195,17 +195,10 @@ class FileView:
         finally:
             self.unpin(pid, dirty)
 
-    def pinned_total(self) -> int:
-        """Pool-wide pin count (pins are accounted globally)."""
-        return self.pool.pinned_total()
-
     def pages_read_local(self) -> int:
         """The calling thread's physical reads, pool-wide (reads are
         accounted per thread, not per file)."""
         return self.pool.pages_read_local()
-
-    def flush(self) -> None:
-        self.pool.flush()
 
 
 class BufferPool:

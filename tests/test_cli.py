@@ -100,6 +100,8 @@ def test_cli_deadline_must_be_positive_finite_seconds(cmd, value, capsys):
     (["serve", "d", "--chaos", ""], "--chaos"),
     (["serve", "d", "--chaos", "2"], "--chaos"),
     (["serve", "d", "--chaos", "x:1"], "--chaos"),
+    (["save", "f", "o", "--page-size", "10"], "--page-size"),
+    (["repo", "add", "d", "f", "--page-size", "10"], "--page-size"),
 ])
 def test_cli_numeric_flags_are_validated_by_argparse(argv, flag, capsys):
     """Regression: ``serve`` validated only ``--deadline`` — a NaN or
@@ -107,7 +109,8 @@ def test_cli_numeric_flags_are_validated_by_argparse(argv, flag, capsys):
     died with Python tracebacks, ``--queue-timeout nan`` and
     ``--workers 0`` started serving, and ``--pool 1`` was a runtime
     StorageError (exit 1); ``--chaos ''`` served with no injector and
-    ``--chaos 2`` exited 2 without argparse's usage line.  Each is a
+    ``--chaos 2`` exited 2 without argparse's usage line; ``--page-size
+    10`` was a runtime StorageError from the page layer.  Each is a
     usage error naming the flag, before any file is touched."""
     with pytest.raises(SystemExit) as exc:
         main(argv)

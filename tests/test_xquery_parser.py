@@ -1,6 +1,8 @@
 """XQ front end: parser AST shapes, let-elimination, query-graph
 compilation and the heuristic planner's operation ordering."""
 
+import re
+
 import pytest
 
 from repro.core.planner import plan_query
@@ -56,14 +58,17 @@ def test_parse_relative_bindings_axes():
 
 
 def test_parse_where_operands():
-    xq = parse_xq(
-        "for $x in /a, $y in /a/b where $x/c = 'v' and $x/@k != $y/d/text() "
-        "and 3 < $y return {$x}")
+    text = ("for $x in /a, $y in /a/b[e='1'] where $x/c = 'v' "
+            "and $x/@k != $y/d/text() and 3 < $y return {$x}")
+    xq = parse_xq(text)
     c1, c2, c3 = xq.where
     assert c1.left == VarRel("x", ("c",)) and c1.right == Const("v")
     assert c2.left == VarRel("x", ("@k",)) and c2.op == "!="
     assert c2.right == VarRel("y", ("d", "#"))
     assert c3.left == Const("3") and c3.right == VarRel("y", ())
+    # a path ends where its grammar does: a keyword may be glued to it
+    glued = text.replace("] where", "]where").replace("'v' and", "'v'and")
+    assert parse_xq(glued) == xq
 
 
 @pytest.mark.parametrize("bad", [
@@ -75,10 +80,16 @@ def test_parse_where_operands():
     "for $x in /a return <r>{$x}</s>",      # mismatched tags
     "for $x in /a, $y in $x return {$y}",   # rel source needs a step
     "for $x in /a return {$x/text()/b}",    # text() must be last
+    "for $x in /a/text()/b return {$x}",    # ... also in a for path
+    "for $x in /a[b = 1] foo return {$x}",  # junk after a for path
 ])
 def test_parse_errors(bad):
-    with pytest.raises(XQSyntaxError):
+    with pytest.raises(XQSyntaxError) as exc:
         parse_xq(bad)
+    # the error is positioned in the whole query text
+    offset, text = re.search(r"at offset (\d+) in (.*)$",
+                             str(exc.value)).groups()
+    assert text == repr(bad) and int(offset) <= len(bad)
 
 
 def test_normalize_folds_let_chains():
