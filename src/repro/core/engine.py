@@ -141,7 +141,7 @@ def eval_xq(vdoc: VectorizedDocument, query: str | XQuery, mode: str = "vx",
     if ctx is None:
         ctx = EvalContext.for_doc(vdoc)
     with ctx.guard(vdoc):
-        plan = plan_query(gq, vdoc)
+        plan = plan_query(gq, vdoc, ctx.checkpoint)
         table = reduce_query(vdoc, gq, plan, ctx)
         out = build_result(vdoc, gr, table, ctx)
     return XQVXResult(out, plan, table)

@@ -81,6 +81,11 @@ def _span(paths, prefix: tuple) -> tuple[int, int]:
     return lo, bisect_left(paths, True, lo, key=lambda p: p[:k] != prefix)
 
 
+def no_checkpoint() -> None:
+    """The checkpoint of a resolution no query owns (a caller that passes
+    none): it never expires."""
+
+
 class Dataguide:
     """The distinct root label paths of one document, sorted — built once
     per path list and consulted by every evaluator, the planner, the
@@ -90,22 +95,28 @@ class Dataguide:
     ``paths`` is a sorted list (a document's catalog) or a ``{path:
     count}`` dict in sorted key order (a repository member's manifest
     entry).  Besides the list the guide holds a membership map (``path in
-    guide``; ``guide[path]`` is the count); a ``base`` prefix narrows a
-    lookup to its contiguous range of the sorted list by bisection."""
+    guide``; ``guide[path]`` is the count) and a **final-label bucket**:
+    per label, the sorted sub-list of the paths ending in it — the only
+    paths a step sequence ending in that label can land on.  A ``base``
+    prefix narrows a lookup to its contiguous range of a sorted list (the
+    whole list or one bucket) by bisection."""
 
-    __slots__ = ("paths", "_count")
+    __slots__ = ("paths", "_count", "_by_last")
 
     def __init__(self, paths):
         prev = None
+        by_last: dict[str, list[tuple]] = {}
         for p in paths:
             # strict order is what makes the bisect ranges right
             if not p or (prev is not None and p <= prev):
                 raise ValueError(
                     f"label path {p!r} is empty, duplicated or out of order")
             prev = p
+            by_last.setdefault(p[-1], []).append(p)
         self.paths = list(paths)
         self._count = paths if isinstance(paths, dict) \
             else dict.fromkeys(paths)
+        self._by_last = by_last
 
     @classmethod
     def of(cls, guide) -> "Dataguide":
@@ -124,19 +135,26 @@ class Dataguide:
         lo, hi = _span(self.paths, prefix)
         return self.paths[lo:hi]
 
-    def resolve(self, steps: tuple, base: tuple = ()) -> list[tuple]:
+    def resolve(self, steps: tuple, base: tuple = (),
+                checkpoint=no_checkpoint) -> list[tuple]:
         """Expand ``*`` and ``//``: the paths below ``base`` (everything,
         for the empty base) whose remainder the query ``steps`` align
         with, sorted, as ``(path, alignments)`` — an alignment is one
-        position in the remainder per step."""
+        position in the remainder per step.  The matcher sees only the
+        final-label bucket of the last step (every path for ``*``), and
+        ``checkpoint`` is called once per path it sees."""
         # not at module level: xpath/__init__ imports vx_eval, which
         # imports this module
         from .xpath.ast import CHILD
 
         tests = [(s.axis == CHILD, s.matches) for s in steps]
+        last = steps[-1].test
+        cands = self.paths if last == "*" else self._by_last.get(last, [])
+        lo, hi = _span(cands, base)
         k = len(base)
         out: list[tuple] = []
-        for p in self.below(base):
+        for p in cands[lo:hi]:
+            checkpoint()
             aligns = _alignments(tests, p[k:])
             if aligns:
                 out.append((p, aligns))

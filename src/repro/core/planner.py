@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .paths import Dataguide
+from .paths import Dataguide, no_checkpoint
 from .qgraph import ConstEdge, EqEdge, QueryGraph, TreeEdge
 
 #: probe cost floor: hash + two searchsorted calls have a fixed overhead
@@ -112,11 +112,13 @@ def _text_paths(guide: Dataguide, cpaths: list[tuple],
     return out
 
 
-def bind_query(gq: QueryGraph, guide) -> Binding:
+def bind_query(gq: QueryGraph, guide,
+               checkpoint=no_checkpoint) -> Binding:
     """Resolve every variable and comparison operand of ``gq`` against
     any dataguide (:meth:`Dataguide.of`) — the document's own, or a
     repository member's cataloged path list — one matcher pass per root
-    variable and per (relative variable, parent path)."""
+    variable and per (relative variable, parent path), each passing
+    ``checkpoint`` (the owning query's deadline) to the resolver."""
     guide = Dataguide.of(guide)
     roots: dict[str, list[tuple]] = {}
     rels: dict[str, dict[tuple, list[tuple]]] = {}
@@ -124,11 +126,14 @@ def bind_query(gq: QueryGraph, guide) -> Binding:
     for var in gq.variables:
         edge = gq.tree_edges[var]
         if edge.parent is None:
-            roots[var] = guide.resolve(edge.abs_path.steps)
+            roots[var] = guide.resolve(edge.abs_path.steps,
+                                       checkpoint=checkpoint)
             var_paths[var] = [p for p, _ in roots[var]]
         else:
-            rels[var] = {base: [p for p, _ in guide.resolve(edge.steps, base)]
-                         for base in var_paths[edge.parent]}
+            rels[var] = {
+                base: [p for p, _ in guide.resolve(edge.steps, base,
+                                                   checkpoint)]
+                for base in var_paths[edge.parent]}
             # distinct paths (several bases may reach the same guide entry)
             var_paths[var] = list(dict.fromkeys(
                 p for ps in rels[var].values() for p in ps))
@@ -227,10 +232,10 @@ def _sel_access(vdoc, sel: ConstEdge, qpaths,
     return access, cost
 
 
-def plan_query(gq: QueryGraph, vdoc) -> Plan:
+def plan_query(gq: QueryGraph, vdoc, checkpoint=no_checkpoint) -> Plan:
     """Bind ``gq`` to the document's dataguide, then order its
     operations (topological + heuristic) for that document."""
-    bound = bind_query(gq, vdoc.catalog.guide)
+    bound = bind_query(gq, vdoc.catalog.guide, checkpoint)
     texts = {side: list(table.values())
              for side, table in bound.operands.items()}
     var_card = {v: _cardinality(vdoc, bound.var_paths[v])

@@ -28,7 +28,9 @@ partitions its rows by the distinct concrete paths involved — not by
 combo — so every full-column kernel (predicate mask, prefix sum) runs at
 most once per plan operation per vector no matter how many combos the
 binding yields; the :class:`~repro.core.context.EvalContext` counts
-those sweeps and the engine asserts the bound.
+those sweeps and the engine asserts the bound.  Every partition, and the
+final split of rows by combo, is one stable sort (:func:`_group_rows`):
+O(rows log rows + keys) per operation, never O(keys × rows).
 
 Each touched vector is loaded through the context's per-document cache
 (scanned at most once for the whole query) and the skeleton is never
@@ -100,12 +102,28 @@ def _enumerate_combos(gq: QueryGraph, vdoc, plan: Plan,
     return combos
 
 
-def _combo_groups(cid: np.ndarray, assigns: list[dict], key):
+def _group_rows(keys: np.ndarray, n_keys: int, checkpoint):
+    """The one group-by: ``(key, rows)`` for each key in ``range(n_keys)``
+    that the integer column ``keys`` holds, keys and rows ascending — one
+    stable sort and one ``searchsorted``, not a sweep of the column per
+    key.  Each group is a ``checkpoint``: the work a caller does per group
+    is not bounded (a path's first extension builds skeleton
+    statistics)."""
+    order = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[order], np.arange(n_keys + 1)).tolist()
+    for g in range(n_keys):
+        if bounds[g] < bounds[g + 1]:
+            checkpoint()
+            yield g, order[bounds[g]:bounds[g + 1]]
+
+
+def _combo_groups(cid: np.ndarray, assigns: list[dict], checkpoint, key):
     """Partition row indices by ``key(assign)`` of their combo.
 
     Yields ``(rows, representative assignment)`` per distinct key with at
     least one surviving row — the reducer's unit of kernel work
-    (distinct concrete paths, *not* combos)."""
+    (distinct concrete paths, *not* combos), each group a
+    ``checkpoint``."""
     by: dict = {}
     for ci, a in enumerate(assigns):
         by.setdefault(key(a), []).append(ci)
@@ -114,11 +132,8 @@ def _combo_groups(cid: np.ndarray, assigns: list[dict], key):
     for g, cis in enumerate(by.values()):
         gid[cis] = g
         reps.append(assigns[cis[0]])
-    row_g = gid[cid] if len(cid) else np.empty(0, dtype=np.int64)
-    for g, rep in enumerate(reps):
-        rows = np.flatnonzero(row_g == g)
-        if len(rows):
-            yield rows, rep
+    for g, rows in _group_rows(gid[cid], len(reps), checkpoint):
+        yield rows, reps[g]
 
 
 class _Reducer:
@@ -204,8 +219,8 @@ class _Reducer:
         n = len(cid)
         starts_all = np.zeros(n, dtype=np.int64)
         lengths_all = np.zeros(n, dtype=np.int64)
-        for rows, a in _combo_groups(cid, assigns,
-                                     key=lambda a: (a[p][0], a[v][0])):
+        for rows, a in _combo_groups(cid, assigns, self.ctx.checkpoint,
+                                     lambda a: (a[p][0], a[v][0])):
             pcp = a[p][0]
             rel = a[v][0][len(pcp):]
             starts, lengths = self.catalog.extension_ranges(
@@ -219,8 +234,8 @@ class _Reducer:
     def _select(self, op_idx, sel: ConstEdge, assigns, cid, cols,
                 access: str = "scan"):
         keep = np.zeros(len(cid), dtype=bool)
-        for rows, a in _combo_groups(cid, assigns,
-                                     key=lambda a: a[sel.var][0]):
+        for rows, a in _combo_groups(cid, assigns, self.ctx.checkpoint,
+                                     lambda a: a[sel.var][0]):
             side = self._side(sel.var, sel.rel, a[sel.var][0],
                               cols[sel.var][rows])
             if side is None:
@@ -247,8 +262,8 @@ class _Reducer:
         for var, rel in ((join.var1, join.rel1), (join.var2, join.rel2)):
             lengths_all = np.zeros(n, dtype=np.int64)
             parts = []
-            for rows, a in _combo_groups(cid, assigns,
-                                         key=lambda a, var=var: a[var][0]):
+            for rows, a in _combo_groups(cid, assigns, self.ctx.checkpoint,
+                                         lambda a, var=var: a[var][0]):
                 side = self._side(var, rel, a[var][0], cols[var][rows])
                 if side is None:
                     continue
@@ -356,11 +371,7 @@ def reduce_query(vdoc, gq: QueryGraph, plan: Plan,
     assigns = _enumerate_combos(gq, vdoc, plan, ctx)
     cid, cols = _Reducer(vdoc, plan, ctx).run(assigns)
     raw = []
-    for ci in range(len(assigns)):
-        ctx.checkpoint()
-        rows = np.flatnonzero(cid == ci)
-        if len(rows) == 0:
-            continue
+    for ci, rows in _group_rows(cid, len(assigns), ctx.checkpoint):
         a = assigns[ci]
         raw.append(({v: a[v][0] for v in gq.variables},
                     {v: cols[v][rows] for v in gq.variables},

@@ -217,8 +217,9 @@ def evaluate_vx(vdoc, path: Path, ctx) -> VXResult:
     :class:`~repro.core.context.EvalContext`) shares one per-document
     vector cache across a larger computation, so the scan-once invariant
     spans the whole query, and carries the pool-wide invariant guards."""
-    return evaluate_aligned(vdoc, path.steps,
-                            vdoc.catalog.guide.resolve(path.steps), ctx)
+    resolved = vdoc.catalog.guide.resolve(path.steps,
+                                          checkpoint=ctx.checkpoint)
+    return evaluate_aligned(vdoc, path.steps, resolved, ctx)
 
 
 def evaluate_aligned(vdoc, steps: tuple, resolved: list[tuple],

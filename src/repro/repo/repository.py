@@ -567,15 +567,16 @@ class Repository:
             self._plan_memo[key] = hit
         return hit
 
-    def _member_order(self, gq) -> tuple[list[str], list[str]]:
+    def _member_order(self, gq, checkpoint) -> tuple[list[str], list[str]]:
         """Split members into ``(survivors, pruned)`` against the manifest
         catalog alone — no member is opened.  Survivors come back ordered
         most-selective-first (catalog occurrence estimate, manifest order
-        breaking ties) so cheap members are evaluated before large ones."""
+        breaking ties) so cheap members are evaluated before large ones.
+        ``checkpoint`` is the query's deadline, passed to the resolver."""
         survivors: list[tuple[float, int, str]] = []
         pruned: list[str] = []
         for pos, (name, guide) in enumerate(self._guides.items()):
-            bound = bind_query(gq, guide)   # one binding prices and prunes
+            bound = bind_query(gq, guide, checkpoint)  # prices and prunes
             if not bound.can_match():
                 pruned.append(name)
                 continue
@@ -657,13 +658,13 @@ class Repository:
                 f"query ranges over collection {gq.collection!r} but this "
                 f"repository is {self.name!r}")
         qtext = query.strip() if isinstance(query, str) else None
-        order, pruned = self._memoized(
-            ("xq-order", qtext) if qtext is not None else None,
-            lambda: self._member_order(gq))
         if ctx is None:
             ctx = EvalContext()
         if deadline is not None:
             ctx.set_deadline(deadline)
+        order, pruned = self._memoized(
+            ("xq-order", qtext) if qtext is not None else None,
+            lambda: self._member_order(gq, ctx.checkpoint))
 
         def pack(res):
             frag = res.fragment()
@@ -706,7 +707,8 @@ class Repository:
             ("xpath-prune", qtext),
             lambda: frozenset(
                 name for name, guide in self._guides.items()
-                if not guide.resolve(path.steps)))
+                if not guide.resolve(path.steps,
+                                     checkpoint=ctx.checkpoint)))
         # a quarantined member still goes to the loop when prunable: it is
         # skipped and reported, not answered from its manifest entry
         names = [n for n in self.members() if n not in prunable

@@ -7,14 +7,19 @@ exercise both sides of it: the executor satisfies it, and the assertion
 itself has teeth and cannot be disarmed."""
 
 import inspect
+import random
 
+import numpy as np
 import pytest
 
+from repro.core import reduction
 from repro.core.context import EvalContext
 from repro.core.engine import eval_query, eval_xq
 from repro.core.vdoc import VectorizedDocument
 from repro.datasets.synth import xmark_like_xml
 from repro.errors import EngineInvariantError
+
+from test_paths import _deep_xml
 
 # //item expands to one concrete path per region (4 combos for $i); the
 # selection on $p's age vector is shared by every combo and must still
@@ -52,6 +57,63 @@ def test_batched_one_sweep_per_operation(vdoc):
     eval_xq(vdoc, MULTI_COMBO_XQ, ctx=ctx)
     counts = ctx.pass_counts()
     assert counts and all(v == 1 for v in counts.values())
+
+
+def test_grouping_sweeps_rows_once_per_operation(monkeypatch):
+    """Grouping rows by concrete path (per plan operation) and by combo
+    (the final split) passes over the row table a constant number of
+    times, however many combos the binding yields — never once per combo
+    or per group.  A sweep is a call through the reducer's numpy that
+    takes a column as long as the table the operation runs over."""
+    deep = VectorizedDocument.from_xml(_deep_xml(random.Random(5)))
+    xq = "for $n in //NP, $m in $n//NN where $m = 'w1' return <r>{$m}</r>"
+    n_rows = [0]
+    sweeps = []      # per operation, then one for the final split
+    combos = []
+    real_np = reduction.np
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            fn = getattr(real_np, name)
+            if not callable(fn) or isinstance(fn, (type, np.ufunc)):
+                return fn
+
+            def call(*args, **kwargs):
+                if any(isinstance(a, np.ndarray) and a.ndim == 1
+                       and len(a) == n_rows[0] for a in args):
+                    sweeps[-1] += 1
+                return fn(*args, **kwargs)
+            return call
+
+    def table(n):
+        n_rows[0] = n
+        sweeps.append(0)
+
+    for name in ("_instantiate", "_select", "_join"):
+        real = getattr(reduction._Reducer, name)
+
+        def op(self, *args, real=real):
+            table(len(inspect.signature(real).bind(self, *args)
+                      .arguments["cid"]))
+            return real(self, *args)
+        monkeypatch.setattr(reduction._Reducer, name, op)
+    real_run = reduction._Reducer.run
+
+    def run(self, assigns):
+        combos.append(len(assigns))
+        cid, cols = real_run(self, assigns)
+        table(len(cid))
+        return cid, cols
+    monkeypatch.setattr(reduction._Reducer, "run", run)
+    monkeypatch.setattr(reduction, "np", CountingNumpy())
+
+    out = eval_xq(deep, xq)
+    assert out.to_xml() == eval_xq(deep, xq, mode="naive").to_xml()
+    assert combos[0] >= 100 and out.n_tuples > 0
+    assert len(sweeps) == len(out.plan.ops) + 1
+    # the group-by's sort and bounds, plus the replication of the two
+    # columns an extension repeats (one variable and the combo ids)
+    assert max(sweeps) <= 4, sweeps
 
 
 def test_check_passes_has_teeth(vdoc):

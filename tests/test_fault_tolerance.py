@@ -6,12 +6,15 @@ and the HTTP surface (504s, ``X-Quarantined``, degraded health)."""
 import errno
 import http.client
 import os
+import random
 import time
 
 import pytest
 
+from repro.core import paths as paths_mod
 from repro.core.context import EvalContext
-from repro.core.engine import eval_query
+from repro.core.engine import eval_query, eval_xq
+from repro.core.paths import PathsCatalog
 from repro.core.vdoc import VectorizedDocument
 from repro.datasets.synth import xmark_like_xml
 from repro.errors import (
@@ -28,6 +31,8 @@ from repro.storage import faults
 from repro.storage.buffer import TransientIOError
 from repro.storage.disk import FILE_HEADER
 from repro.storage.faults import Fault, FaultPlan
+
+from test_paths import _deep_xml
 
 XQ_JOIN = ("for $c in collection('auctions')/site/closed_auctions/"
            "closed_auction, $p in /site/people/person "
@@ -170,6 +175,67 @@ def test_chain_walk_is_a_checkpoint(tmp_path):
                           ctx=ctx).count() == 60
         assert len(ctx.cache(disk).column(vpath)) == len(vec)
         assert disk.pool.pinned_total() == 0
+
+
+def test_resolver_candidate_is_a_checkpoint(tmp_path, monkeypatch):
+    """Each candidate path the dataguide resolver matches is a checkpoint
+    of the query that owns the resolution — an XPath's, an XQ plan's and
+    a repository's manifest pruning — so a ``//*//*…`` expansion stops at
+    an early expiry instead of matching every candidate first."""
+    xml = _deep_xml(random.Random(5))
+    vdoc = VectorizedDocument.from_xml(xml)
+    (tmp_path / "deep.xml").write_text(xml, encoding="utf-8")
+    seen = []
+    real = paths_mod._alignments
+
+    def spy(tests, cpath):
+        seen.append(cpath)
+        return real(tests, cpath)
+
+    monkeypatch.setattr(paths_mod, "_alignments", spy)
+    xq = ("for $n in //*//*//*//NP, $m in $n//NN where $m = 'w1' "
+          "return <r>{$m}</r>")
+    with Repository.init(str(tmp_path / "r.repo"), "r") as repo:
+        repo.add(str(tmp_path / "deep.xml"), page_size=PAGE_SIZE)
+        for run in (lambda ctx: eval_query(vdoc, "//*//*//*//*/NN", ctx=ctx),
+                    lambda ctx: eval_xq(vdoc, xq, ctx=ctx),
+                    lambda ctx: repo.xq(xq, ctx=ctx)):
+            del seen[:]
+            ctx = EvalContext()
+            ctx.expire_at_checkpoint = 3
+            with pytest.raises(DeadlineExceededError):
+                run(ctx)
+            assert len(seen) == 3
+            assert repo.pool.pinned_total() == 0
+        del seen[:]
+        assert repo.xq(xq).to_xml() == eval_xq(vdoc, xq, mode="naive").to_xml()
+        assert len(seen) > 100
+
+
+def test_reduction_row_group_is_a_checkpoint(monkeypatch):
+    """Each row group a plan operation works on is a checkpoint: a path's
+    first extension builds skeleton statistics, and a relative variable
+    over a ``//`` binding has hundreds of groups — an expiry stops the
+    operation at its next group, not after all of them."""
+    vdoc = VectorizedDocument.from_xml(_deep_xml(random.Random(5)))
+    xq = "for $n in //NP, $m in $n//NN where $m = 'w1' return <r>{$m}</r>"
+    at = []      # the context's checkpoint count at each extension
+    real = PathsCatalog.extension_ranges
+
+    def spy(self, *args):
+        at.append(ctx.checkpoints)
+        return real(self, *args)
+
+    monkeypatch.setattr(PathsCatalog, "extension_ranges", spy)
+    ctx = EvalContext()
+    eval_xq(vdoc, xq, ctx=ctx)
+    first, n_groups = at[0], len(at)
+    del at[:]
+    ctx = EvalContext()
+    ctx.expire_at_checkpoint = first + 2
+    with pytest.raises(DeadlineExceededError):
+        eval_xq(vdoc, xq, ctx=ctx)
+    assert len(at) == 3 and n_groups > 100
 
 
 # -- bounded transient-I/O retry -------------------------------------------

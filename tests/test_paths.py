@@ -180,10 +180,13 @@ def test_resolve_equals_the_brute_force_matcher(seed):
         for _ in range(40)
     ]
     bases = [()] + rng.sample(paths, min(8, len(paths))) + [("zz",)]
+    # a repository member's manifest guide: the same paths, with counts
+    counted = Dataguide({p: i + 1 for i, p in enumerate(paths)})
     for steps in fixed + randoms:
         for base in bases:
-            assert guide.resolve(steps, base) == \
-                _ref_resolve(paths, steps, base), (steps, base)
+            ref = _ref_resolve(paths, steps, base)
+            assert guide.resolve(steps, base) == ref, (steps, base)
+            assert counted.resolve(steps, base) == ref, (steps, base)
 
     for base in bases:
         k = len(base)
@@ -223,12 +226,14 @@ def _deep_xml(rng, sentences=60, max_depth=9):
 
 
 def test_matcher_scans_each_base_range_once(monkeypatch):
-    """One resolver call is one pass over the guide — or, for a relative
-    variable, over the ``below(base)`` range of each base — and operands
-    and splices are membership tests and ranges, not matcher calls."""
+    """One resolver call is one pass over the final-label bucket of its
+    last step (the whole guide for ``*``) — or, for a relative variable,
+    over that bucket's range below each base — and operands and splices
+    are membership tests and ranges, not matcher calls."""
     vdoc = VectorizedDocument.from_xml(_deep_xml(random.Random(5)))
     paths = vdoc.catalog.dataguide()
     np_paths = [p for p in paths if p[-1] == "NP"]
+    nn_paths = [p for p in paths if p[-1] == "NN"]
     assert len(paths) > 1000 and len(np_paths) > 10
 
     seen = []
@@ -242,6 +247,12 @@ def test_matcher_scans_each_base_range_once(monkeypatch):
 
     expected = eval_query(vdoc, "//NP/NN", mode="naive").count()
     assert eval_query(vdoc, "//NP/NN").count() == expected > 0
+    assert seen == nn_paths
+
+    # a last step of * keeps every path: still exactly one pass
+    del seen[:]
+    expected = eval_query(vdoc, "//NP/*", mode="naive").count()
+    assert eval_query(vdoc, "//NP/*").count() == expected > 0
     assert seen == paths
 
     # the plan binds //NP once and the reduction evaluates what it bound;
@@ -249,14 +260,14 @@ def test_matcher_scans_each_base_range_once(monkeypatch):
     del seen[:]
     xq = "for $n in //NP where $n/NN = 'w1' return <r>{$n/DT}</r>"
     assert eval_xq(vdoc, xq).to_xml() == eval_xq(vdoc, xq, mode="naive").to_xml()
-    assert seen == paths
+    assert seen == np_paths
 
-    # a relative variable scans the range *below each base*, once, in the
-    # planner's binding — not |NP| x |guide| paths
+    # a relative variable scans the bucket's range *below each base*,
+    # once, in the planner's binding — not |NP| x |NN| paths
     del seen[:]
     xq = "for $n in //NP, $m in $n/NN where $m = 'w1' return <r>{$m}</r>"
     assert eval_xq(vdoc, xq).to_xml() == eval_xq(vdoc, xq, mode="naive").to_xml()
-    below_np = sum(g[:len(b)] == b and len(g) > len(b)
-                   for b in np_paths for g in paths)
-    assert len(seen) == len(paths) + below_np
-    assert below_np < len(np_paths) * len(paths) // 10
+    below = [g[len(b):] for b in np_paths for g in nn_paths
+             if g[:len(b)] == b and len(g) > len(b)]
+    assert seen == np_paths + below
+    assert len(below) < len(np_paths) * len(nn_paths) // 10

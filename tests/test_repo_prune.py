@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import paths as paths_mod
 from repro.core.engine import eval_query, eval_xq
+from repro.core.paths import no_checkpoint
 from repro.core.planner import member_can_match, plan_query
 from repro.core.qgraph import compile_query
 from repro.core.xquery.parser import parse_xq
@@ -74,7 +75,8 @@ def test_pruning_preserves_bytes(repo):
 def test_one_matcher_pass_per_guide(repo, monkeypatch):
     """``Repository.xq`` binds each member's manifest guide once — pruning
     and ordering read the same binding — and each opened member's own
-    guide once, in its plan; the reduction resolves nothing."""
+    guide once, in its plan; the reduction resolves nothing.  Each pass
+    sees only the guide's paths ending in the last step's label."""
     seen = []
     real = paths_mod._alignments
 
@@ -86,9 +88,11 @@ def test_one_matcher_pass_per_guide(repo, monkeypatch):
     result = repo.xq(XQ)
     assert [name for name, _ in result.results] == ["big", "small"]
     manifest = [tuple(p) for m in repo.manifest["members"]
-                for p, _ in m["paths"]]
+                for p, _ in m["paths"] if p[-1] == "person"]
     opened = [p for name in ("small", "big")
-              for p in repo.member(name).catalog.dataguide()]
+              for p in repo.member(name).catalog.dataguide()
+              if p[-1] == "person"]
+    assert len(manifest) == 4 and len(opened) == 2
     assert seen == manifest + opened
 
 
@@ -99,7 +103,7 @@ def test_results_come_back_in_manifest_order(repo):
 
 def test_survivors_ordered_most_selective_first(repo):
     gq, _ = compile_query(parse_xq(XQ))
-    order, pruned = repo._member_order(gq)
+    order, pruned = repo._member_order(gq, no_checkpoint)
     # "small" (8 people) has the lower occurrence estimate: goes first
     assert order == ["small", "big"]
     assert sorted(pruned) == ["noise0", "noise1"]
@@ -108,7 +112,7 @@ def test_survivors_ordered_most_selective_first(repo):
 def test_all_members_survive_a_universal_query(repo):
     gq, _ = compile_query(parse_xq(
         "for $p in //person return <r>{$p/name}</r>"))
-    order, pruned = repo._member_order(gq)
+    order, pruned = repo._member_order(gq, no_checkpoint)
     assert pruned == [] and sorted(order) == ["big", "noise0", "noise1",
                                               "small"]
     # the noise members *do* hold //person paths under their own root
