@@ -11,7 +11,12 @@ before anything that filters it) refined by the classic relational
 heuristics the paper cites:
 
 * **selections before joins** — constant edges are applied as soon as
-  their variable is instantiated, joins only once both sides are;
+  their variable is instantiated.  An ``=`` join between a placed
+  variable and the next root variable to place *is* that variable's
+  instantiation (``PlanOp.extends``): the variable is built from the
+  matching pairs only, and its selections run on the rows that survive.
+  Every other join (``!=``, the ordering operators, ``=`` between two
+  placed variables) filters once both sides are instantiated;
 * **cheapest vector first** — among ready selections (and ready joins)
   the one whose operand vector is smallest goes first, estimated from the
   index totals of the bound paths (no vector is touched to plan);
@@ -60,11 +65,14 @@ class PlanOp:
     op_id: int = 0           # stable id from the query graph (tie-breaks)
     access: str = "scan"     # 'scan' | 'index' | 'dict'
     scan_cost: float = 0.0   # the scan estimate (== cost when scanning)
+    extends: str | None = None  # root variable an `=` join instantiates
 
     def __str__(self) -> str:
         est = f"est {self.cost:.0f}"
         if self.access != "scan":
             est += f", scan {self.scan_cost:.0f}"
+        if self.extends is not None:
+            est += f", extends ${self.extends}"
         return f"{self.kind:11s} [{self.access:5s}] {self.payload}  ({est})"
 
 
@@ -300,9 +308,21 @@ def plan_query(gq: QueryGraph, vdoc, checkpoint=no_checkpoint) -> Plan:
         pool.sort(key=lambda v: (var_card[v], var_id[v]))
         v = pool[0]
         pending_var.remove(v)
+        # a root variable `=`-joined to a placed one is instantiated by
+        # that join: from the matching pairs, never from the product
+        extend = [j for j in pending_join
+                  if j.op == "=" and gq.tree_edges[v].parent is None
+                  and v in (j.var1, j.var2) and {j.var1, j.var2} & placed]
         placed.add(v)
-        ops.append(PlanOp("instantiate", gq.tree_edges[v], var_card[v],
-                          op_id=var_id[v], scan_cost=var_card[v]))
+        if extend:
+            j = min(extend, key=lambda j: (join_cost[id(j)], join_id[id(j)]))
+            pending_join.remove(j)
+            cost = join_cost[id(j)]
+            ops.append(PlanOp("join", j, cost, op_id=join_id[id(j)],
+                              scan_cost=cost, extends=v))
+        else:
+            ops.append(PlanOp("instantiate", gq.tree_edges[v], var_card[v],
+                              op_id=var_id[v], scan_cost=var_card[v]))
         flush_filters()
 
     assert not pending_sel and not pending_join

@@ -12,11 +12,20 @@ resolves nothing.  The operations reduce ``Gq`` edge by edge:
   with the other columns replicated by ``np.repeat``;
 * **select** (constant edge) — one vectorized comparison over the text
   vector plus a prefix-sum existential per row (XPath's predicate kernel);
-* **join** (equality edge) — existential set comparison per row, entirely
-  columnar: for ``=`` / ``!=`` each operand vector's own value coding
-  (its stored dictionary, or one coding of the reached values), merged
-  into one code space, then integer key intersection; per-row min/max
-  aggregation for the ordering operators.
+* **join** (equality edge) — existential set comparison, entirely
+  columnar.  For ``=`` / ``!=`` each operand vector contributes its own
+  value coding (its stored dictionary, or one coding of the reached
+  values), merged into one code space.  An ``=`` join runs in one of two
+  modes, both on the one equi-match primitive (:func:`_equi_match`: sort
+  one side's integer keys, ``searchsorted`` bounds for the other's):
+  *filter* mode (both variables instantiated) matches ``row · m + code``
+  keys and keeps the rows with a match; *extend* mode (the plan's
+  ``PlanOp.extends``: the join instantiates a root variable) matches the
+  rows' ``path id · m + code`` keys against the variable's own
+  occurrences, coded once per concrete path, and the distinct matching
+  ``(row, occurrence)`` pairs become the new rows — the product of the
+  two variables is never built.  ``!=`` counts distinct values per row;
+  the ordering operators aggregate per-row min/max.
 
 Variables range over *concrete* label paths, so a query with wildcard or
 descendant bindings is a union over concrete-path *combos* — one per
@@ -115,6 +124,19 @@ def _group_rows(keys: np.ndarray, n_keys: int, checkpoint):
         if bounds[g] < bounds[g + 1]:
             checkpoint()
             yield g, order[bounds[g]:bounds[g + 1]]
+
+
+def _equi_match(k1: np.ndarray, k2: np.ndarray):
+    """The one equi-match: every index pair ``(i, j)`` with
+    ``k1[i] == k2[j]`` — a stable sort of ``k2``, the ``searchsorted``
+    bounds of each ``k1`` key, the bounds expanded into positions.  Work
+    is O((len(k1) + len(k2)) log len(k2) + pairs)."""
+    order = np.argsort(k2, kind="stable")
+    ks = k2[order]
+    lo = np.searchsorted(ks, k1, side="left")
+    hits = np.searchsorted(ks, k1, side="right") - lo
+    return (np.repeat(np.arange(len(k1)), hits),
+            order[ranges_to_ordinals(lo, hits)])
 
 
 def _combo_groups(cid: np.ndarray, assigns: list[dict], checkpoint, key):
@@ -253,31 +275,63 @@ class _Reducer:
             keep[rows] = exists_in(cum, starts, lengths)
         return keep
 
-    def _join_sides(self, join: EqEdge, assigns, cid, cols):
-        """Resolve both operands over all rows: per side, the per-row
-        extension lengths plus ``(expanded row ids, qpath, ordinals)``
-        parts, one per distinct concrete path."""
-        n = len(cid)
-        sides = []
-        for var, rel in ((join.var1, join.rel1), (join.var2, join.rel2)):
-            lengths_all = np.zeros(n, dtype=np.int64)
-            parts = []
-            for rows, a in _combo_groups(cid, assigns, self.ctx.checkpoint,
-                                         lambda a, var=var: a[var][0]):
-                side = self._side(var, rel, a[var][0], cols[var][rows])
-                if side is None:
-                    continue
+    def _operand(self, var: str, rel: tuple, groups):
+        """One join side, given ``(ids, concrete path, ordinals)`` groups:
+        one ``(expanded ids, qpath, text ordinals)`` part per group whose
+        operand text exists."""
+        parts = []
+        for ids, cpath, ords in groups:
+            side = self._side(var, rel, cpath, ords)
+            if side is not None:
                 qpath, s, ln = side
-                lengths_all[rows] = ln
-                parts.append((np.repeat(rows, ln), qpath,
+                parts.append((np.repeat(ids, ln), qpath,
                               ranges_to_ordinals(s, ln)))
-            sides.append((lengths_all, parts))
-        return sides
+        return parts
+
+    def _row_operand(self, var: str, rel: tuple, assigns, cid, cols):
+        """:meth:`_operand` over the table's rows, grouped by ``var``'s
+        concrete path."""
+        return self._operand(var, rel, (
+            (rows, a[var][0], cols[var][rows])
+            for rows, a in _combo_groups(cid, assigns, self.ctx.checkpoint,
+                                         lambda a: a[var][0])))
+
+    def _extend(self, join: EqEdge, v: str, assigns, cid, cols):
+        """The ``=`` join that instantiates root variable ``v``: pair each
+        row with the occurrences of ``v``'s concrete path in the row's
+        combo whose operand shares a value with the row's.  ``v``'s operand
+        is built once per concrete path, keys are ``path id · m + code``,
+        and only the distinct matching ``(row, occurrence)`` pairs become
+        rows."""
+        if join.var1 == v:
+            u, urel, vrel = join.var2, join.rel2, join.rel1
+        else:
+            u, urel, vrel = join.var1, join.rel1, join.rel2
+        roots = {a[v][0]: np.asarray(a[v][1], dtype=np.int64)
+                 for a in assigns}
+        pid = {p: i for i, p in enumerate(roots)}
+        sizes = [len(o) for o in roots.values()]
+        offs = np.cumsum([0, *sizes])
+        occs = np.concatenate(list(roots.values()))
+        parts1 = self._row_operand(u, urel, assigns, cid, cols)
+        parts2 = self._operand(v, vrel, (
+            (np.arange(offs[i], offs[i + 1]), p, o)
+            for i, (p, o) in enumerate(roots.items())))
+        r1, g1, r2, g2, m = self._join_codes(parts1, parts2)
+        row_pid = np.array([pid[a[v][0]] for a in assigns])[cid]
+        occ_pid = np.repeat(np.arange(len(sizes)), sizes)
+        i, j = _equi_match(row_pid[r1] * m + g1, occ_pid[r2] * m + g2)
+        n_occs = max(len(occs), 1)
+        pairs = np.unique(r1[i] * n_occs + r2[j])
+        rows = pairs // n_occs
+        cols = {w: c[rows] for w, c in cols.items()}
+        cols[v] = occs[pairs % n_occs]
+        return cid[rows], cols
 
     def _join(self, join: EqEdge, assigns, cid, cols):
         n = len(cid)
-        (l1, parts1), (l2, parts2) = self._join_sides(join, assigns,
-                                                      cid, cols)
+        parts1 = self._row_operand(join.var1, join.rel1, assigns, cid, cols)
+        parts2 = self._row_operand(join.var2, join.rel2, assigns, cid, cols)
         op = join.op
         if op in ("=", "!="):
             r1, g1, r2, g2, m = self._join_codes(parts1, parts2)
@@ -285,12 +339,13 @@ class _Reducer:
             k2 = r2 * m + g2
             if op == "=":
                 keep = np.zeros(n, dtype=bool)
-                keep[np.intersect1d(k1, k2) // m] = True
+                keep[r1[_equi_match(k1, k2)[0]]] = True
                 return keep
             # ∃ a≠b  ⟺  both sides non-empty and the union holds ≥2 values
             distinct = np.bincount(
                 np.unique(np.concatenate([k1, k2])) // m, minlength=n)
-            return (l1 > 0) & (l2 > 0) & (distinct >= 2)
+            return ((np.bincount(r1, minlength=n) > 0)
+                    & (np.bincount(r2, minlength=n) > 0) & (distinct >= 2))
 
         # ordering operators: existential reduces to min/max of the numeric
         # values per row (fmin/fmax skip NaN = non-numeric text), aggregated
@@ -330,6 +385,9 @@ class _Reducer:
             edge = op.payload
             if op.kind == "instantiate":
                 cid, cols = self._instantiate(edge, assigns, cid, cols)
+            elif op.extends is not None:
+                cid, cols = self._extend(edge, op.extends, assigns, cid,
+                                         cols)
             else:
                 if op.kind == "select":
                     keep = self._select(op_idx, edge, assigns, cid, cols,

@@ -116,6 +116,40 @@ def test_grouping_sweeps_rows_once_per_operation(monkeypatch):
     assert max(sweeps) <= 4, sweeps
 
 
+def test_equality_join_never_builds_the_product(monkeypatch):
+    """An ``=`` join instantiates its second root variable from the
+    matching pairs: no 1-D array the reducer hands to numpy is as long as
+    the product of the two variables' occurrences."""
+    doc = VectorizedDocument.from_xml(xmark_like_xml(300))
+    xq = ("for $c in //closed_auction, $p in //person "
+          "where $c/buyer = $p/@id return <r>{$p/name}{$c/price}</r>")
+    product = (eval_query(doc, "//closed_auction").count()
+               * eval_query(doc, "//person").count())
+    expected = eval_xq(doc, xq, mode="naive").to_xml()
+    longest = [0]
+    real_np = reduction.np
+
+    class LongestArgNumpy:
+        def __getattr__(self, name):
+            fn = getattr(real_np, name)
+            if not callable(fn) or isinstance(fn, (type, np.ufunc)):
+                return fn
+
+            def call(*args, **kwargs):
+                for a in (*args, *kwargs.values()):
+                    if isinstance(a, np.ndarray) and a.ndim == 1:
+                        longest[0] = max(longest[0], len(a))
+                return fn(*args, **kwargs)
+            return call
+
+    monkeypatch.setattr(reduction, "np", LongestArgNumpy())
+    out = eval_xq(doc, xq)
+    assert out.to_xml() == expected
+    assert product >= 2 * 10**4 and 0 < out.n_tuples < product // 50
+    assert 0 < longest[0] < product, (longest[0], product)
+    assert [op.extends for op in out.plan.ops if op.kind == "join"] == ["p"]
+
+
 def test_check_passes_has_teeth(vdoc):
     ctx = EvalContext()
     key = (0, ("site", "people", "person", "name", "#"))

@@ -45,6 +45,19 @@ XQ_QUERIES = [
     "where $i/location != $j/location return <d>{$i/name/text()}</d>",
     "for $i in //item, $c in //closed_auction "
     "where $i/quantity < $c/price return <q>{$i/@id}</q>",
+    # `=` joins that instantiate their second root variable (extend mode):
+    # both sides over several concrete paths, with a selection on the
+    # extended variable; a text-bound extended variable compared as `#`;
+    # a relative child of the extended variable bound after the join
+    "for $i in /site/regions/*/item, $j in //item "
+    "where $i/quantity < '8' and $j/quantity > '5' "
+    "and $i/location = $j/location return <m>{$i/@id}{$j/@id}</m>",
+    "for $p in //person, $t in //interest/text() "
+    "where $p/profile/age > '50' and $p/profile/interest = $t "
+    "return <e>{$p/@id}{$t}</e>",
+    "for $c in //closed_auction, $p in //person, "
+    "$n in $p/profile/interest where $c/price > '300' "
+    "and $c/buyer = $p/@id return <b>{$c/price}{$n}</b>",
     # let aliases and multiple comparisons
     "for $p in //person let $pr := $p/profile "
     "where $pr/age < '25' and $pr/interest = 'databases' "
@@ -83,6 +96,15 @@ def _random_query(rng: random.Random) -> str:
         variables.append("y")
         parts.append(f"$y in $x{rng.choice(rels)}")
     wheres = []
+    # a second root variable joined to an earlier one: an `=` join
+    # instantiates it from the matching pairs (extend mode) instead of
+    # filtering the product
+    if rng.random() < 0.5:
+        w = rng.choice(variables)
+        variables.append("z")
+        parts.append(f"$z in {rng.choice(absolutes)}")
+        op = "=" if rng.random() < 0.6 else rng.choice(ops)
+        wheres.append(f"$z{rng.choice(crels)} {op} ${w}{rng.choice(crels)}")
     for _ in range(rng.randrange(0, 3)):
         v = rng.choice(variables)
         if len(variables) > 1 and rng.random() < 0.4:
@@ -115,6 +137,40 @@ def test_xq_cross_random_docs(seed):
     # a join even if the generator rolled none
     _assert_same(vdoc, "for $u in //*, $v in //* where $u/@id = $v/@k "
                        "return <j>{$u/@id}</j>")
+
+
+#: (root binding, operand) pairs whose texts share a value domain, so an
+#: `=` join between two of a domain's pairs has matches
+_JOIN_DOMAINS = [
+    [("//person", "/@id"), ("//closed_auction", "/buyer"),
+     ("/site/people/*", "/@id")],
+    [("/site/regions/*/item", "/location"), ("//item", "/location"),
+     ("/site/regions/*/*", "/location")],
+    [("//person", "/profile/interest"), ("//interest/text()", ""),
+     ("//profile", "/interest")],
+]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_xq_cross_extend_mode(seed):
+    """Random `=` joins between two root variables over several concrete
+    paths: the second one placed is instantiated from the matching pairs,
+    with or without its own selection and a relative child after it."""
+    rng = random.Random(seed)
+    vdoc = VectorizedDocument.from_xml(DOCS["xmark"])
+    for _ in range(4):
+        (r1, o1), (r2, o2) = (rng.choice(d)
+                              for d in [rng.choice(_JOIN_DOMAINS)] * 2)
+        binds = f"for $a in {r1}, $b in {r2}"
+        wheres = [f"$a{o1} = $b{o2}"]
+        if rng.random() < 0.5:
+            wheres.append(f"${rng.choice('ab')}/@id != 'person3'")
+        if rng.random() < 0.5:
+            binds += f", $c in ${rng.choice('ab')}/*"
+        res = _assert_same(vdoc, f"{binds} where {' and '.join(wheres)} "
+                                 "return <r>{$a}{$b}</r>")
+        assert [op.extends is not None for op in res.plan.ops
+                if op.kind == "join"] == [True]
 
 
 def test_xq_result_shares_store_and_compresses_stepwise():

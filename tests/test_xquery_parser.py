@@ -150,18 +150,31 @@ def test_planner_selections_before_joins():
         "where $p/profile/age > '50' and $c/buyer = $p/@id "
         "return <r>{$p/name}</r>"))
     plan = plan_query(gq, vdoc)
-    kinds = [op.kind for op in plan.ops]
-    # both variables instantiated, the selection applied as soon as its
-    # variable exists, the join strictly last
-    assert sorted(kinds) == ["instantiate", "instantiate", "join", "select"]
-    assert kinds[-1] == "join"
-    sel_at = kinds.index("select")
-    inst_p = [i for i, op in enumerate(plan.ops)
-              if op.kind == "instantiate" and op.payload.var == "p"][0]
-    assert sel_at == inst_p + 1
-    # $p carries the only selection, so it is instantiated first
+    # $p carries the only selection, so it is instantiated first and
+    # filtered at once; the `=` join then instantiates $c from the
+    # matching pairs — there is no instantiate op for $c
+    assert [op.kind for op in plan.ops] == ["instantiate", "select", "join"]
     assert plan.ops[0].payload.var == "p"
-    assert "select" in plan.explain() and "join" in plan.explain()
+    assert plan.ops[1].payload.var == "p"
+    assert plan.ops[2].extends == "c"
+    assert [op.extends for op in plan.ops[:2]] == [None, None]
+    explain = plan.explain().splitlines()
+    assert "extends $c" in explain[2] and "join" in explain[2]
+    assert "extends" not in explain[0] + explain[1]
+
+
+def test_planner_non_equality_join_filters_the_product():
+    """``!=`` and the ordering operators keep instantiate-then-filter."""
+    vdoc = VectorizedDocument.from_xml(xmark_like_xml(30, seed=1))
+    for op in ("!=", "<", ">="):
+        gq, _ = compile_query(parse_xq(
+            f"for $c in //closed_auction, $p in /site/people/person "
+            f"where $c/buyer {op} $p/@id return <r>{{$p/name}}</r>"))
+        plan = plan_query(gq, vdoc)
+        assert [o.kind for o in plan.ops] == \
+            ["instantiate", "instantiate", "join"], op
+        assert all(o.extends is None for o in plan.ops)
+        assert "extends" not in plan.explain()
 
 
 def test_planner_prefers_selective_variable_first():
