@@ -134,10 +134,11 @@ def _index_cmd(args) -> int:
                 index_paths = [tuple(p.split("/")) for p in args.path]
             else:
                 index_paths = "all"
-            # save_vdoc materializes the columns through the pool, writes
-            # vectors + index segments to a temp file and atomically
-            # replaces args.file — the open handle keeps reading the old
-            # inode, so a failure leaves the original untouched
+            # save_vdoc copies each vector's records off its chain through
+            # the pool (nothing is re-encoded), builds the index segments,
+            # writes both to a temp file and atomically replaces args.file
+            # — the open handle keeps reading the old inode, so a failure
+            # leaves the original untouched
             summary = save_vdoc(vdoc, args.file, page_size=page_size,
                                 index_paths=index_paths)
         for k in ("path", "pages", "vectors", "indexes", "index_pages"):

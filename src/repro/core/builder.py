@@ -184,5 +184,5 @@ def build_result(vdoc, gr: ResultSkeleton, table: ReducedTable,
         # output-document order: by result row, then template leaf (their
         # preorder is the constructed document order), then source sequence
         order = np.lexsort((seqs, items, rows))
-        out_vectors[path] = Vector(path, vals[order])
+        out_vectors[path] = Vector.of_column(path, vals[order])
     return VectorizedDocument(store, root_id, out_vectors)

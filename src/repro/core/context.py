@@ -184,15 +184,10 @@ class EvalContext:
         return c
 
     def pools(self) -> list:
-        """Every distinct buffer pool reachable from the documents."""
-        seen: set[int] = set()
-        out = []
-        for d in self.docs:
-            pool = getattr(d, "pool", None)
-            if pool is not None and id(pool) not in seen:
-                seen.add(id(pool))
-                out.append(pool)
-        return out
+        """Every distinct buffer pool reachable from the documents (an
+        unsaved document has none)."""
+        pools = {id(d.pool): d.pool for d in self.docs if d.pool is not None}
+        return list(pools.values())
 
     # -- cooperative deadline ----------------------------------------------
 

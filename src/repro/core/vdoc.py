@@ -1,4 +1,10 @@
-"""Vectorized document container: (skeleton, root, vectors) + statistics."""
+"""Vectorized document container: (skeleton, root, vectors) + statistics.
+
+One kind of document: ``from_xml`` and ``open`` (``open_vdoc``) build the
+same object over the same coded vectors, and page residency —
+``file``/``pool``/``view``, set by ``open_vdoc`` — is the only
+difference, so a document and its save run the same plans.
+"""
 
 from __future__ import annotations
 
@@ -17,9 +23,12 @@ class VectorizedDocument:
     """An XML document in vectorized form: compressed skeleton + data
     vectors.  This is the unit the query engine operates on."""
 
-    #: buffer pool backing the vectors; None for memory-resident documents
-    #: (``repro.storage.DiskVectorizedDocument`` overrides it per instance).
+    #: page residency of an opened document: its page file, the buffer
+    #: pool (possibly shared by a repository's members) and this file's
+    #: view of it, which carries the per-document I/O counters
+    file = None
     pool = None
+    view = None
 
     def __init__(self, store: NodeStore, root: int, vectors: dict[tuple, Vector]):
         self.store = store
@@ -27,10 +36,10 @@ class VectorizedDocument:
         self.vectors = vectors
         self._catalog = None
         self._catalog_lock = threading.Lock()
-        #: vector path -> value-index handle (anything with ``.distinct``
-        #: and ``.get(ctx) -> ValueIndex``, read through a query's
-        #: ``VectorCache``); in-memory docs fill it via
-        #: :meth:`build_indexes`, disk docs from the file catalog.
+        #: vector path -> persistent value-index handle (``.distinct``,
+        #: ``.n_pages``, ``.get(ctx) -> ValueIndex``, read through a
+        #: query's ``VectorCache``), filled from the file catalog by
+        #: ``open_vdoc``
         self._vindexes: dict[tuple, object] = {}
 
     # -- construction -----------------------------------------------------
@@ -64,10 +73,9 @@ class VectorizedDocument:
 
     @classmethod
     def open(cls, path: str, pool_pages: int | None = None):
-        """Open a saved vdoc disk-backed: skeleton + catalog resident,
-        vectors lazy through a buffer pool of ``pool_pages`` frames
-        (``None`` → unbounded).  Returns a
-        :class:`repro.storage.DiskVectorizedDocument`."""
+        """Open a saved vdoc: skeleton + catalog resident, vector records
+        read lazily through a buffer pool of ``pool_pages`` frames
+        (``None`` → unbounded)."""
         from ..storage import vdocfile
 
         return vdocfile.open_vdoc(path, pool_pages=pool_pages)
@@ -98,16 +106,40 @@ class VectorizedDocument:
 
     def io_units(self) -> list:
         """Everything the per-context I/O invariants cover (``path``,
-        ``n_pages``): the data vectors, plus — for disk-backed documents —
-        the persistent index segments."""
-        return list(self.vectors.values())
+        ``n_pages``): the data vectors and the persistent index
+        segments."""
+        return list(self.vectors.values()) + list(self._vindexes.values())
 
     def codec_of(self, path) -> str | None:
-        """Cataloged storage-codec name of one vector, or ``None`` —
-        in-memory vectors are not encoded, so there is nothing for the
-        planner's code-space access path to exploit here.  Disk-backed
-        documents answer from the catalog with zero page I/O."""
-        return None
+        """Storage-codec name of one vector (no page I/O), or ``None`` for
+        a path the document has no vector for — the planner consults this
+        to stamp ``access='dict'``."""
+        vec = self.vectors.get(tuple(path))
+        return vec.codec.name if vec is not None else None
+
+    def compression_stats(self) -> dict:
+        """Per-vector codec + logical/physical bytes, the codec mix and
+        the overall compression ratio, with zero page I/O (what
+        ``repo ls`` / ``index ls`` print)."""
+        vecs = []
+        logical = physical = 0
+        codecs: dict[str, int] = {}
+        for vpath in sorted(self.vectors):
+            vec = self.vectors[vpath]
+            name = vec.codec.name
+            codecs[name] = codecs.get(name, 0) + 1
+            vecs.append({"path": "/".join(vpath), "n": len(vec),
+                         "codec": name,
+                         "logical_bytes": vec.lbytes,
+                         "physical_bytes": vec.pbytes})
+            logical += vec.lbytes
+            physical += vec.pbytes
+        return {"vectors": vecs,
+                "logical_bytes": logical,
+                "physical_bytes": physical,
+                "codecs": codecs,
+                "compression_ratio":
+                    round(physical / logical, 4) if logical else 1.0}
 
     # -- value indexes -----------------------------------------------------
 
@@ -117,19 +149,36 @@ class VectorizedDocument:
         handle = self._vindexes.get(path)
         return None if handle is None else {"distinct": handle.distinct}
 
-    def build_indexes(self, paths=None) -> list[tuple]:
-        """Build in-memory value indexes for ``paths`` (default: every
-        vector).  Persistent indexes come from
-        ``save(..., index_paths=...)`` instead; this is for memory-resident
-        documents and tests.  Returns the indexed paths."""
-        from ..index import build_value_index
+    # -- page residency ----------------------------------------------------
 
-        built = []
-        for p, vec in sorted(self.vectors.items()):
-            if paths is None or p in paths:
-                self._vindexes[p] = build_value_index(p, vec._col())
-                built.append(p)
-        return built
+    def io_stats(self) -> dict:
+        """Per-document physical/logical I/O counters, plus the pool-wide
+        aggregates (``pool_*``) — distinct when the pool is shared; empty
+        for a document that was never read from a file."""
+        if self.view is None:
+            return {}
+        stats = self.view.stats.as_dict()
+        for k, v in self.pool.snapshot().items():
+            stats[k if k == "pinned" else f"pool_{k}"] = v
+        return stats
+
+    def drop_caches(self) -> None:
+        """Forget every decoded column and loaded index (the buffer pool
+        is left as is)."""
+        for vec in self.vectors.values():
+            vec.drop_cache()
+        for handle in self._vindexes.values():
+            handle.drop_cache()
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+    def __enter__(self) -> "VectorizedDocument":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- statistics -------------------------------------------------------
 

@@ -4,8 +4,10 @@
 The parser's event stream is consumed directly — the node tree is never
 built.  A stack of open elements accumulates child ids bottom-up; on each
 end event the children runs are collapsed and the node hash-consed.  Text
-(and attribute) values are appended to the vector keyed by the current
-root-to-text label path.
+(and attribute) values are appended to the value list keyed by the
+current root-to-text label path; each finished list is encoded once, by
+its chosen storage codec, into the coded :class:`~repro.core.vectors.Vector`
+that ``save`` writes as it is.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def vectorize_events(events, store: NodeStore | None = None):
 
     if root_id is None:
         raise ValueError("empty event stream")
-    vectors = {p: Vector(p, vals) for p, vals in raw.items()}
+    vectors = {p: Vector.encode(p, vals) for p, vals in raw.items()}
     return store, root_id, vectors
 
 

@@ -76,14 +76,11 @@ def count_in_ranges(matches: np.ndarray, starts: np.ndarray,
 
 
 class ValueIndex:
-    """The in-memory (and only) probe form of one vector's value index."""
+    """The probe form of one vector's value index (what a persistent
+    segment decodes to)."""
 
     __slots__ = ("path", "n", "keys", "offsets", "rows", "num_codes",
                  "num_vals")
-
-    #: a built index has no page chain: the I/O-unit bound a query's
-    #: window checks it against (the persistent handle has its own)
-    n_pages = 0
 
     def __init__(self, path: tuple, n: int, keys: np.ndarray,
                  offsets: np.ndarray, rows: np.ndarray,
@@ -99,11 +96,6 @@ class ValueIndex:
     @property
     def distinct(self) -> int:
         return len(self.keys)
-
-    def get(self, ctx) -> "ValueIndex":
-        """Uniform handle interface (disk-backed handles materialize,
-        charging ``ctx``)."""
-        return self
 
     # -- probes ------------------------------------------------------------
 

@@ -258,7 +258,7 @@ class Repository:
         #: member name -> its cataloged dataguide, in manifest order
         self._guides = {m["name"]: _member_guide(m)
                         for m in manifest["members"]}
-        self._open: dict[str, object] = {}    # name -> DiskVectorizedDocument
+        self._open: dict[str, object] = {}    # name -> opened VectorizedDocument
         # Concurrency (repro.serve): any number of requests may evaluate
         # the *same* member at once — per-query accounting (scan counts,
         # physical-I/O windows) lives in each request's EvalContext, lazy

@@ -1,7 +1,7 @@
 """Shore-like storage manager (ROADMAP `repro.storage`): slotted pages,
 heap files, a clock-eviction buffer pool with strict pin accounting and
-I/O statistics, and the paged on-disk vectorized-document format with
-lazily materialized data vectors.
+I/O statistics, and the paged on-disk vectorized-document format whose
+vectors read their coded records lazily off their heap chains.
 
 Format v2 adds an integrity and crash-safety subsystem: per-page
 checksums stamped on every write-back and verified on every physical
@@ -24,13 +24,7 @@ from .faults import CrashInjected, Fault, FaultPlan
 from .fsck import Finding, verify_vdoc
 from .heap import HeapFile
 from .pages import DEFAULT_PAGE_SIZE, MAX_PAGE_SIZE, MIN_PAGE_SIZE, SlottedPage
-from .vdocfile import (
-    VDOC_FORMAT,
-    DiskVectorizedDocument,
-    LazyVector,
-    open_vdoc,
-    save_vdoc,
-)
+from .vdocfile import VDOC_FORMAT, open_vdoc, save_vdoc
 
 __all__ = [
     "BufferPool",
@@ -42,8 +36,6 @@ __all__ = [
     "DEFAULT_PAGE_SIZE",
     "MIN_PAGE_SIZE",
     "MAX_PAGE_SIZE",
-    "DiskVectorizedDocument",
-    "LazyVector",
     "VDOC_FORMAT",
     "save_vdoc",
     "open_vdoc",

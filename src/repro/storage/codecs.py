@@ -73,12 +73,12 @@ _ZLIB_HEADER = struct.Struct("<qq")      # n, decompressed payload length
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 #: canonical integer text: what ``str(int(v)) == v`` accepts
-_CANON_INT = re.compile(r"-?(0|[1-9][0-9]*)\Z")
+_CANON_INT = re.compile(r"(0|-?[1-9][0-9]*)\Z")
 
 
 class CodecInapplicable(Exception):
     """The column cannot be represented by this codec (internal: the
-    save path falls back down the codec chain, it never surfaces)."""
+    encode falls back down the codec chain, it never surfaces)."""
 
 
 def utf8_bytes(values) -> int:

@@ -62,7 +62,7 @@ from .codecs import CODECS, utf8_bytes
 from .disk import FILE_HEADER, PageFile
 from .heap import HeapFile
 from .pages import PAGE_HEADER, SlottedPage, page_crc, stored_crc
-from .vdocfile import _UNOWNED, _read_catalog, _replay_skeleton
+from .vdocfile import UNOWNED, _read_catalog, _replay_skeleton
 
 
 @dataclass
@@ -147,7 +147,7 @@ def _walk_chain(out: _Check, code: str, what: str, heap: HeapFile,
         return pages
     count = 0
     try:
-        for rec in heap.records(_UNOWNED.checkpoint):
+        for rec in heap.records(UNOWNED.checkpoint):
             count += 1
             if records_sink is not None:
                 records_sink.append(rec)

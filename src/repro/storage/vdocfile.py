@@ -6,7 +6,7 @@ one catalog format, :data:`VDOC_FORMAT`; any other number is refused:
 
 * one heap-file chain per data vector — the values in document order
   (XMILL-style containers), **encoded** by a per-vector codec
-  (:mod:`repro.storage.codecs`) chosen at save time by sampled
+  (:mod:`repro.storage.codecs`) chosen at vectorization by sampled
   compression ratio (``identity`` — one plain UTF-8 record per value —
   when nothing compresses).  The codec name and the exact logical
   (UTF-8) vs physical (encoded) byte counts are recorded on the
@@ -34,18 +34,16 @@ Opening reads *only* the catalog and skeleton (the paper's premise that
 the skeleton lives in main memory), after validating the catalog against
 a strict schema — every malformed byte pattern at this boundary surfaces
 as :class:`StorageError`/:class:`CorruptDataError`, never as a raw
-``json``/``unicode``/``KeyError``.  Each vector becomes a
-:class:`LazyVector`: no pages of its chain are touched until the first
-column access, which materializes the column to numpy through the buffer
-pool in one sequential chain pass.  A query reaches it through its
-:class:`~repro.core.context.VectorCache`, which hands the query's
-:class:`~repro.core.context.EvalContext` down: the pass charges its
-physical reads and decoded values to that context — which checks them
-against ``n_pages`` ("each data vector is scanned at most once",
-falsifiable against real page I/O) — and checks its deadline before
-every page.  This module is the only one in ``repro.storage`` that knows
-``repro.core``; reads no query owns (reconstruct, save, result gathers)
-are charged to nobody.
+``json``/``unicode``/``KeyError``.  It returns the one
+:class:`~repro.core.vdoc.VectorizedDocument` (``file``/``pool``/``view``
+set) whose vectors have their heap chains as the source of their
+records: a chain is read in one sequential pass on first access, its
+physical reads charged to the reading query's context — checked against
+``n_pages`` ("each data vector is scanned at most once") — with a
+deadline checkpoint before every page.  ``save_vdoc`` writes each
+vector's records as it holds them (an opened file's copied off its
+chains, never decoded and re-encoded).  This module is the only one in
+``repro.storage`` that knows ``repro.core``.
 """
 
 from __future__ import annotations
@@ -56,17 +54,15 @@ import struct
 import tempfile
 import threading
 
-import numpy as np
-
 from ..core.skeleton import NodeStore
 from ..core.vdoc import VectorizedDocument
-from ..core.vectors import Vector, parse_float_column
+from ..core.vectors import UNOWNED, Vector
 from ..errors import CorruptDataError, StorageError
 from ..index import (build_value_index, build_value_index_from_codes,
                      decode_segment, encode_segment)
 from . import faults
 from .buffer import BufferPool
-from .codecs import CODECS, encode_column
+from .codecs import CODECS
 from .disk import PageFile
 from .heap import HeapFile
 from .pages import DEFAULT_PAGE_SIZE
@@ -99,24 +95,6 @@ def _decode_node(record: bytes) -> tuple[str, tuple]:
     return label, runs
 
 
-class _Unowned:
-    """The context of a read no query owns — reconstruct, save, fsck,
-    result gathers, catalog and skeleton loads: nothing is charged to it
-    and it never expires."""
-
-    def checkpoint(self) -> None:
-        pass
-
-    def note_io(self, unit, pages: int) -> None:
-        pass
-
-    def note_decode(self, unit, count: int) -> None:
-        pass
-
-
-_UNOWNED = _Unowned()
-
-
 def _read_chain(unit, heap: HeapFile, ctx):
     """One sequential pass over ``heap``, a deadline checkpoint of
     ``ctx`` before each page; the calling thread's physical reads are
@@ -127,154 +105,31 @@ def _read_chain(unit, heap: HeapFile, ctx):
     return records
 
 
-class LazyVector(Vector):
-    """A data vector whose column lives on disk until first touched.
+class _Chain:
+    """The source of an opened vector's records: its heap chain, read
+    through the buffer pool (charged to the reading context), with the
+    codec traffic of its decodes charged to the pool and file stats
+    (``--io-stats`` / ``/stats``)."""
 
-    Materialization is one sequential pass over the heap chain through the
-    buffer pool, decoding the records through the vector's storage codec
-    (:mod:`repro.storage.codecs`); the resulting *state* is cached, so the
-    pass happens at most once per open document (``drop_cache()`` releases
-    it, e.g. for cold-cache benchmarking).  For an eager codec (identity,
-    zlib) the state is the string column itself; for ``dict``/``delta``
-    the state is the coded form, and the string column is only derived —
-    and the decode only *charged* — when something actually asks for
-    strings.  A dictionary-coded vector queried purely through
-    :meth:`dict_codes` (equality predicates in code space) or
-    :meth:`floats` (ordering predicates via the parsed keys) therefore
-    reports **zero decoded values** — the machine-checkable form of
-    "queried without decoding".
+    __slots__ = ("heap",)
 
-    The query surface (:meth:`column`, :meth:`dict_codes`,
-    :meth:`floats`) is handed the reading query's context: the
-    materializing pass charges it the *physical* reads — at most
-    ``n_pages``, measured as the materializing thread's own read delta
-    (:meth:`~repro.storage.buffer.BufferPool.pages_read_local`) so a
-    concurrent request faulting other pages never inflates it — and the
-    decoded values, and passes it the deadline checkpoint.  The
-    uncharged surface (``at``/``gather``/``take``/``tolist``) reads as
-    no query.  Concurrent first touches are serialized on a per-vector
-    lock: one thread materializes (and is charged), the others reuse the
-    published state.
-    """
+    def __init__(self, heap: HeapFile):
+        self.heap = heap
 
-    __slots__ = ("_heap", "_n", "_mat_lock", "_codec", "_state",
-                 "_lbytes", "_pbytes")
+    def read(self, unit, ctx) -> list[bytes]:
+        return _read_chain(unit, self.heap, ctx)
 
-    def __init__(self, path: tuple, n: int, heap: HeapFile, codec,
-                 lbytes: int, pbytes: int):
-        self.path = path
-        self._values = None
-        self._floats = None
-        self.n_pages = heap.n_pages or 0
-        self._heap = heap
-        self._n = n
-        self._codec = codec
-        self._state = None
-        self._lbytes = lbytes   # logical (UTF-8) bytes
-        self._pbytes = pbytes   # encoded on-disk bytes
-        self._mat_lock = threading.Lock()
-
-    def __len__(self) -> int:  # no materialization just to count
-        return self._n
-
-    @property
-    def codec_name(self) -> str:
-        return self._codec.name
-
-    def _charge(self, ctx, logical: int = 0, physical: int = 0,
-                values: int = 0) -> None:
-        """Report codec traffic to the pool and file stats
-        (``--io-stats`` / ``/stats``) and decoded values to ``ctx`` (the
-        zero-decode assertion)."""
-        view = self._heap.pool
+    def note_decode(self, logical: int, physical: int, values: int) -> None:
+        view = self.heap.pool
         view.pool.note_decode(view, logical=logical, physical=physical,
                               values=values)
-        ctx.note_decode(self, values)
-
-    def _ensure_state(self, ctx):
-        state = self._state
-        if state is None:
-            with self._mat_lock:
-                state = self._state
-                if state is None:
-                    state = self._materialize(ctx)
-                    self._state = state
-        return state
-
-    def _materialize(self, ctx):
-        records = _read_chain(self, self._heap, ctx)
-        enc = sum(len(r) for r in records)
-        if enc != self._pbytes:
-            raise CorruptDataError(
-                f"vector {'/'.join(self.path)}: catalog says {self._pbytes}"
-                f" encoded bytes, chain holds {enc}")
-        state = self._codec.decode(self.path, self._n, records,
-                                   self._lbytes, checkpoint=ctx.checkpoint)
-        self._charge(ctx, logical=self._lbytes, physical=enc,
-                     values=self._n if self._codec.eager_column else 0)
-        return state
-
-    def column(self, ctx) -> np.ndarray:
-        col = self._values
-        if col is None:
-            state = self._ensure_state(ctx)
-            with self._mat_lock:
-                col = self._values
-                if col is None:
-                    col = self._codec.column(state)
-                    if not self._codec.eager_column:
-                        # the decode happens here, not at materialization
-                        self._charge(ctx, values=self._n)
-                    self._values = col
-        return col
-
-    def _col(self) -> np.ndarray:
-        return self.column(_UNOWNED)
-
-    def dict_codes(self, ctx):
-        """``(sorted keys, int64 codes)`` of a dictionary-coded vector —
-        loads the coded state (charging its pages as usual) but never
-        builds the string column."""
-        if self._codec.name != "dict":
-            return None
-        return self._codec.codes(self._ensure_state(ctx))
-
-    def floats(self, ctx) -> np.ndarray:
-        """Float view without decoding where the codec allows it: delta
-        state *is* numeric; a dict state parses only the ``u`` distinct
-        keys and gathers — same per-value semantics
-        (:func:`~repro.core.vectors.parse_float_column`) as the column
-        path, so results are byte-identical."""
-        if self._floats is None:
-            state = self._ensure_state(ctx)
-            f = self._codec.floats(state)
-            if f is None:
-                dc = self._codec.codes(state)
-                if dc is not None:
-                    keys, codes = dc
-                    f = parse_float_column(np.asarray(keys,
-                                                      dtype=np.str_))[codes]
-                else:
-                    f = parse_float_column(self.column(ctx))
-            self._floats = f
-        return self._floats
-
-    def is_loaded(self) -> bool:
-        return self._state is not None
-
-    def drop_cache(self) -> None:
-        """Release the materialized state and column (the next access
-        re-reads the chain through the pool — cold or warm depending on
-        the pool)."""
-        self._state = None
-        self._values = None
-        self._floats = None
 
 
 class DiskValueIndex:
     """Lazy handle over one vector's persistent value-index segment.
 
-    Mirrors :class:`LazyVector`'s contract for the segment's heap chain:
+    Mirrors an opened :class:`~repro.core.vectors.Vector`'s contract for
+    the segment's heap chain:
     no page of it is touched until the first :meth:`get`, which
     materializes (and structurally validates) the
     :class:`~repro.index.ValueIndex` through the buffer pool in one
@@ -284,7 +139,7 @@ class DiskValueIndex:
     query's :class:`~repro.core.context.VectorCache` touches it like a
     vector, so the per-context scan-once / bounded-physical-I/O
     assertions cover index probes too, under the same per-handle lock
-    discipline as :class:`LazyVector`.  ``distinct`` comes from the
+    discipline as a vector's.  ``distinct`` comes from the
     catalog: the planner prices a probe without I/O.
     """
 
@@ -332,86 +187,6 @@ class DiskValueIndex:
         self._vi = None
 
 
-class DiskVectorizedDocument(VectorizedDocument):
-    """A :class:`VectorizedDocument` whose vectors are disk-backed.
-
-    The skeleton and catalog are memory-resident; every vector is a
-    :class:`LazyVector` over ``self.pool`` — which may be *shared* with
-    other open documents (a repository opens every member over one pool);
-    ``self.view`` is this document's per-file face of it, carrying the
-    per-document I/O counters.  Query evaluation is unchanged —
-    ``eval_query`` / ``eval_xq`` work as for the in-memory document, with
-    the engine additionally checking page-read counts and pin leaks
-    (pool-wide).
-    """
-
-    def __init__(self, store, root, vectors, pool: BufferPool,
-                 file: PageFile, view=None):
-        super().__init__(store, root, vectors)
-        self.pool = pool
-        self.file = file
-        self.view = view if view is not None else pool.views()[0]
-
-    def io_stats(self) -> dict:
-        """Per-document physical/logical I/O counters, plus the pool-wide
-        aggregates (``pool_*``) — distinct when the pool is shared."""
-        stats = self.view.stats.as_dict()
-        for k, v in self.pool.snapshot().items():
-            stats[k if k == "pinned" else f"pool_{k}"] = v
-        return stats
-
-    def io_units(self) -> list:
-        """Vectors plus persistent index segments — every disk-backed
-        structure the engine's I/O invariants must cover."""
-        return list(self.vectors.values()) + list(self._vindexes.values())
-
-    def codec_of(self, path) -> str | None:
-        """Cataloged storage-codec name of one vector (no page I/O) —
-        the planner consults this to stamp ``access='dict'``."""
-        vec = self.vectors.get(tuple(path))
-        return vec.codec_name if vec is not None else None
-
-    def compression_stats(self) -> dict:
-        """Per-vector codec + logical/physical bytes, the codec mix and
-        the overall compression ratio, straight from the catalog (zero page I/O —
-        what ``repo ls`` / ``index ls`` print)."""
-        vecs = []
-        logical = physical = 0
-        codecs: dict[str, int] = {}
-        for vpath in sorted(self.vectors):
-            vec = self.vectors[vpath]
-            codecs[vec.codec_name] = codecs.get(vec.codec_name, 0) + 1
-            vecs.append({"path": "/".join(vpath), "n": len(vec),
-                         "codec": vec.codec_name,
-                         "logical_bytes": vec._lbytes,
-                         "physical_bytes": vec._pbytes})
-            logical += vec._lbytes
-            physical += vec._pbytes
-        return {"vectors": vecs,
-                "logical_bytes": logical,
-                "physical_bytes": physical,
-                "codecs": codecs,
-                "compression_ratio":
-                    round(physical / logical, 4) if logical else 1.0}
-
-    def drop_caches(self) -> None:
-        """Forget every materialized column and index (buffer pool left
-        as is)."""
-        for vec in self.vectors.values():
-            vec.drop_cache()
-        for handle in self._vindexes.values():
-            handle.drop_cache()
-
-    def close(self) -> None:
-        self.file.close()
-
-    def __enter__(self) -> "DiskVectorizedDocument":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def _resolve_index_paths(vdoc: VectorizedDocument, index_paths) -> set:
     """Normalize the ``index_paths`` argument to a set of vector paths."""
     if index_paths is None:
@@ -427,6 +202,20 @@ def _resolve_index_paths(vdoc: VectorizedDocument, index_paths) -> set:
     return resolved
 
 
+def _value_index(vec: Vector, records: list[bytes]):
+    """The value index of one vector, built from the state the records
+    just written decode to: a dict codec's own keys and codes (segment
+    and chain share one key dictionary, and the string column is never
+    built), or else its column.  The decode also verifies the records at
+    write time."""
+    codec = vec.codec
+    state = codec.decode(vec.path, len(vec), records, vec.lbytes)
+    coded = codec.codes(state)
+    if coded is not None:
+        return build_value_index_from_codes(vec.path, *coded)
+    return build_value_index(vec.path, codec.column(state))
+
+
 def _write_vdoc(vdoc: VectorizedDocument, file: PageFile,
                 index_paths=None) -> dict:
     """Write the heaps + catalog into ``file`` and return the meta dict."""
@@ -435,29 +224,16 @@ def _write_vdoc(vdoc: VectorizedDocument, file: PageFile,
     catalog = []
     for vpath in sorted(vdoc.vectors):
         vec = vdoc.vectors[vpath]
-        values = vec.tolist()
-        codec, records, lbytes, pbytes = encode_column(values)
+        records = vec.records()
         heap = HeapFile.create(pool)
         for record in records:
             heap.append(record)
         entry = {"path": list(vpath), "n": len(vec),
                  "head": heap.head, "pages": heap.n_pages,
-                 "codec": codec.name, "lbytes": int(lbytes),
-                 "pbytes": int(pbytes)}
+                 "codec": vec.codec.name, "lbytes": int(vec.lbytes),
+                 "pbytes": int(vec.pbytes)}
         if vpath in indexed:
-            # the segment is built from the very values just written, so
-            # index and vector can never disagree within one save
-            if codec.name == "dict":
-                # index straight from the codec's own coding — decoding
-                # the just-encoded records both verifies the roundtrip at
-                # write time and guarantees segment and chain share one
-                # key dictionary
-                keys, codes = codec.decode(vpath, len(values), records,
-                                           lbytes)
-                vi = build_value_index_from_codes(vpath, keys, codes)
-            else:
-                vi = build_value_index(vpath,
-                                       np.asarray(values, dtype=np.str_))
+            vi = _value_index(vec, records)
             iheap = HeapFile.create(pool)
             for record in encode_segment(vi):
                 iheap.append(record)
@@ -506,11 +282,7 @@ def save_vdoc(vdoc: VectorizedDocument, path: str,
         try:
             meta = _write_vdoc(vdoc, file, index_paths=index_paths)
             file.flush()
-            logical = sum(e["lbytes"] for e in meta["vectors"])
-            physical = sum(e["pbytes"] for e in meta["vectors"])
-            codecs: dict[str, int] = {}
-            for e in meta["vectors"]:
-                codecs[e["codec"]] = codecs.get(e["codec"], 0) + 1
+            comp = vdoc.compression_stats()   # of the records just written
             summary = {
                 "path": path,
                 "format": VDOC_FORMAT,
@@ -523,11 +295,8 @@ def save_vdoc(vdoc: VectorizedDocument, path: str,
                 "indexes": sum(1 for e in meta["vectors"] if "index" in e),
                 "index_pages": sum(e["index"]["pages"]
                                    for e in meta["vectors"] if "index" in e),
-                "logical_bytes": logical,
-                "physical_bytes": physical,
-                "compression_ratio":
-                    round(physical / logical, 4) if logical else 1.0,
-                "codecs": codecs,
+                **{k: comp[k] for k in ("logical_bytes", "physical_bytes",
+                                        "compression_ratio", "codecs")},
             }
             file.sync_close()  # flush + fsync + close: durable before rename
         except BaseException:
@@ -627,7 +396,7 @@ def _read_catalog(pool, path: str, meta_page: int, n_pages: int) -> dict:
             f"{path}: catalog head page {meta_page} outside the "
             f"file ({n_pages} pages)")
     meta_records = list(HeapFile(pool, meta_page).records(
-        _UNOWNED.checkpoint))
+        UNOWNED.checkpoint))
     if not meta_records:
         raise StorageError(f"{path}: empty vdoc catalog")
     try:
@@ -647,7 +416,7 @@ def _replay_skeleton(pool, meta: dict, path: str) -> NodeStore:
     store = NodeStore()
     skel = HeapFile(pool, meta["skeleton"]["head"],
                     n_pages=meta["skeleton"]["pages"])
-    for nid, record in enumerate(skel.records(_UNOWNED.checkpoint)):
+    for nid, record in enumerate(skel.records(UNOWNED.checkpoint)):
         label, runs = _decode_node(record)
         if nid == 0:
             if label != "#" or runs:
@@ -677,7 +446,7 @@ def _replay_skeleton(pool, meta: dict, path: str) -> NodeStore:
 
 
 def open_vdoc(path: str, pool_pages: int | None = None,
-              pool: BufferPool | None = None) -> DiskVectorizedDocument:
+              pool: BufferPool | None = None) -> VectorizedDocument:
     """Open a saved vdoc with a buffer pool of ``pool_pages`` frames
     (``None`` → unbounded).  Reads the catalog and skeleton eagerly,
     vectors lazily.
@@ -694,19 +463,19 @@ def open_vdoc(path: str, pool_pages: int | None = None,
         meta = _read_catalog(view, path, file.meta_page, file.n_pages)
         store = _replay_skeleton(view, meta, path)
 
-        vectors: dict[tuple, LazyVector] = {}
+        vectors: dict[tuple, Vector] = {}
         vindexes: dict[tuple, DiskValueIndex] = {}
         for entry in meta["vectors"]:
             vpath = tuple(entry["path"])
             heap = HeapFile(view, entry["head"], n_pages=entry["pages"])
-            vectors[vpath] = LazyVector(vpath, entry["n"], heap,
-                                        CODECS[entry["codec"]],
-                                        entry["lbytes"], entry["pbytes"])
+            vectors[vpath] = Vector(vpath, entry["n"], CODECS[entry["codec"]],
+                                    entry["lbytes"], entry["pbytes"],
+                                    _Chain(heap), n_pages=entry["pages"])
             if "index" in entry:
                 vindexes[vpath] = DiskValueIndex(vpath, entry["n"],
                                                  entry["index"], view)
-        doc = DiskVectorizedDocument(store, meta["root"], vectors, pool, file,
-                                     view=view)
+        doc = VectorizedDocument(store, meta["root"], vectors)
+        doc.file, doc.pool, doc.view = file, pool, view
         doc._vindexes = vindexes
         return doc
     except BaseException:

@@ -46,6 +46,10 @@ def _char_ref(name: str, pos: int) -> str:
     if code > 0x10FFFF:
         raise ParseError(
             f"character reference &{name}; out of range (> U+10FFFF)", pos)
+    if 0xD800 <= code <= 0xDFFF:
+        # a lone surrogate is no XML character, and no UTF-8 encodes it
+        raise ParseError(
+            f"character reference &{name}; is a surrogate code point", pos)
     return chr(code)
 
 

@@ -8,19 +8,21 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 @pytest.fixture(scope="session")
-def save_identity():
-    """``save_identity(vdoc, path, **kw)``: ``vdoc.save`` with every
-    vector forced to the ``identity`` codec — the uncompressed twin the
+def identity_doc():
+    """``identity_doc(xml)``: ``VectorizedDocument.from_xml`` with every
+    vector encoded by the ``identity`` codec — the uncompressed twin the
     differential tests compare a codec-coded file against.  ``src/`` has
-    no switch for it; the codec choice is patched for the one save."""
+    no switch for it; the codec choice is patched for the one
+    vectorization (``save`` writes what the vectors hold)."""
+    from repro.core.vdoc import VectorizedDocument
     from repro.storage.codecs import IDENTITY
 
-    def save(vdoc, path, **kwargs):
+    def vectorize(xml):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("repro.storage.codecs.choose_codec",
                        lambda values: IDENTITY)
-            return vdoc.save(path, **kwargs)
-    return save
+            return VectorizedDocument.from_xml(xml)
+    return vectorize
 
 
 class Twins:
@@ -30,11 +32,9 @@ class Twins:
     def __init__(self, xml, files):
         from repro.core.vdoc import VectorizedDocument
 
-        #: memory-resident, nothing coded, nothing indexed
+        #: the vectorized document, before any save: the ``coded`` twin
+        #: with its records in hand (same codecs, same plans)
         self.memory = VectorizedDocument.from_xml(xml)
-        #: memory-resident with every value index built
-        self.memory_indexed = VectorizedDocument.from_xml(xml)
-        self.memory_indexed.build_indexes()
         #: twin name -> ``.vdoc`` path
         self.files = files
 
@@ -46,7 +46,6 @@ class Twins:
     def each(self, pool_pages=64):
         """``(name, document)`` per twin, each file over its own pool."""
         yield "memory", self.memory
-        yield "memory-indexed", self.memory_indexed
         for name in self.files:
             with self.open(name, pool_pages) as doc:
                 yield name, doc
@@ -59,12 +58,12 @@ class Twins:
 
 
 @pytest.fixture(scope="session")
-def twins(tmp_path_factory, save_identity):
+def twins(tmp_path_factory, identity_doc):
     """``twins(xml, page_size=512)``: the reference twins of one XML
-    text — the memory document (plain and with in-memory indexes) and
-    its three saves: ``identity`` (every vector stored as text:
-    predicates and joins run on strings), ``coded`` (per-vector codecs,
-    no index: code-space evaluation, every op a scan or dict sweep) and
+    text — the memory document and three saves: ``identity`` (every
+    vector stored as text: predicates and joins run on strings),
+    ``coded`` (the memory document's own per-vector codecs, no index:
+    code-space evaluation, every op a scan or dict sweep) and
     ``indexed`` (``coded`` plus ``index_paths="all"``: selections
     probe).  ``src/`` has no switch between these behaviours — what a
     query does follows from the file it runs on — so the differential
@@ -74,7 +73,7 @@ def twins(tmp_path_factory, save_identity):
         files = {name: str(d / f"{name}.vdoc")
                  for name in ("identity", "coded", "indexed")}
         t = Twins(xml, files)
-        save_identity(t.memory, files["identity"], page_size=page_size)
+        identity_doc(xml).save(files["identity"], page_size=page_size)
         t.memory.save(files["coded"], page_size=page_size)
         t.memory.save(files["indexed"], page_size=page_size,
                       index_paths="all")

@@ -1,7 +1,6 @@
 import pytest
 
 from repro.cli import main
-from repro.core.vdoc import VectorizedDocument
 
 
 def _gen(tmp_path, n=20):
@@ -291,7 +290,7 @@ def _codec_rich_xml(tmp_path, n=200):
 
 
 def test_cli_save_format_and_index_ls_compression(tmp_path, capsys,
-                                                  save_identity):
+                                                  identity_doc):
     f = _codec_rich_xml(tmp_path)
     coded, plain = (str(tmp_path / "coded.vdoc"),
                     str(tmp_path / "plain.vdoc"))
@@ -302,8 +301,7 @@ def test_cli_save_format_and_index_ls_compression(tmp_path, capsys,
     assert "compression_ratio" in out and "codecs" in out
 
     # the uncompressed twin is a test-only fixture (identity codec forced)
-    save_identity(VectorizedDocument.from_xml(f.read_text("utf-8")),
-                  plain, page_size=512)
+    identity_doc(f.read_text("utf-8")).save(plain, page_size=512)
 
     # index ls prints per-vector codec + logical/on-disk bytes from the
     # catalog alone, before any index exists

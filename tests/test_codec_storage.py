@@ -54,11 +54,11 @@ def mem():
 
 
 @pytest.fixture(scope="module")
-def saved(tmp_path_factory, mem, save_identity):
+def saved(tmp_path_factory, mem, identity_doc):
     d = tmp_path_factory.mktemp("codec")
     v4, v3 = str(d / "doc4.vdoc"), str(d / "doc3.vdoc")
     s4 = mem.save(v4, page_size=256)
-    s3 = save_identity(mem, v3, page_size=256)
+    s3 = identity_doc(_xml()).save(v3, page_size=256)
     return v4, v3, s4, s3
 
 
@@ -211,7 +211,7 @@ def _high_cardinality_xml(n=300):
     (_xml(), True), (_high_cardinality_xml(), False)],
     ids=["low-cardinality", "high-cardinality"])
 def test_v4_cold_pages_track_compression_ratio(tmp_path, xml, compressible,
-                                               save_identity):
+                                               identity_doc):
     """The perf claim, asserted structurally: reading every vector cold
     from a codec-coded file (v4) costs fewer pages than from its
     identity-coded twin (v3), roughly in proportion to the byte-level
@@ -220,7 +220,7 @@ def test_v4_cold_pages_track_compression_ratio(tmp_path, xml, compressible,
     doc = VectorizedDocument.from_xml(xml)
     v4, v3 = str(tmp_path / "doc4.vdoc"), str(tmp_path / "doc3.vdoc")
     s4 = doc.save(v4, page_size=256)
-    s3 = save_identity(doc, v3, page_size=256)
+    s3 = identity_doc(xml).save(v3, page_size=256)
 
     def cold_vector_pages(path):
         with VectorizedDocument.open(path, pool_pages=8) as disk:

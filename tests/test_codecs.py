@@ -88,7 +88,8 @@ def test_delta_roundtrip_and_float_surface(values):
 def test_delta_rejects_non_canonical_integers():
     from repro.storage.codecs import CodecInapplicable
 
-    for bad in ["01", "+1", "1.0", " 1", "", "ten", "0x1"]:
+    # "-0" would decode as "0": not canonical (str(int(v)) != v)
+    for bad in ["01", "+1", "1.0", " 1", "", "ten", "0x1", "-0", "-01"]:
         with pytest.raises(CodecInapplicable):
             DELTA.encode(["1", bad])
 

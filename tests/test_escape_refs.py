@@ -18,6 +18,8 @@ from repro.xmldata.escape import unescape
     "&#-3;",         # sign is not a digit
     "&#1_0;",        # underscore separators rejected
     "&#0x41;",       # hex prefix inside a decimal reference
+    "&#xD800;",      # a lone surrogate is no XML character
+    "&#57343;",      # U+DFFF, decimal
 ])
 def test_malformed_char_refs_raise_parse_error(ref):
     with pytest.raises(ParseError):

@@ -160,7 +160,7 @@ def test_invalid_utf8_value_is_deep_only(vdoc_path):
     with VectorizedDocument.open(vdoc_path) as disk:
         vpath = next(p for p in sorted(disk.vectors)
                      if len(disk.vectors[p]) and disk.vectors[p].at(0))
-        pid = disk.vectors[vpath]._heap.head
+        pid = disk.vectors[vpath]._source.heap.head
 
     def smash(buf):
         off, _, _ = SlottedPage(buf, PAGE_SIZE).slot_entry(0)

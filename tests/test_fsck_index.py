@@ -35,7 +35,7 @@ def indexed(tmp_path):
         handle = doc._vindexes[NAME_PATH]
         layout = {
             "index": handle._heap.pages(),
-            "column": doc.vectors[NAME_PATH]._heap.pages(),
+            "column": doc.vectors[NAME_PATH]._source.heap.pages(),
         }
         golden = eval_xq(doc, QUERY).to_xml()
     return path, layout, golden

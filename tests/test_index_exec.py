@@ -1,7 +1,8 @@
 """Index-aware execution: the indexed and unindexed twins of one document
-produce byte-identical results (memory and disk, each against the naive
-oracle), the planner stamps the access path it actually priced cheaper,
-and repeated compiles yield the identical plan."""
+produce byte-identical results (each against the naive oracle), the
+planner stamps the access path it actually priced cheaper, and repeated
+compiles yield the identical plan.  Value indexes exist only in saved
+files: the in-memory document plans exactly as its unindexed save."""
 
 import pytest
 
@@ -47,8 +48,9 @@ def doc_twins(twins):
 
 
 @pytest.fixture(scope="module")
-def mem_vdoc(doc_twins):
-    return doc_twins.memory_indexed
+def indexed_vdoc(doc_twins):
+    with doc_twins.open("indexed") as doc:
+        yield doc
 
 
 def _filters(plan):
@@ -56,14 +58,15 @@ def _filters(plan):
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
-def test_indexed_equals_scan_in_memory(doc_twins, name):
+def test_indexed_equals_scan_in_memory(doc_twins, indexed_vdoc, name):
     query = QUERIES[name]
     oracle = doc_twins.naive(query)
-    ix = eval_xq(doc_twins.memory_indexed, query)
+    ix = eval_xq(indexed_vdoc, query)
+    # the memory document is the unindexed (``coded``) twin before its save
     scan = eval_xq(doc_twins.memory, query)
     assert ix.to_xml() == oracle
     assert scan.to_xml() == oracle
-    assert all(op.access == "scan" for op in scan.plan.ops)
+    assert all(op.access != "index" for op in scan.plan.ops)
     # selections on indexed vectors of this size must actually probe;
     # a join has one kernel whatever the file holds
     assert _filters(ix.plan)
@@ -94,9 +97,9 @@ def test_probe_skips_the_column_on_disk(doc_twins):
         assert doc._vindexes[name_path].is_loaded()
 
 
-def test_plan_reports_cost_estimates(mem_vdoc):
+def test_plan_reports_cost_estimates(indexed_vdoc):
     gq, _ = compile_query(parse_xq(QUERIES["join-plus-selection"]))
-    plan = plan_query(gq, mem_vdoc)
+    plan = plan_query(gq, indexed_vdoc)
     text = plan.explain()
     assert "est" in text and "[index]" in text
     for op in plan.ops:
@@ -105,7 +108,7 @@ def test_plan_reports_cost_estimates(mem_vdoc):
             assert op.cost < op.scan_cost  # the probe won on estimate
 
 
-def test_repeated_compiles_produce_identical_plans(mem_vdoc):
+def test_repeated_compiles_produce_identical_plans(indexed_vdoc):
     """Satellite: deterministic tie-breaking — the same query against the
     same statistics always yields the same op order, access stamps and
     estimates."""
@@ -113,7 +116,7 @@ def test_repeated_compiles_produce_identical_plans(mem_vdoc):
         plans = []
         for _ in range(3):
             gq, _ = compile_query(parse_xq(query))
-            plans.append(plan_query(gq, mem_vdoc))
+            plans.append(plan_query(gq, indexed_vdoc))
         base = [(op.kind, str(op.payload), op.op_id, op.access, op.cost)
                 for op in plans[0].ops]
         for plan in plans[1:]:

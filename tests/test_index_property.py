@@ -57,15 +57,16 @@ def test_random_docs_and_queries_indexed_equals_scan(twins):
     for seed in range(N_SEEDS):
         rng = random.Random(seed)
         t = twins(_random_xml(rng, rng.randint(5, 40)))
-        for _ in range(6):
-            query = _random_query(rng)
-            oracle = t.naive(query)
-            ix = eval_xq(t.memory_indexed, query)
-            scan = eval_xq(t.memory, query)
-            assert ix.to_xml() == oracle, (seed, query)
-            assert scan.to_xml() == oracle, (seed, query)
-            assert all(op.access == "scan" for op in scan.plan.ops)
-            probed += sum(op.access == "index" for op in ix.plan.ops)
+        with t.open("indexed") as indexed, t.open("coded") as coded:
+            for _ in range(6):
+                query = _random_query(rng)
+                oracle = t.naive(query)
+                ix = eval_xq(indexed, query)
+                scan = eval_xq(coded, query)
+                assert ix.to_xml() == oracle, (seed, query)
+                assert scan.to_xml() == oracle, (seed, query)
+                assert all(op.access != "index" for op in scan.plan.ops)
+                probed += sum(op.access == "index" for op in ix.plan.ops)
     # the property must not hold vacuously: plenty of plans chose a probe
     assert probed > N_SEEDS
 
@@ -166,7 +167,7 @@ def test_join_codes_only_the_values_it_reaches(monkeypatch):
     items = "".join(f"<it><id>i{i}</id><tag>t{i % 5000}</tag></it>"
                     for i in range(n))
     xml = f"<r>{items}<p><pid>i7</pid></p><p><pid>i5007</pid></p></r>"
-    doc = VectorizedDocument.from_xml(xml)   # in memory: nothing dict-coded
+    doc = VectorizedDocument.from_xml(xml)   # neither operand is dict-coded
     query = ("for $a in /r/it, $b in /r/p where $a/tag = 't7' "
              "and $a/id = $b/pid return <o>{$a/id}</o>")
     seen = []

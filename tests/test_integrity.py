@@ -233,7 +233,7 @@ def test_invalid_utf8_value_raises_storage_error(saved_vdoc):
     vpath = next(p for p in sorted(mem.vectors)
                  if mem.vectors[p].tolist()[0])
     with VectorizedDocument.open(path) as disk:
-        pid = disk.vectors[vpath]._heap.head
+        pid = disk.vectors[vpath]._source.heap.head
 
     def smash(buf):  # first byte of the first value → invalid UTF-8
         off, _, _ = SlottedPage(buf, 256).slot_entry(0)
@@ -281,7 +281,7 @@ def test_query_on_corrupted_vdoc_raises_not_hangs(saved_vdoc):
     with VectorizedDocument.open(path, pool_pages=8) as disk:
         assert eval_query(disk, query).text_values() == baseline
         age_pid = next(v for p, v in disk.vectors.items()
-                       if "age" in p)._heap.head
+                       if "age" in p)._source.heap.head
     # raw flip (no crc restamp) in a page only the query will read:
     # open() succeeds, the scan fails
     _flip(path, FILE_HEADER + 256 * age_pid + 20)
