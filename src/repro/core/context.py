@@ -19,10 +19,11 @@ Invariants enforced here (all machine checks, not comments):
   scanned more than once, logically (one scan per first touch through
   the context's :class:`VectorCache`) or physically (pages read *by this
   context* bounded by one full chain pass);
-* **one pass per plan operation** — batched combo execution promises each
-  data vector is swept at most once per plan *operation* across all
-  concrete-path combos; full-column kernel sweeps register through
-  :meth:`note_pass` and are asserted ``<= 1`` per ``(operation, vector)``;
+* **one pass per plan operation** — batched execution promises each
+  data vector is swept at most once per plan *operation*, however many
+  concrete paths the rows carry; full-column kernel sweeps register
+  through :meth:`note_pass` and are asserted ``<= 1`` per
+  ``(operation, vector)``;
 * **zero leaked pins** — after the query (successful or not), every buffer
   pool reachable from the documents has ``pinned_total() == 0``.
 
@@ -30,8 +31,8 @@ The context also carries the query's **cooperative deadline**: an
 absolute monotonic instant set by :meth:`EvalContext.set_deadline`.
 :meth:`EvalContext.checkpoint` — one counter bump plus at most one
 ``time.monotonic()`` call — is sprinkled through the engine's loops
-(vector touches, plan operations, combo enumeration, result-row
-assembly) and every heap-chain page a materialization walks, so a
+(vector touches, plan operations, row groups and extensions,
+result-row assembly) and every heap-chain page a materialization walks, so a
 runaway query raises a typed
 :class:`~repro.errors.DeadlineExceededError` at the next checkpoint and
 unwinds through the ordinary failure path — which asserts zero leaked

@@ -11,9 +11,9 @@ inside an :class:`~repro.core.context.EvalContext` guard:
   scanned at most once ("each data vector is scanned at most once"),
   logically and against physical page I/O, with zero leaked pins
   pool-wide;
-* XQ runs the reduction plan once over the whole concrete-path combo
-  table, and the context additionally asserts at most one full-column
-  sweep per plan operation per vector.
+* XQ runs the reduction plan once over the whole tuple table, whose
+  rows carry a path id per variable, and the context additionally
+  asserts at most one full-column sweep per plan operation per vector.
 
 ``mode="naive"`` is the baseline the paper argues against: reconstruct the
 full document tree (linear in |T|, counted by the decompression hook), then

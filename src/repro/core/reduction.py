@@ -1,15 +1,18 @@
 """Graph reduction over extended vectors (paper §4.2) — the XQ hot path.
 
 The query graph ``Gq`` is evaluated collection-at-a-time: the state is a
-*tuple table* — one int64 occurrence-ordinal column per instantiated
-variable, all of equal length; a row is one candidate binding tuple.  The
-plan binds ``Gq`` to the dataguide; this module runs what it bound and
-resolves nothing.  The operations reduce ``Gq`` edge by edge:
+*tuple table* — per instantiated variable, a *path-id* column (an index
+into the plan's ``binding.var_paths[var]``) and an occurrence-ordinal
+column on that path, all of equal length; a row is one candidate binding
+tuple.  The plan binds ``Gq`` to the dataguide; this module runs what it
+bound and resolves nothing.  The operations reduce ``Gq`` edge by edge,
+each computing the entire instantiation of a variable at once:
 
-* **instantiate** (tree edge) — root variables come from one vectorized
-  evaluation of their bound alignments; relative variables are a
-  positional join: ``extension_ranges`` + prefix-sum materialization,
-  with the other columns replicated by ``np.repeat``;
+* **instantiate** (tree edge) — a root variable comes from one vectorized
+  evaluation of the alignments of *all* its bound paths, crossed with the
+  rows; a relative variable is a positional join per (parent path, own
+  path) pair of the binding: ``extension_ranges`` + prefix-sum
+  materialization, the other columns gathered by the expanded row ids;
 * **select** (constant edge) — one vectorized comparison over the text
   vector plus a prefix-sum existential per row (XPath's predicate kernel);
 * **join** (equality edge) — existential set comparison, entirely
@@ -21,32 +24,29 @@ resolves nothing.  The operations reduce ``Gq`` edge by edge:
   *filter* mode (both variables instantiated) matches ``row · m + code``
   keys and keeps the rows with a match; *extend* mode (the plan's
   ``PlanOp.extends``: the join instantiates a root variable) matches the
-  rows' ``path id · m + code`` keys against the variable's own
-  occurrences, coded once per concrete path, and the distinct matching
-  ``(row, occurrence)`` pairs become the new rows — the product of the
-  two variables is never built.  ``!=`` counts distinct values per row;
-  the ordering operators aggregate per-row min/max.
+  rows' value codes against the variable's occurrences on all its paths,
+  and the distinct matching ``(row, occurrence)`` pairs become the new
+  rows — the product of the two variables is never built.  ``!=`` counts
+  distinct values per row; the ordering operators aggregate per-row
+  min/max.
 
-Variables range over *concrete* label paths, so a query with wildcard or
-descendant bindings is a union over concrete-path *combos* — one per
-assignment of variables to the plan's bound paths, exactly the paper's
-expansion of ``//`` against the skeleton.  Execution is **batched**: the
-plan runs *once* over the union table, with a per-row combo-id column
-(``cid``) and one concrete path per (variable, combo).  Each operation
-partitions its rows by the distinct concrete paths involved — not by
-combo — so every full-column kernel (predicate mask, prefix sum) runs at
-most once per plan operation per vector no matter how many combos the
-binding yields; the :class:`~repro.core.context.EvalContext` counts
-those sweeps and the engine asserts the bound.  Every partition, and the
-final split of rows by combo, is one stable sort (:func:`_group_rows`):
-O(rows log rows + keys) per operation, never O(keys × rows).
+Variables range over *concrete* label paths — the paper's expansion of
+``//`` against the skeleton binds one variable to many.  Rows carry
+their paths: an operation groups its rows by the path-id column of the
+variable it touches (:func:`_group_rows`, one stable sort), so every
+full-column kernel (predicate mask, prefix sum) runs at most once per
+plan operation per vector, and no work is proportional to the product
+of the variables' path counts.  The
+:class:`~repro.core.context.EvalContext` counts those sweeps and the
+engine asserts the bound.
 
 Each touched vector is loaded through the context's per-document cache
 (scanned at most once for the whole query) and the skeleton is never
-decompressed.  The final cross-combo ordering uses the catalog's global
-preorder ranks: sorting rows by the rank of each variable (outermost
-first) reproduces the nested-loop document order of the naive evaluator
-exactly.
+decompressed.  Only at the end are the surviving rows split by their
+path-id tuple into the :class:`ComboRows` the builder reads, and
+globally ordered by the catalog's preorder ranks: sorting rows by the
+rank of each variable (outermost first) reproduces the nested-loop
+document order of the naive evaluator exactly.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import numpy as np
 from ..index import merge_codings
 from ..index import select_keep as vindex_select_keep
 from .context import EvalContext
-from .paths import ranges_to_ordinals
+from .paths import no_checkpoint, ranges_to_ordinals
 from .planner import Plan
 from .qgraph import ConstEdge, EqEdge, QueryGraph
 from .xpath.vx_eval import evaluate_aligned, exists_in, pred_prefix
@@ -80,35 +80,12 @@ class ComboRows:
 
 @dataclass
 class ReducedTable:
-    """Union of all combination tables, globally ordered."""
+    """The reduced table split by variable→concrete-path assignment,
+    globally ordered."""
 
     variables: list[str]
     combos: list[ComboRows]
     n_rows: int
-
-
-def _enumerate_combos(gq: QueryGraph, vdoc, plan: Plan,
-                      ctx: EvalContext) -> list[dict]:
-    """All assignments ``{variable: (concrete path, ordinals or None)}``
-    of the plan's bound paths, in nested-loop order.  Root variables carry
-    their (already predicate-filtered) ordinals; a relative variable only
-    fixes a path here — its ordinals come from positional expansion."""
-    bound = plan.binding
-    combos: list[dict] = [{}]
-    for var in gq.variables:
-        edge = gq.tree_edges[var]
-        parent = edge.parent
-        if parent is None:
-            roots = evaluate_aligned(vdoc, edge.abs_path.steps,
-                                     bound.roots[var], ctx).groups
-        out: list[dict] = []
-        for a in combos:
-            ctx.checkpoint()   # combo enumeration can be combinatorial
-            opts = roots if parent is None else \
-                [(p, None) for p in bound.rels[var][a[parent][0]]]
-            out.extend({**a, var: choice} for choice in opts)
-        combos = out
-    return combos
 
 
 def _group_rows(keys: np.ndarray, n_keys: int, checkpoint):
@@ -139,42 +116,44 @@ def _equi_match(k1: np.ndarray, k2: np.ndarray):
             order[ranges_to_ordinals(lo, hits)])
 
 
-def _combo_groups(cid: np.ndarray, assigns: list[dict], checkpoint, key):
-    """Partition row indices by ``key(assign)`` of their combo.
-
-    Yields ``(rows, representative assignment)`` per distinct key with at
-    least one surviving row — the reducer's unit of kernel work
-    (distinct concrete paths, *not* combos), each group a
-    ``checkpoint``."""
-    by: dict = {}
-    for ci, a in enumerate(assigns):
-        by.setdefault(key(a), []).append(ci)
-    gid = np.empty(len(assigns), dtype=np.int64)
-    reps = []
-    for g, cis in enumerate(by.values()):
-        gid[cis] = g
-        reps.append(assigns[cis[0]])
-    for g, rows in _group_rows(gid[cid], len(reps), checkpoint):
-        yield rows, reps[g]
-
-
 class _Reducer:
-    """One plan execution over the whole combo table.
+    """One plan execution over the whole tuple table.
 
-    Rows carry a combo id; every operation groups rows by the distinct
-    concrete path(s) it touches.  Full-column sweeps (mask + prefix sum)
-    are keyed by (plan operation, vector path) and cached, so each data
-    vector is swept at most once per plan operation across all combos —
-    the invariant ``EvalContext.check_passes`` asserts."""
+    Rows carry a path id per variable; every operation groups rows by the
+    concrete paths of the variable(s) it touches.  Full-column sweeps
+    (mask + prefix sum) are keyed by (plan operation, vector path) and
+    cached, so each data vector is swept at most once per plan operation
+    — the invariant ``EvalContext.check_passes`` asserts."""
 
-    def __init__(self, vdoc, plan: Plan, ctx: EvalContext):
+    def __init__(self, vdoc, gq: QueryGraph, plan: Plan, ctx: EvalContext):
         self.vdoc = vdoc
         self.catalog = vdoc.catalog
+        self.gq = gq
         self.plan = plan
+        self.bound = plan.binding
         self.operands = plan.binding.operands
         self.ctx = ctx
         self.cache = ctx.cache(vdoc)
         self._cums: dict[tuple, np.ndarray] = {}
+
+    def _groups(self, var: str, pids: np.ndarray, ords: np.ndarray):
+        """``(rows, concrete path, ordinals)`` per path of ``var`` that the
+        path-id column ``pids`` holds."""
+        paths = self.bound.var_paths[var]
+        for g, rows in _group_rows(pids, len(paths), self.ctx.checkpoint):
+            yield rows, paths[g], ords[rows]
+
+    def _occurrences(self, v: str):
+        """Root variable ``v`` over all its bound paths, as ``(path ids,
+        ordinals)``: one vectorized evaluation of their alignments."""
+        groups = evaluate_aligned(self.vdoc,
+                                  self.gq.tree_edges[v].abs_path.steps,
+                                  self.bound.roots[v], self.ctx).groups
+        pid = {p: i for i, p in enumerate(self.bound.var_paths[v])}
+        return (np.repeat(np.array([pid[p] for p, _ in groups],
+                                   dtype=np.int64),
+                          [len(o) for _, o in groups]),
+                np.concatenate([_EMPTY, *(o for _, o in groups)]))
 
     def _side(self, var: str, rel: tuple, cpath: tuple, col: np.ndarray):
         """Operand ``$var/rel`` at ``cpath`` as per-row ranges over the
@@ -221,45 +200,41 @@ class _Reducer:
         return cum
 
     # -- operations --------------------------------------------------------
+    # instantiate and extend return the new table as ``(rows, path ids,
+    # ordinals)``: the old row each new row extends, and the new
+    # variable's columns; select and join return a keep mask
 
-    def _instantiate(self, edge, assigns, cid, cols):
+    def _instantiate(self, edge, n: int, pids, cols):
         v = edge.var
         if edge.parent is None:
-            ids_list = [np.asarray(a[v][1], dtype=np.int64) for a in assigns]
-            counts = np.array([len(x) for x in ids_list], dtype=np.int64)
-            flat = (np.concatenate(ids_list) if ids_list
-                    else np.empty(0, dtype=np.int64))
-            offs = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(counts)))
-            m = counts[cid]
-            cols = {u: np.repeat(c, m) for u, c in cols.items()}
-            cols[v] = flat[ranges_to_ordinals(offs[cid], m)]
-            return np.repeat(cid, m), cols
-        # relative binding: positional join, grouped by the distinct
-        # (parent path, own path) pairs — not by combo
+            pid, ords = self._occurrences(v)
+            return (np.repeat(np.arange(n), len(ords)),
+                    np.tile(pid, n), np.tile(ords, n))
+        # relative binding: a positional join per (parent path, own path)
         p = edge.parent
-        n = len(cid)
-        starts_all = np.zeros(n, dtype=np.int64)
-        lengths_all = np.zeros(n, dtype=np.int64)
-        for rows, a in _combo_groups(cid, assigns, self.ctx.checkpoint,
-                                     lambda a: (a[p][0], a[v][0])):
-            pcp = a[p][0]
-            rel = a[v][0][len(pcp):]
-            starts, lengths = self.catalog.extension_ranges(
-                pcp, cols[p][rows], rel)
-            starts_all[rows] = starts
-            lengths_all[rows] = lengths
-        cols = {u: np.repeat(c, lengths_all) for u, c in cols.items()}
-        cols[v] = ranges_to_ordinals(starts_all, lengths_all)
-        return np.repeat(cid, lengths_all), cols
+        own = {q: i for i, q in enumerate(self.bound.var_paths[v])}
+        parts = [(_EMPTY, _EMPTY, _EMPTY, _EMPTY)]
+        paths = self.bound.var_paths[p]
+        for g, rows in _group_rows(pids[p], len(paths), no_checkpoint):
+            pcp = paths[g]
+            for q in self.bound.rels[v][pcp]:
+                # per extension: a path's first one builds skeleton
+                # statistics, and a `//` binding has hundreds
+                self.ctx.checkpoint()
+                starts, lengths = self.catalog.extension_ranges(
+                    pcp, cols[p][rows], q[len(pcp):])
+                parts.append((rows, np.full(len(rows), own[q]), starts,
+                              lengths))
+        rows, pid, starts, lengths = (np.concatenate(c) for c in zip(*parts))
+        return (np.repeat(rows, lengths), np.repeat(pid, lengths),
+                ranges_to_ordinals(starts, lengths))
 
-    def _select(self, op_idx, sel: ConstEdge, assigns, cid, cols,
+    def _select(self, op_idx, sel: ConstEdge, n: int, pids, cols,
                 access: str = "scan"):
-        keep = np.zeros(len(cid), dtype=bool)
-        for rows, a in _combo_groups(cid, assigns, self.ctx.checkpoint,
-                                     lambda a: a[sel.var][0]):
-            side = self._side(sel.var, sel.rel, a[sel.var][0],
-                              cols[sel.var][rows])
+        keep = np.zeros(n, dtype=bool)
+        v = sel.var
+        for rows, cpath, ords in self._groups(v, pids[v], cols[v]):
+            side = self._side(v, sel.rel, cpath, ords)
             if side is None:
                 continue
             qpath, starts, lengths = side
@@ -288,50 +263,35 @@ class _Reducer:
                               ranges_to_ordinals(s, ln)))
         return parts
 
-    def _row_operand(self, var: str, rel: tuple, assigns, cid, cols):
+    def _row_operand(self, var: str, rel: tuple, pids, cols):
         """:meth:`_operand` over the table's rows, grouped by ``var``'s
         concrete path."""
-        return self._operand(var, rel, (
-            (rows, a[var][0], cols[var][rows])
-            for rows, a in _combo_groups(cid, assigns, self.ctx.checkpoint,
-                                         lambda a: a[var][0])))
+        return self._operand(var, rel, self._groups(var, pids[var],
+                                                    cols[var]))
 
-    def _extend(self, join: EqEdge, v: str, assigns, cid, cols):
+    def _extend(self, join: EqEdge, v: str, pids, cols):
         """The ``=`` join that instantiates root variable ``v``: pair each
-        row with the occurrences of ``v``'s concrete path in the row's
-        combo whose operand shares a value with the row's.  ``v``'s operand
-        is built once per concrete path, keys are ``path id · m + code``,
-        and only the distinct matching ``(row, occurrence)`` pairs become
-        rows."""
+        row with the occurrences of ``v``, on any of its paths, whose
+        operand shares a value with the row's.  ``v``'s operand is built
+        once per concrete path, and only the distinct matching ``(row,
+        occurrence)`` pairs become rows."""
         if join.var1 == v:
             u, urel, vrel = join.var2, join.rel2, join.rel1
         else:
             u, urel, vrel = join.var1, join.rel1, join.rel2
-        roots = {a[v][0]: np.asarray(a[v][1], dtype=np.int64)
-                 for a in assigns}
-        pid = {p: i for i, p in enumerate(roots)}
-        sizes = [len(o) for o in roots.values()]
-        offs = np.cumsum([0, *sizes])
-        occs = np.concatenate(list(roots.values()))
-        parts1 = self._row_operand(u, urel, assigns, cid, cols)
-        parts2 = self._operand(v, vrel, (
-            (np.arange(offs[i], offs[i + 1]), p, o)
-            for i, (p, o) in enumerate(roots.items())))
-        r1, g1, r2, g2, m = self._join_codes(parts1, parts2)
-        row_pid = np.array([pid[a[v][0]] for a in assigns])[cid]
-        occ_pid = np.repeat(np.arange(len(sizes)), sizes)
-        i, j = _equi_match(row_pid[r1] * m + g1, occ_pid[r2] * m + g2)
+        vpid, occs = self._occurrences(v)
+        parts1 = self._row_operand(u, urel, pids, cols)
+        parts2 = self._operand(v, vrel, self._groups(v, vpid, occs))
+        r1, g1, r2, g2, _ = self._join_codes(parts1, parts2)
+        i, j = _equi_match(g1, g2)
         n_occs = max(len(occs), 1)
         pairs = np.unique(r1[i] * n_occs + r2[j])
-        rows = pairs // n_occs
-        cols = {w: c[rows] for w, c in cols.items()}
-        cols[v] = occs[pairs % n_occs]
-        return cid[rows], cols
+        occ = pairs % n_occs
+        return pairs // n_occs, vpid[occ], occs[occ]
 
-    def _join(self, join: EqEdge, assigns, cid, cols):
-        n = len(cid)
-        parts1 = self._row_operand(join.var1, join.rel1, assigns, cid, cols)
-        parts2 = self._row_operand(join.var2, join.rel2, assigns, cid, cols)
+    def _join(self, join: EqEdge, n: int, pids, cols):
+        parts1 = self._row_operand(join.var1, join.rel1, pids, cols)
+        parts2 = self._row_operand(join.var2, join.rel2, pids, cols)
         op = join.op
         if op in ("=", "!="):
             r1, g1, r2, g2, m = self._join_codes(parts1, parts2)
@@ -349,7 +309,7 @@ class _Reducer:
 
         # ordering operators: existential reduces to min/max of the numeric
         # values per row (fmin/fmax skip NaN = non-numeric text), aggregated
-        # globally across all combos in one accumulator pair
+        # across all concrete paths in one accumulator pair
         lo1 = op in ("<", "<=")
         a1 = np.full(n, np.inf if lo1 else -np.inf)
         a2 = np.full(n, -np.inf if lo1 else np.inf)
@@ -375,63 +335,69 @@ class _Reducer:
 
     # -- the one plan execution --------------------------------------------
 
-    def run(self, assigns: list[dict]):
-        cid = np.arange(len(assigns), dtype=np.int64)
-        cols: dict[str, np.ndarray] = {}
+    def run(self):
+        """``(rows, path-id columns, ordinal columns)`` of the reduced
+        table; before the first operation it holds the one empty tuple."""
+        n, pids, cols = 1, {}, {}
         for op_idx, op in enumerate(self.plan.ops):
-            if len(cid) == 0:
+            if n == 0:
                 break
             self.ctx.checkpoint()   # cancellation point between plan ops
             edge = op.payload
             if op.kind == "instantiate":
-                cid, cols = self._instantiate(edge, assigns, cid, cols)
+                v = edge.var
+                rows, pid, ords = self._instantiate(edge, n, pids, cols)
             elif op.extends is not None:
-                cid, cols = self._extend(edge, op.extends, assigns, cid,
-                                         cols)
+                v = op.extends
+                rows, pid, ords = self._extend(edge, v, pids, cols)
             else:
+                v = None
                 if op.kind == "select":
-                    keep = self._select(op_idx, edge, assigns, cid, cols,
+                    keep = self._select(op_idx, edge, n, pids, cols,
                                         op.access)
                 else:
-                    keep = self._join(edge, assigns, cid, cols)
-                cid = cid[keep]
-                cols = {v: c[keep] for v, c in cols.items()}
-        return cid, cols
+                    keep = self._join(edge, n, pids, cols)
+                rows = np.flatnonzero(keep)
+            pids = {u: c[rows] for u, c in pids.items()}
+            cols = {u: c[rows] for u, c in cols.items()}
+            if v is not None:
+                pids[v], cols[v] = pid, ords
+            n = len(rows)
+        return n, pids, cols
 
-
-def _order_table(vdoc, gq: QueryGraph,
-                 raw: list[tuple]) -> ReducedTable:
-    """Global nested-loop document order across combinations: lexicographic
-    by the preorder rank of each variable's binding, outermost variable
-    first.  Ranks are unique per node, so the order is total."""
-    catalog = vdoc.catalog
-    total = sum(n for _, _, n in raw)
-    combos: list[ComboRows] = []
-    if total:
-        keys = [
-            np.concatenate([catalog.order_keys(var_paths[v])[cols[v]]
-                            for var_paths, cols, _ in raw])
-            for v in gq.variables
-        ]
-        order = np.lexsort(tuple(reversed(keys)))
-        inv = np.empty(total, dtype=np.int64)
-        inv[order] = np.arange(total, dtype=np.int64)
-        off = 0
-        for var_paths, cols, n in raw:
-            combos.append(ComboRows(var_paths, cols, inv[off:off + n]))
-            off += n
-    return ReducedTable(list(gq.variables), combos, total)
+    def table(self, n: int, pids, cols) -> ReducedTable:
+        """The surviving rows split by their path-id tuple (one lexsort)
+        into :class:`ComboRows`, in global nested-loop document order:
+        lexicographic by the preorder rank of each variable's binding,
+        outermost variable first.  Ranks are unique per node, so the
+        order is total; they are gathered once per (variable, path)."""
+        variables = self.gq.variables
+        combos: list[ComboRows] = []
+        if n:
+            keys = []
+            for v in variables:
+                key = np.empty(n, dtype=np.int64)
+                for rows, cpath, ords in self._groups(v, pids[v], cols[v]):
+                    key[rows] = self.catalog.order_keys(cpath)[ords]
+                keys.append(key)
+            rank = np.empty(n, dtype=np.int64)
+            rank[np.lexsort(keys[::-1])] = np.arange(n, dtype=np.int64)
+            order = np.lexsort([pids[v] for v in reversed(variables)])
+            ids = np.stack([pids[v][order] for v in variables])
+            cuts = np.flatnonzero((ids[:, 1:] != ids[:, :-1]).any(axis=0))
+            bounds = [0, *(cuts + 1).tolist(), n]
+            for lo, hi in zip(bounds, bounds[1:]):
+                self.ctx.checkpoint()
+                rows = order[lo:hi]
+                combos.append(ComboRows(
+                    {v: self.bound.var_paths[v][ids[k, lo]]
+                     for k, v in enumerate(variables)},
+                    {v: cols[v][rows] for v in variables}, rank[rows]))
+        return ReducedTable(list(variables), combos, n)
 
 
 def reduce_query(vdoc, gq: QueryGraph, plan: Plan,
                  ctx: EvalContext) -> ReducedTable:
     """Reduce ``Gq`` to its binding-tuple table, globally ordered."""
-    assigns = _enumerate_combos(gq, vdoc, plan, ctx)
-    cid, cols = _Reducer(vdoc, plan, ctx).run(assigns)
-    raw = []
-    for ci, rows in _group_rows(cid, len(assigns), ctx.checkpoint):
-        a = assigns[ci]
-        raw.append(({v: a[v][0] for v in gq.variables},
-                    {v: cols[v][rows] for v in gq.variables},
-                    len(rows)))
-    return _order_table(vdoc, gq, raw)
+    reducer = _Reducer(vdoc, gq, plan, ctx)
+    return reducer.table(*reducer.run())

@@ -129,6 +129,13 @@ def _member_guide(m: dict) -> Dataguide:
     return Dataguide({tuple(p): c for p, c in m["paths"]})
 
 
+def _is_count(value) -> bool:
+    """A non-negative JSON integer — ``true``/``false`` are not counts,
+    though Python's ``bool`` is an ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
 def _check_manifest(raw) -> dict:
     """Validate ``repo.json`` against the strict schema; returns it."""
     def bad(msg: str) -> RepositoryError:
@@ -167,7 +174,7 @@ def _check_manifest(raw) -> dict:
             if (not isinstance(entry, list) or len(entry) != 2
                     or not isinstance(entry[0], list)
                     or not all(isinstance(c, str) for c in entry[0])
-                    or not isinstance(entry[1], int) or entry[1] < 0):
+                    or not _is_count(entry[1])):
                 raise bad(f"member {name!r}: bad path entry {entry!r}")
             # pruning bisects this list: paths strictly increasing
             if not entry[0] or (prev is not None and entry[0] <= prev):
@@ -176,13 +183,10 @@ def _check_manifest(raw) -> dict:
             prev = entry[0]
         comp = m.get("compression")
         if (not isinstance(comp, dict)
-                or not isinstance(comp.get("logical_bytes"), int)
-                or comp["logical_bytes"] < 0
-                or not isinstance(comp.get("physical_bytes"), int)
-                or comp["physical_bytes"] < 0
+                or not _is_count(comp.get("logical_bytes"))
+                or not _is_count(comp.get("physical_bytes"))
                 or not isinstance(comp.get("codecs"), dict)
-                or not all(isinstance(k, str) and isinstance(v, int)
-                           and v >= 0
+                or not all(isinstance(k, str) and _is_count(v)
                            for k, v in comp["codecs"].items())):
             raise bad(f"member {name!r}: bad compression entry {comp!r}")
     return raw

@@ -1,8 +1,8 @@
-"""Batched combo execution: one plan run over the whole combo table.
+"""Batched execution: one plan run over the whole tuple table.
 
 The invariant under test — each data vector is swept at most once per plan
-*operation* regardless of how many concrete-path combos the dataguide
-yields — is machine-asserted by ``EvalContext.check_passes``; these tests
+*operation* regardless of how many concrete paths the dataguide binds a
+variable to — is machine-asserted by ``EvalContext.check_passes``; these tests
 exercise both sides of it: the executor satisfies it, and the assertion
 itself has teeth and cannot be disarmed."""
 
@@ -21,9 +21,9 @@ from repro.errors import EngineInvariantError
 
 from test_paths import _deep_xml
 
-# //item expands to one concrete path per region (4 combos for $i); the
-# selection on $p's age vector is shared by every combo and must still
-# be swept once in total.
+# //item expands to one concrete path per region (4 paths for $i); the
+# selection on $p's age vector is shared by every row and must still be
+# swept once in total.
 MULTI_COMBO_XQ = (
     "for $i in /site//item, $p in /site/people/person "
     "where $i/quantity > '5' and $p/profile/age > '60' "
@@ -50,7 +50,7 @@ def test_batched_matches_naive(vdoc):
 
 
 def test_batched_one_sweep_per_operation(vdoc):
-    """Machine assertion of the acceptance bar: across all combos, batched
+    """Machine assertion of the acceptance bar: across all paths, batched
     execution sweeps every data vector at most once per plan operation
     (and the run completes under the unconditional assertion)."""
     ctx = EvalContext()
@@ -60,16 +60,16 @@ def test_batched_one_sweep_per_operation(vdoc):
 
 
 def test_grouping_sweeps_rows_once_per_operation(monkeypatch):
-    """Grouping rows by concrete path (per plan operation) and by combo
-    (the final split) passes over the row table a constant number of
-    times, however many combos the binding yields — never once per combo
-    or per group.  A sweep is a call through the reducer's numpy that
-    takes a column as long as the table the operation runs over."""
+    """Grouping rows by concrete path (per plan operation) passes over the
+    row table a constant number of times, however many paths the binding
+    yields — never once per path or per group — and the final split by
+    path-id tuple a constant number of times per variable.  A sweep is a
+    call through the reducer's numpy that takes a column as long as the
+    table the operation runs over."""
     deep = VectorizedDocument.from_xml(_deep_xml(random.Random(5)))
     xq = "for $n in //NP, $m in $n//NN where $m = 'w1' return <r>{$m}</r>"
     n_rows = [0]
     sweeps = []      # per operation, then one for the final split
-    combos = []
     real_np = reduction.np
 
     class CountingNumpy:
@@ -93,39 +93,34 @@ def test_grouping_sweeps_rows_once_per_operation(monkeypatch):
         real = getattr(reduction._Reducer, name)
 
         def op(self, *args, real=real):
-            table(len(inspect.signature(real).bind(self, *args)
-                      .arguments["cid"]))
+            table(inspect.signature(real).bind(self, *args).arguments["n"])
             return real(self, *args)
         monkeypatch.setattr(reduction._Reducer, name, op)
     real_run = reduction._Reducer.run
 
-    def run(self, assigns):
-        combos.append(len(assigns))
-        cid, cols = real_run(self, assigns)
-        table(len(cid))
-        return cid, cols
+    def run(self):
+        out = real_run(self)
+        table(out[0])
+        return out
     monkeypatch.setattr(reduction._Reducer, "run", run)
     monkeypatch.setattr(reduction, "np", CountingNumpy())
 
     out = eval_xq(deep, xq)
     assert out.to_xml() == eval_xq(deep, xq, mode="naive").to_xml()
-    assert combos[0] >= 100 and out.n_tuples > 0
+    # (parent path, own path) pairs the relative variable extends over
+    pairs = sum(map(len, out.plan.binding.rels["m"].values()))
+    assert pairs >= 100 and out.n_tuples > 0
     assert len(sweeps) == len(out.plan.ops) + 1
-    # the group-by's sort and bounds, plus the replication of the two
-    # columns an extension repeats (one variable and the combo ids)
-    assert max(sweeps) <= 4, sweeps
+    # per operation: the group-by's sort and bounds, plus the replication
+    # of the rows an instantiation extends
+    assert max(sweeps[:-1]) <= 4, sweeps
+    # the split: a group-by per variable to gather its order keys
+    assert sweeps[-1] <= 2 * len(out.plan.var_paths), sweeps
 
 
-def test_equality_join_never_builds_the_product(monkeypatch):
-    """An ``=`` join instantiates its second root variable from the
-    matching pairs: no 1-D array the reducer hands to numpy is as long as
-    the product of the two variables' occurrences."""
-    doc = VectorizedDocument.from_xml(xmark_like_xml(300))
-    xq = ("for $c in //closed_auction, $p in //person "
-          "where $c/buyer = $p/@id return <r>{$p/name}{$c/price}</r>")
-    product = (eval_query(doc, "//closed_auction").count()
-               * eval_query(doc, "//person").count())
-    expected = eval_xq(doc, xq, mode="naive").to_xml()
+def _spy_longest_array(monkeypatch) -> list:
+    """``[n]``: the length of the longest 1-D array the reducer hands to
+    numpy from now on (a spy on ``reduction.np``)."""
     longest = [0]
     real_np = reduction.np
 
@@ -143,11 +138,63 @@ def test_equality_join_never_builds_the_product(monkeypatch):
             return call
 
     monkeypatch.setattr(reduction, "np", LongestArgNumpy())
+    return longest
+
+
+def test_equality_join_never_builds_the_product(monkeypatch):
+    """An ``=`` join instantiates its second root variable from the
+    matching pairs: no 1-D array the reducer hands to numpy is as long as
+    the product of the two variables' occurrences."""
+    doc = VectorizedDocument.from_xml(xmark_like_xml(300))
+    xq = ("for $c in //closed_auction, $p in //person "
+          "where $c/buyer = $p/@id return <r>{$p/name}{$c/price}</r>")
+    product = (eval_query(doc, "//closed_auction").count()
+               * eval_query(doc, "//person").count())
+    expected = eval_xq(doc, xq, mode="naive").to_xml()
+    longest = _spy_longest_array(monkeypatch)
     out = eval_xq(doc, xq)
     assert out.to_xml() == expected
     assert product >= 2 * 10**4 and 0 < out.n_tuples < product // 50
     assert 0 < longest[0] < product, (longest[0], product)
     assert [op.extends for op in out.plan.ops if op.kind == "join"] == ["p"]
+
+
+def test_reduction_never_enumerates_the_path_product(monkeypatch):
+    """Rows carry their paths: the reducer's work is O(Σ bound paths),
+    never O(Π bound paths).  Two ``//`` variables bind hundreds of
+    concrete paths each, and the answer is a few tuples: no 1-D array the
+    reducer hands to numpy is as long as the product of the path counts."""
+    doc = VectorizedDocument.from_xml(_deep_xml(random.Random(6)))
+    xq = ("for $a in //NP, $b in //VP where $a/NN = 'w1' and $b/DT = 'w2' "
+          "and $a/JJ = $b/JJ return <r>{$a/NN}{$b/DT}</r>")
+    expected = eval_xq(doc, xq, mode="naive").to_xml()
+    longest = _spy_longest_array(monkeypatch)
+    out = eval_xq(doc, xq)
+    assert out.to_xml() == expected
+    paths = out.plan.var_paths
+    product = len(paths["a"]) * len(paths["b"])
+    assert product >= 10**4 and 0 < out.n_tuples < 10
+    assert 0 < longest[0] < product, (longest[0], product)
+
+
+@pytest.mark.parametrize("xq, extends", [
+    # a root variable whose predicate leaves no occurrence
+    ("for $a in //NP[NN = 'w9'] return <r>{$a/NN}</r>", []),
+    # the same kind of variable as the target of an extending join
+    ("for $a in //NP, $b in //VP[DT = 'w9'] where $a/NN = 'w1' "
+     "and $a/JJ = $b/JJ return <r>{$a/NN}{$b/JJ}</r>", ["b"]),
+    # a relative variable with no path below any of its parent's
+    ("for $a in //NP, $m in $a/ZZ return <r>{$m}</r>", []),
+])
+def test_empty_bindings_reach_their_operation(xq, extends):
+    """An empty binding is instantiated by its operation like any other
+    and yields no rows — it never raises on an empty concatenation."""
+    deep = VectorizedDocument.from_xml(_deep_xml(random.Random(5)))
+    out = eval_xq(deep, xq)
+    assert out.to_xml() == eval_xq(deep, xq, mode="naive").to_xml()
+    assert out.n_tuples == 0 and out.table.combos == []
+    assert [op.extends for op in out.plan.ops if op.kind == "join"] \
+        == extends
 
 
 def test_check_passes_has_teeth(vdoc):

@@ -289,6 +289,14 @@ def test_manifest_rejects_bad_compression_entry():
         "logical_bytes": 1, "physical_bytes": 1, "codecs": {"dict": "x"}}
     with pytest.raises(RepositoryError, match="compression"):
         _check_manifest(base)
+    # JSON booleans are not byte or codec counts (Python's bool is an int)
+    for comp in ({"logical_bytes": True, "physical_bytes": 1, "codecs": {}},
+                 {"logical_bytes": 1, "physical_bytes": False, "codecs": {}},
+                 {"logical_bytes": 1, "physical_bytes": 1,
+                  "codecs": {"dict": True}}):
+        base["members"][0]["compression"] = comp
+        with pytest.raises(RepositoryError, match="compression"):
+            _check_manifest(base)
     base["members"][0]["compression"] = {
         "logical_bytes": 1, "physical_bytes": 1, "codecs": {"dict": 2}}
     assert _check_manifest(base)

@@ -179,6 +179,9 @@ def test_manifest_schema_is_strict(tmp_path):
         (lambda m: m["members"][0].update(file="../evil.vdoc"), "bad file"),
         (lambda m: m["members"][0]["paths"].append([["p"], -1]),
          "bad path entry"),
+        # JSON booleans are not counts (Python's bool is an int)
+        (lambda m: m["members"][0]["paths"][0].__setitem__(1, True),
+         "bad path entry"),
     ]:
         broken = json.loads(json.dumps(good))
         mutate(broken)
