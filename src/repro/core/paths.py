@@ -11,11 +11,10 @@ arithmetic progression per run, and positional joins between a path and its
 extensions cost O(runs + |instantiation| log runs) — independent of |T|.
 This module is the concrete realization of "querying without decompression".
 
-Everything here is columnar: ordinal sets are int64 numpy arrays, range
-maps are (starts, lengths) column pairs, and expansion uses
-``np.searchsorted`` / prefix sums / ``np.repeat`` — no per-node Python
-loops on hot paths (Python iteration is over *runs* only, which is the
-compressed size).
+Everything here is columnar — ordinal sets are int64 arrays, range maps
+(starts, lengths) pairs — and the catalog is one level-synchronous pass
+over the skeleton's CSR arrays: a fixed number of array operations per
+depth, no Python loop per run, node or child.
 
 The module also owns the **dataguide** — the sorted distinct label paths —
 and :class:`Dataguide` is the only place query steps (``*``, ``//``),
@@ -162,20 +161,18 @@ class Dataguide:
 
 
 class PathIndex:
-    """Run-length occurrence index of one root label path."""
+    """Run-length occurrence index of one root label path: its runs
+    ``(skeleton node, count)`` in document order, as arrays."""
 
-    __slots__ = ("path", "runs", "run_nodes", "run_counts", "run_start", "total")
+    __slots__ = ("path", "run_nodes", "run_counts", "run_start", "total")
 
-    def __init__(self, path: tuple, runs: list[tuple[int, int]]):
+    def __init__(self, path: tuple, run_nodes: np.ndarray,
+                 run_counts: np.ndarray):
         self.path = path
-        self.runs = runs  # [(skeleton node id, count), ...] document order
-        self.run_nodes = np.fromiter((r[0] for r in runs), dtype=np.int64,
-                                     count=len(runs))
-        self.run_counts = np.fromiter((r[1] for r in runs), dtype=np.int64,
-                                      count=len(runs))
-        cum = np.cumsum(self.run_counts)
-        self.total = int(cum[-1]) if len(runs) else 0
-        self.run_start = cum - self.run_counts  # first ordinal of each run
+        self.run_nodes = run_nodes  # skeleton node ids, document order
+        self.run_counts = run_counts
+        self.total = int(run_counts.sum())
+        self.run_start = np.cumsum(run_counts) - run_counts  # first ordinals
 
     def all_ordinals(self) -> np.ndarray:
         return np.arange(self.total, dtype=np.int64)
@@ -185,158 +182,164 @@ class PathIndex:
         return np.searchsorted(self.run_start, ids, side="right") - 1
 
 
-def _merge_adjacent(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for node, count in runs:
-        if out and out[-1][0] == node:
-            out[-1] = (node, out[-1][1] + count)
-        else:
-            out.append((node, count))
-    return out
+def _starts(*cols: np.ndarray) -> np.ndarray:
+    """Rows where any of the (non-empty) columns differs from the row
+    before; the first row always counts."""
+    diff = np.logical_or.reduce([col[1:] != col[:-1] for col in cols])
+    return np.flatnonzero(np.concatenate([[True], diff]))
+
+
+def _tile(width: np.ndarray, reps: np.ndarray):
+    """Segment ``i`` of ``width[i]`` items written out ``reps[i]`` times
+    in a row, all segments at once: per output position its segment, its
+    item within the segment and its copy number."""
+    tot = width * reps
+    seg = np.repeat(np.arange(len(tot)), tot)
+    t = np.arange(len(seg)) - np.repeat(np.cumsum(tot) - tot, tot)
+    return seg, t % width[seg], t // width[seg]
 
 
 class PathsCatalog:
-    """Lazily built PathIndex per label path, plus extension statistics.
-
-    ``extension_ranges(path, ids, rel)`` is the workhorse positional join:
-    given occurrence ordinals of ``path``, return per-occurrence contiguous
-    ranges in the ordinal space of ``path + rel``, computed per *run* as an
-    arithmetic progression.
-    """
+    """Every label path of one document with its run-length occurrences
+    (built at construction), plus lazily computed document order and
+    extension statistics — the positional join :meth:`extension_ranges`,
+    an arithmetic progression per *run*."""
 
     def __init__(self, store: NodeStore, root: int):
         self.store = store
         self.root = root
-        root_path = (store.label(root),)
-        self._idx: dict[tuple, PathIndex | None] = {
-            root_path: PathIndex(root_path, [(root, 1)])
-        }
+        self.skel = store.skeleton(root + 1)   # the prefix [0, root]
+        self._idx: dict[tuple, PathIndex] = {}
         self._ext: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._order: dict[int, np.ndarray] = {0: np.zeros(1, np.int64)}
         self._guide: Dataguide | None = None
-        self._order: dict[tuple, np.ndarray] = {
-            root_path: np.zeros(1, dtype=np.int64)
-        }
-        self._loc: dict[tuple[int, str], np.ndarray] = {}
+        self._level_pass()
 
-    # -- index construction ----------------------------------------------
-
-    def index(self, path: tuple) -> PathIndex | None:
-        """The run-length index of ``path`` (None if the path is absent)."""
-        if path in self._idx:
-            return self._idx[path]
-        if len(path) <= 1:  # wrong root label
-            self._idx[path] = None
-            return None
-        parent = self.index(path[:-1])
-        if parent is None:
-            self._idx[path] = None
-            return None
-        store = self.store
-        label = path[-1]
-        runs: list[tuple[int, int]] = []
-        for node, count in parent.runs:
-            matching = _merge_adjacent(
-                [(c, k) for c, k in store.children(node) if store.label(c) == label]
-            )
-            if not matching:
-                continue
-            if len(matching) == 1:
-                # The common, regular case: c copies of a single child run
-                # collapse into one run — the index stays compressed.
-                child, k = matching[0]
-                runs.append((child, count * k))
+    def _level_pass(self) -> None:
+        """All paths, one depth at a time, from the frontier of that
+        depth's runs as ``(path, node, count)`` arrays: one CSR gather,
+        a stable sort by (parent path, child label) — one child path per
+        group, numbered in sorted order — a run's group sequence tiled
+        over its count where it interleaves with other labels (else the
+        count multiplies), and a diff mask merging equal neighbours."""
+        skel, root = self.skel, self.root
+        names = skel.names[:]   # the store may intern new labels meanwhile
+        nl = len(names)
+        rank = np.empty(nl, dtype=np.int64)
+        rank[sorted(range(nl), key=names.__getitem__)] = np.arange(nl)
+        level = [(names[skel.label[root]],)]
+        paths, parent, totals = list(level), [-1], [1]
+        fr_pid = np.zeros(1, np.int64)
+        fr_node = np.array([root])
+        fr_count = np.ones(1, np.int64)
+        # per depth: its runs (node, count), and the edges gathered for
+        # its paths with the parent run of each (for order_keys)
+        levels = [(fr_node, fr_count, fr_node[:0], fr_node[:0])]
+        run_ptr, sel_ptr = [0, 1], [0, 0]
+        while True:
+            lo = skel.child_ptr[fr_node]
+            deg = skel.child_ptr[fr_node + 1] - lo
+            edge = ranges_to_ordinals(lo, deg)
+            if not len(edge):
+                break
+            run = np.repeat(np.arange(len(fr_node)), deg)
+            key = fr_pid[run] * nl + rank[skel.label[skel.child_id[edge]]]
+            order = np.argsort(key, kind="stable")
+            key, run, edge = key[order], run[order], edge[order]
+            base = run_ptr[-1]
+            sel_base = sel_ptr[-1]
+            sel_ptr += (sel_base + _starts(key)).tolist()[1:] + [sel_base + len(edge)]
+            seg = _starts(key, run)
+            width = np.add.reduceat(np.ones(len(key), np.int64), seg)
+            copies = fr_count[run[seg]]
+            if (single := width == 1).all():
+                child = skel.child_id[edge]
+                count = skel.child_count[edge] * copies
             else:
-                # Irregular interleaving (e.g. a<b/><c/><b/>): document
-                # order forces the child-run sequence to repeat per copy.
-                for _ in range(count):
-                    runs.extend(matching)
-        runs = _merge_adjacent(runs)
-        idx = PathIndex(path, runs) if runs else None
-        self._idx[path] = idx
-        return idx
+                s, item, _ = _tile(width, np.where(single, 1, copies))
+                tiled = edge[seg[s] + item]
+                key, child = key[seg[s] + item], skel.child_id[tiled]
+                count = skel.child_count[tiled] * np.where(single, copies, 1)[s]
+            cut = _starts(key, child)
+            key, child = key[cut], child[cut]
+            count = np.add.reduceat(count, cut)
+            groups = _starts(key)
+            ppid = (key[groups] // nl).tolist()
+            first = len(paths) - len(level)
+            level = [(*level[p], names[lab]) for p, lab in
+                     zip(ppid, skel.label[child[groups]].tolist())]
+            paths += level
+            parent += [first + p for p in ppid]
+            totals += np.add.reduceat(count, groups).tolist()
+            run_ptr += (base + groups[1:]).tolist() + [base + len(child)]
+            levels.append((child, count, edge, run + base - len(fr_node)))
+            fr_pid = np.searchsorted(groups, np.arange(len(child)), "right") - 1
+            fr_node, fr_count = child, count
+        self._paths = paths
+        self._parent = parent
+        self._totals = totals
+        self._pid = dict(zip(paths, range(len(paths))))
+        self._run_ptr = run_ptr
+        self._sel_ptr = sel_ptr
+        self._run_node, self._run_count, self._edges, self._edge_runs = \
+            map(np.concatenate, zip(*levels))
 
-    # -- dataguide --------------------------------------------------------
+    def totals(self) -> dict[tuple, int]:
+        """Every label path's total occurrences, in the pass's order."""
+        return dict(zip(self._paths, self._totals))
 
     @property
     def guide(self) -> Dataguide:
-        """The document's :class:`Dataguide` (elements, ``@`` attribute
-        nodes and ``#`` text), walked off the skeleton once."""
+        """The document's :class:`Dataguide`, counted (``guide[path]`` is
+        the path's total) — sorted on first use, which an open that only
+        checks or exports the document never makes."""
         if self._guide is None:
-            store = self.store
-            paths: list[tuple] = []
-            frontier: dict[tuple, set[int]] = {
-                (store.label(self.root),): {self.root}}
-            while frontier:
-                nxt: dict[tuple, set[int]] = {}
-                for path, nodes in frontier.items():
-                    paths.append(path)
-                    for n in nodes:
-                        for child, _ in store.children(n):
-                            cpath = (*path, store.label(child))
-                            nxt.setdefault(cpath, set()).add(child)
-                frontier = nxt
-            paths.sort()
-            self._guide = Dataguide(paths)
+            self._guide = Dataguide(dict(sorted(self.totals().items())))
         return self._guide
+
+    def index(self, path: tuple) -> PathIndex | None:
+        """The run-length index of ``path`` (None if the path is absent),
+        materialized from its slice of the run arrays."""
+        idx = self._idx.get(path)
+        if idx is None and (pid := self._pid.get(path)) is not None:
+            lo, hi = self._run_ptr[pid], self._run_ptr[pid + 1]
+            idx = self._idx[path] = PathIndex(
+                path, self._run_node[lo:hi], self._run_count[lo:hi])
+        return idx
 
     def dataguide(self) -> list[tuple]:
         """All distinct root label paths, lexicographically sorted."""
         return self.guide.paths
 
-    # -- document order across paths ---------------------------------------
-
-    def _local_offsets(self, node: int, label: str) -> np.ndarray:
-        """Preorder offsets (within one instance of ``node``, whose own
-        offset is 0) of its ``label``-children, in document order."""
-        key = (node, label)
-        cached = self._loc.get(key)
-        if cached is not None:
-            return cached
-        store = self.store
-        segs: list[np.ndarray] = []
-        base = 1  # the first child starts right after the node itself
-        for child, count in store.children(node):
-            size = store.node_count(child)
-            if store.label(child) == label:
-                segs.append(base + np.arange(count, dtype=np.int64) * size)
-            base += count * size
-        out = (np.concatenate(segs) if segs
-               else np.empty(0, dtype=np.int64))
-        self._loc[key] = out
-        return out
-
     def order_keys(self, path: tuple) -> np.ndarray:
         """Global preorder rank of every occurrence of ``path``.
 
-        Ranks are the node's position in a preorder walk of the
-        *decompressed* document (attributes first, as XPath sees them), but
-        are computed entirely on the compressed skeleton: per parent run the
-        child ranks are ``parent rank + local offset`` — one ``np.repeat``
-        and tile per run.  Ranks of occurrences of *different* label paths
-        are directly comparable, which is what lets ``//`` and ``*`` results
-        be interleaved into true document order without decompression.
-        """
-        for depth in range(2, len(path) + 1):
-            prefix = path[:depth]
-            if prefix in self._order:
-                continue
-            pk = self._order[prefix[:-1]]
-            pidx = self.index(prefix[:-1])
-            assert pidx is not None, prefix
-            label = prefix[-1]
-            segs: list[np.ndarray] = []
-            for i, (node, k) in enumerate(pidx.runs):
-                loc = self._local_offsets(node, label)
-                if len(loc) == 0:
-                    continue
-                start = int(pidx.run_start[i])
-                pr = pk[start : start + k]
-                segs.append((pr[:, None] + loc[None, :]).ravel())
-            self._order[prefix] = (np.concatenate(segs) if segs
-                                   else np.empty(0, dtype=np.int64))
-        return self._order[path]
-
-    # -- extension statistics (the position algebra) ----------------------
+        The position in a preorder walk of the *decompressed* document
+        (attributes first, as XPath sees them), computed on the skeleton:
+        the parent's rank plus the local offset ``offset + copy * size``
+        of the child's run, one gather per prefix.  Ranks of *different*
+        paths are comparable, which lets ``//`` and ``*`` results
+        interleave in true document order without decompression."""
+        todo = [self._pid[path]]
+        while todo[-1] not in self._order:
+            todo.append(self._parent[todo[-1]])
+        skel = self.skel
+        for pid in reversed(todo[:-1]):
+            q = self._parent[pid]
+            pidx = self.index(self._paths[q])
+            lo, hi = self._sel_ptr[pid], self._sel_ptr[pid + 1]
+            edge = self._edges[lo:hi]
+            k = skel.child_count[edge]
+            e, _, copy = _tile(np.ones_like(k), k)   # every copy of a run
+            loc = skel.offset[edge][e] + copy * skel.size[skel.child_id[edge]][e]
+            run = self._edge_runs[lo:hi] - self._run_ptr[q]
+            first = _starts(run)
+            run, width = run[first], np.add.reduceat(k, first)
+            # per parent occurrence (copy-major): its rank + its run's offsets
+            r, item, copy = _tile(width, pidx.run_counts[run])
+            self._order[pid] = self._order[q][pidx.run_start[run][r] + copy] \
+                + loc[(np.cumsum(width) - width)[r] + item]
+        return self._order[todo[0]]
 
     def _ext_stats(self, path: tuple, rel: tuple):
         """Per-run occurrence counts of ``rel`` and per-run exclusive base
@@ -349,7 +352,7 @@ class PathsCatalog:
         assert pidx is not None
         # Bulk per-node statistics: one column lookup instead of per-run
         # memoized recursion.
-        counts = self.store.occ_column(rel)[pidx.run_nodes]
+        counts = self.store.occ_column(rel, self.root + 1)[pidx.run_nodes]
         weighted = pidx.run_counts * counts
         base = np.cumsum(weighted) - weighted  # exclusive prefix sum
         self._ext[key] = (counts, base)

@@ -182,9 +182,10 @@ def match_estimate(gq: QueryGraph, guide_counts) -> float:
 
 def _cardinality(vdoc, paths) -> float:
     """Total occurrences over bound concrete paths — for an operand's
-    text paths, the size of the vector(s) it would scan."""
-    index = vdoc.catalog.index
-    return float(sum(index(p).total for p in paths))
+    text paths, the size of the vector(s) it would scan.  The counted
+    guide holds every total: no path index is built."""
+    guide = vdoc.catalog.guide
+    return float(sum(guide[p] for p in paths))
 
 
 def _probe_stats(vdoc, qpaths):
@@ -197,7 +198,7 @@ def _probe_stats(vdoc, qpaths):
         stats = vdoc.vindex_stats(q)
         if stats is None:
             return None
-        n_total += float(vdoc.catalog.index(q).total)
+        n_total += float(vdoc.catalog.guide[q])
         u_total += float(stats["distinct"])
     return n_total, u_total
 

@@ -10,21 +10,20 @@ exponentially smaller than the tree it represents.
 The text marker is the unique node with label ``#`` and no children;
 attributes appear as ``@name`` nodes whose single child is the text marker.
 
-Per-node statistics ``occ(node, relative-label-path)`` — the number of
-occurrences of a label path under *one* instance of the node — are the
-basis of the run-length position algebra in :mod:`repro.core.paths`: all
-occurrences in a run share a skeleton node and therefore share these
-statistics, which is what makes position maps arithmetic progressions.
-They are computed by :meth:`NodeStore.occ_column` as bulk passes over the
-whole store in topological order (node ids are already topological: a
-child is always interned before its parents), one numpy column per path
-suffix — no recursion, so arbitrarily long relative paths are safe, and
-the planner gets the statistics of *every* node for the cost of one.
+The store also exposes the skeleton as arrays (:class:`Skeleton`, CSR
+child runs).  Node ids are topological (a child is interned before its
+parents), so a document reads the immutable prefix ``[0, root]``, and the
+store grows by publishing longer arrays, never by mutating published
+ones.  ``occ(node, relative-label-path)`` — the occurrences of a label
+path under *one* instance of a node, shared by a run's occurrences — is
+one masked segment sum over the CSR edges per suffix, for every node at
+once (:meth:`NodeStore.occ_column`).
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +43,71 @@ def collapse_runs(child_ids: list[int]) -> Runs:
     return tuple(runs)
 
 
+def segment_sums(ptr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-node sums of the edge weights ``w``, node ``i`` owning edges
+    ``ptr[i]:ptr[i + 1]`` (``ptr`` indexes ``w``; exact in int64)."""
+    cs = np.zeros(len(w) + 1, dtype=np.int64)
+    np.cumsum(w, out=cs[1:])
+    return cs[ptr[1:]] - cs[ptr[:-1]]
+
+
+class Skeleton:
+    """The first ``n`` nodes of a store as arrays, never mutated once
+    published (the shared ``names`` list only grows).  Node ``i`` is
+    labelled ``names[label[i]]``; its runs are ``child_id`` and
+    ``child_count`` at ``child_ptr[i]:child_ptr[i + 1]``, its subtree
+    size ``size[i]``; ``offset`` is a run's preorder offset in its
+    parent (``1 +`` the ``count * size`` before it)."""
+
+    __slots__ = ("n", "names", "label", "child_ptr", "child_id",
+                 "child_count", "size", "offset")
+
+    def __init__(self, names, label, child_ptr, child_id, child_count,
+                 size, offset):
+        self.n = len(label)
+        self.names = names
+        self.label = label
+        self.child_ptr = child_ptr
+        self.child_id = child_id
+        self.child_count = child_count
+        self.size = size
+        self.offset = offset
+
+    def extend(self, label: np.ndarray, runs: list[Runs]) -> "Skeleton":
+        """This view plus the nodes ``(label[i], runs[i])`` interned after
+        it.  New sizes settle by relaxation: pass ``h`` fixes the new
+        nodes of height ``h``.  A node standing for more than ``2**62``
+        nodes raises :class:`OverflowError` (only a crafted count can ask
+        for one), so no size, count or offset derived from a view wraps."""
+        deg = np.fromiter(map(len, runs), np.int64, len(runs))
+        ptr = np.zeros(len(runs) + 1, dtype=np.int64)
+        np.cumsum(deg, out=ptr[1:])
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(runs)),
+                           np.int64, 2 * int(ptr[-1])).reshape(-1, 2)
+        cid, cnt = flat[:, 0], flat[:, 1]
+        size = np.concatenate([self.size, np.ones(len(runs), np.int64)])
+        while not np.array_equal(
+                new := 1 + segment_sums(ptr, cnt * size[cid]), size[self.n:]):
+            size[self.n:] = new
+        # int64 wraps silently, but the lowest node that overflows has
+        # children that do not, and their float sum exposes it
+        over = np.flatnonzero(1 + np.bincount(
+            np.repeat(np.arange(len(runs)), deg),
+            cnt * size[cid].astype(float), len(runs)) > 2.0 ** 62)
+        if len(over):
+            raise OverflowError(f"skeleton node {self.n + int(over[0])} "
+                                f"stands for more than 2**62 nodes")
+        before = np.zeros(len(cid) + 1, dtype=np.int64)
+        np.cumsum(cnt * size[cid], out=before[1:])
+        offset = 1 + before[:-1] - np.repeat(before[ptr[:-1]], deg)
+        return Skeleton(
+            self.names, np.concatenate([self.label, label]),
+            np.concatenate([self.child_ptr, self.child_ptr[-1] + ptr[1:]]),
+            np.concatenate([self.child_id, cid]),
+            np.concatenate([self.child_count, cnt]), size,
+            np.concatenate([self.offset, offset]))
+
+
 class NodeStore:
     """Interning store for skeleton nodes.
 
@@ -57,8 +121,11 @@ class NodeStore:
         self._children: list[Runs] = []
         self._intern: dict[tuple[str, Runs], int] = {}
         self._occ_cols: dict[tuple[str, ...], np.ndarray] = {}
-        self._size_memo: dict[int, int] = {}
         self._intern_lock = threading.Lock()
+        self._label_ids: dict[str, int] = {}
+        self._skel = Skeleton([], np.empty(0, np.int32), np.zeros(1, np.int64),
+                              *[np.empty(0, np.int64)] * 4)
+        self._skel_lock = threading.Lock()
         self.text_id = self.intern(TEXT_LABEL, ())
 
     # -- construction -----------------------------------------------------
@@ -98,44 +165,47 @@ class NodeStore:
         """Total interned nodes (across all documents sharing the store)."""
         return len(self._labels)
 
+    def skeleton(self, upto: int) -> Skeleton:
+        """The array view of at least the first ``upto`` nodes; a shorter
+        published view is replaced by one extended to every node interned
+        so far."""
+        skel = self._skel
+        if skel.n < upto:
+            with self._skel_lock:
+                skel, n = self._skel, len(self._labels)
+                if skel.n < n:
+                    labels = self._labels[skel.n:n]
+                    for name in labels:
+                        if name not in self._label_ids:
+                            self._label_ids[name] = len(skel.names)
+                            skel.names.append(name)
+                    skel = self._skel = skel.extend(
+                        np.fromiter(map(self._label_ids.__getitem__, labels),
+                                    np.int32, len(labels)),
+                        self._children[skel.n:n])
+        return skel
+
     # -- statistics -------------------------------------------------------
 
-    def occ_column(self, relpath: tuple[str, ...]) -> np.ndarray:
-        """Bulk statistics: ``occ(n, relpath)`` for *every* interned node,
-        as one int64 column indexed by node id.
-
-        Computed iteratively, suffix by suffix (shortest first), each level
-        one pass over the store in id order — which *is* topological order,
-        because the store is append-only and children are interned before
-        their parents.  Columns are cached per suffix and extended
-        incrementally when new nodes are interned later (e.g. by result
-        construction), so the total cost stays O(|S| * |relpath|).
-        """
-        n = len(self._labels)
-        if not relpath:
-            return np.ones(n, dtype=np.int64)
-        children = self._children
-        labels = self._labels
-        sub = np.ones(n, dtype=np.int64)  # occ of the empty suffix
+    def occ_column(self, relpath: tuple[str, ...], upto: int) -> np.ndarray:
+        """Bulk statistics: ``occ(n, relpath)`` for every node of
+        :meth:`skeleton` ``(upto)``, as one int64 column indexed by node id
+        — per suffix (shortest first), the segment sum of ``count *
+        previous column[child]`` over the CSR edges whose child carries the
+        suffix's head label.  Columns are cached per suffix (one shorter
+        than the view is recomputed), so a document pays O(edges *
+        |relpath|) once."""
+        skel = self.skeleton(upto)
+        sub = np.ones(skel.n, dtype=np.int64)  # occ of the empty suffix
         for k in range(len(relpath) - 1, -1, -1):
-            suffix = relpath[k:]
-            col = self._occ_cols.get(suffix)
-            if col is not None and len(col) == n:
-                sub = col
-                continue
-            start = 0 if col is None else len(col)
-            head = relpath[k]
-            out = np.empty(n, dtype=np.int64)
-            if start:
-                out[:start] = col
-            for nid in range(start, n):
-                total = 0
-                for child, count in children[nid]:
-                    if labels[child] == head:
-                        total += count * int(sub[child])
-                out[nid] = total
-            self._occ_cols[suffix] = out
-            sub = out
+            col = self._occ_cols.get(relpath[k:])
+            if col is None or len(col) < skel.n:
+                cid = skel.child_id[:skel.child_ptr[skel.n]]
+                w = skel.child_count[:len(cid)] * sub[cid]
+                w[skel.label[cid] != self._label_ids.get(relpath[k], -1)] = 0
+                col = self._occ_cols[relpath[k:]] = \
+                    segment_sums(skel.child_ptr[:skel.n + 1], w)
+            sub = col
         return sub
 
     def occ(self, nid: int, relpath: tuple[str, ...]) -> int:
@@ -145,28 +215,11 @@ class NodeStore:
         occ(child, rest)`` over child runs labelled ``l``.  Backed by the
         bulk columns of :meth:`occ_column`.
         """
-        if not relpath:
-            return 1
-        return int(self.occ_column(relpath)[nid])
+        return int(self.occ_column(relpath, nid + 1)[nid])
 
     def node_count(self, nid: int) -> int:
-        """Size of the *decompressed* tree rooted at ``nid`` (iterative)."""
-        memo = self._size_memo
-        if nid in memo:
-            return memo[nid]
-        stack = [nid]
-        while stack:
-            cur = stack[-1]
-            if cur in memo:
-                stack.pop()
-                continue
-            missing = [c for c, _ in self._children[cur] if c not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            memo[cur] = 1 + sum(k * memo[c] for c, k in self._children[cur])
-            stack.pop()
-        return memo[nid]
+        """Size of the *decompressed* tree rooted at ``nid``."""
+        return int(self.skeleton(nid + 1).size[nid])
 
     def reachable(self, root: int) -> set[int]:
         """Skeleton node ids reachable from ``root`` (DAG nodes, not tree)."""
@@ -179,7 +232,3 @@ class NodeStore:
             seen.add(cur)
             stack.extend(c for c, _ in self._children[cur] if c not in seen)
         return seen
-
-    def edge_count(self, root: int) -> int:
-        """Run-length edges among nodes reachable from ``root``."""
-        return sum(len(self._children[n]) for n in self.reachable(root))

@@ -92,9 +92,11 @@ class VectorizedDocument:
 
     @property
     def catalog(self):
-        """Lazily built run-length occurrence indexes (position algebra).
-        Built at most once even under concurrent first access (the build
-        is pure, but two racing builds would waste work and publish
+        """The document's :class:`~repro.core.paths.PathsCatalog` (its
+        paths, their run-length occurrences and the position algebra):
+        built when a saved file opens (its vectors are checked against
+        it), else at most once on first access, also when concurrent (the
+        build is pure, but two racing builds would waste work and publish
         distinct memo dicts)."""
         if self._catalog is None:
             with self._catalog_lock:
@@ -185,10 +187,11 @@ class VectorizedDocument:
     def stats(self) -> dict:
         store = self.store
         total_values = sum(len(v) for v in self.vectors.values())
+        reachable = store.reachable(self.root)
         return {
             "document_nodes": store.node_count(self.root),
-            "skeleton_nodes": len(store.reachable(self.root)),
-            "skeleton_edges": store.edge_count(self.root),
+            "skeleton_nodes": len(reachable),
+            "skeleton_edges": sum(len(store.children(n)) for n in reachable),
             "vectors": len(self.vectors),
             "values": total_values,
         }

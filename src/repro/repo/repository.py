@@ -119,8 +119,8 @@ def member_paths(vdoc: VectorizedDocument) -> list[tuple[tuple, int]]:
     """The path-catalog entry of one document: every concrete label path of
     its dataguide with its occurrence count (skeleton statistics only — no
     data vector is touched)."""
-    catalog = vdoc.catalog
-    return [(p, int(catalog.index(p).total)) for p in catalog.dataguide()]
+    guide = vdoc.catalog.guide
+    return [(p, guide[p]) for p in guide.paths]
 
 
 def _member_guide(m: dict) -> Dataguide:

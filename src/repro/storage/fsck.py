@@ -18,7 +18,9 @@ page/slot location for each.  Checks, in dependency order:
 5. skeleton: every node record decodes, child runs stay inside the
    already-interned prefix, hash-cons replay reproduces the ids, and the
    node count matches the catalog (again the open path's own
-   :func:`~repro.storage.vdocfile._replay_skeleton`);
+   :func:`~repro.storage.vdocfile._replay_skeleton`); the cataloged
+   vectors are exactly the skeleton's text paths, each ``n`` its path's
+   total (:func:`~repro.storage.vdocfile._check_vectors`);
 6. vectors: every chain walks acyclically to exactly its cataloged
    length and holds exactly the record count its storage codec implies
    (``n`` UTF-8 records for identity, the fixed header/blob layout for
@@ -62,7 +64,8 @@ from .codecs import CODECS, utf8_bytes
 from .disk import FILE_HEADER, PageFile
 from .heap import HeapFile
 from .pages import PAGE_HEADER, SlottedPage, page_crc, stored_crc
-from .vdocfile import UNOWNED, _read_catalog, _replay_skeleton
+from .vdocfile import (UNOWNED, _check_vectors, _read_catalog,
+                       _replay_skeleton)
 
 
 @dataclass
@@ -225,11 +228,16 @@ def verify_vdoc(path: str, deep: bool = False) -> list[Finding]:
                                  count_records=False)
         if skel_pages is not None:
             try:
-                _replay_skeleton(pool, meta, path)
+                store = _replay_skeleton(pool, meta, path)
             except StorageError as exc:
                 out.add("skeleton", str(exc),
                         page=getattr(exc, "page", None),
                         slot=getattr(exc, "slot", None))
+            else:
+                try:
+                    _check_vectors(store, meta, path)
+                except StorageError as exc:
+                    out.add("vector", str(exc))
         if skel_pages:
             for pid in skel_pages:
                 prev = claimed.setdefault(pid, "skeleton")

@@ -32,7 +32,8 @@ crash-point sweep in the test suite, via :mod:`repro.storage.faults`).
 
 Opening reads *only* the catalog and skeleton (the paper's premise that
 the skeleton lives in main memory), after validating the catalog against
-a strict schema — every malformed byte pattern at this boundary surfaces
+a strict schema and the vector entries against the skeleton's text-path
+totals — every malformed byte pattern at this boundary surfaces
 as :class:`StorageError`/:class:`CorruptDataError`, never as a raw
 ``json``/``unicode``/``KeyError``.  It returns the one
 :class:`~repro.core.vdoc.VectorizedDocument` (``file``/``pool``/``view``
@@ -54,6 +55,7 @@ import struct
 import tempfile
 import threading
 
+from ..core.paths import PathsCatalog
 from ..core.skeleton import NodeStore
 from ..core.vdoc import VectorizedDocument
 from ..core.vectors import UNOWNED, Vector
@@ -411,8 +413,10 @@ def _read_catalog(pool, path: str, meta_page: int, n_pages: int) -> dict:
 
 def _replay_skeleton(pool, meta: dict, path: str) -> NodeStore:
     """Rebuild the hash-consed skeleton from its heap, validating every
-    record on the way (the one skeleton reader, shared like
-    :func:`_read_catalog`; fsck reports a failure as ``skeleton``)."""
+    record on the way, and publish its array view (a node whose
+    decompressed size overflows is corrupt) — the one skeleton reader,
+    shared like :func:`_read_catalog`; fsck reports a failure as
+    ``skeleton``."""
     store = NodeStore()
     skel = HeapFile(pool, meta["skeleton"]["head"],
                     n_pages=meta["skeleton"]["pages"])
@@ -434,6 +438,10 @@ def _replay_skeleton(pool, meta: dict, path: str) -> NodeStore:
             raise CorruptDataError(
                 f"{path}: skeleton records out of interning order "
                 f"(node {nid} interned as {interned})")
+    try:
+        store.skeleton(len(store))
+    except OverflowError as exc:
+        raise CorruptDataError(f"{path}: {exc}") from exc
     if len(store) != meta["n_nodes"]:
         raise CorruptDataError(
             f"{path}: catalog says {meta['n_nodes']} skeleton nodes, "
@@ -443,6 +451,30 @@ def _replay_skeleton(pool, meta: dict, path: str) -> NodeStore:
             f"{path}: root id {meta['root']} outside the skeleton "
             f"({len(store)} nodes)")
     return store
+
+
+def _check_vectors(store: NodeStore, meta: dict, path: str) -> PathsCatalog:
+    """The skeleton's path catalog, checked against the vector entries
+    (shared like :func:`_replay_skeleton`; fsck reports a failure as
+    ``vector``): the vectors are exactly the text paths, each holding
+    its path's total — else a query or reconstruction would index past
+    a column."""
+    catalog = PathsCatalog(store, meta["root"])
+    texts = {p: n for p, n in catalog.totals().items() if p[-1] == "#"}
+    counts = {tuple(e["path"]): e["n"] for e in meta["vectors"]}
+    if texts != counts:
+        vpath = min(p for p in texts.keys() | counts.keys()
+                    if texts.get(p) != counts.get(p))
+        name = "/".join(vpath)
+        if vpath not in counts:
+            raise CorruptDataError(f"{path}: text path {name} has no vector")
+        if vpath not in texts:
+            raise CorruptDataError(
+                f"{path}: vector {name} is not a text path of the skeleton")
+        raise CorruptDataError(
+            f"{path}: vector {name} holds {counts[vpath]} values, the "
+            f"skeleton {texts[vpath]} text nodes")
+    return catalog
 
 
 def open_vdoc(path: str, pool_pages: int | None = None,
@@ -462,6 +494,7 @@ def open_vdoc(path: str, pool_pages: int | None = None,
         view = pool.attach(file)
         meta = _read_catalog(view, path, file.meta_page, file.n_pages)
         store = _replay_skeleton(view, meta, path)
+        catalog = _check_vectors(store, meta, path)
 
         vectors: dict[tuple, Vector] = {}
         vindexes: dict[tuple, DiskValueIndex] = {}
@@ -477,6 +510,7 @@ def open_vdoc(path: str, pool_pages: int | None = None,
         doc = VectorizedDocument(store, meta["root"], vectors)
         doc.file, doc.pool, doc.view = file, pool, view
         doc._vindexes = vindexes
+        doc._catalog = catalog
         return doc
     except BaseException:
         file.abort()  # never write back to a file we failed to open

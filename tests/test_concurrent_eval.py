@@ -8,6 +8,7 @@ The old design kept scan counters and I/O windows on the shared vectors
 (guarded by a per-member evaluation lock); these tests are exactly the
 workloads that lock serialized and the shared counters mis-attributed."""
 
+import sys
 import threading
 
 import pytest
@@ -54,7 +55,8 @@ def _run_threads(worker, n=N_THREADS):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=120)
+        assert not t.is_alive(), "worker thread hung"
     if errors:
         raise errors[0]
 
@@ -166,3 +168,46 @@ def test_concurrent_member_open_single_instance(tmp_path):
         _run_threads(worker)
         assert len({id(v) for v in seen.values()}) == 1
         assert repo._opening == {}   # no latch left behind
+
+
+def test_first_touch_races_result_construction(saved):
+    """Readers first-touch a freshly opened member's lazy catalog state —
+    path indexes, order keys, extension statistics, ``occ`` columns —
+    while a writer's result construction keeps interning new nodes into
+    the same store and extending its arrays.  Catalogs read only the
+    immutable prefix up to their root, so every answer is the serial
+    one."""
+    readers = XPATHS + ["//name/text()", "//*/@id"] + [XQ_JOIN]
+    writes = [f"for $p in //person where $p/profile/age > '{20 + i}' "
+              f"return <w{i}>{{$p/name}}{{$p/@id}}</w{i}>" for i in range(6)]
+
+    def answer(doc, q):
+        if q.startswith("/"):
+            return eval_query(doc, q, mode="vx").canonical()
+        res = eval_xq(doc, q)
+        return res.to_xml(), res.vdoc.stats()["document_nodes"]
+
+    with VectorizedDocument.open(saved, pool_pages=16) as disk:
+        expected = {q: answer(disk, q) for q in readers + writes}
+
+    with VectorizedDocument.open(saved, pool_pages=16) as disk:
+        grown = len(disk.store)
+
+        def worker(idx):
+            if idx == 0:
+                for q in writes:
+                    assert answer(disk, q) == expected[q]
+                return
+            for r in range(len(readers)):
+                q = readers[(idx + r) % len(readers)]
+                assert answer(disk, q) == expected[q]
+                assert disk.pool.pinned_local() == 0
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # switch threads mid-pass
+        try:
+            _run_threads(worker, n=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(disk.store) > grown
+        assert disk.pool.pinned_total() == 0

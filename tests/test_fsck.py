@@ -15,7 +15,7 @@ from repro.storage import PageFile
 from repro.storage.disk import FILE_HEADER, _header_bytes
 from repro.storage.fsck import verify_vdoc
 from repro.storage.pages import SlottedPage, stamp_crc
-from repro.storage.vdocfile import _check_catalog, open_vdoc
+from repro.storage.vdocfile import _RUN, _check_catalog, open_vdoc
 
 PAGE_SIZE = 256
 
@@ -152,6 +152,73 @@ def test_duplicate_vector_path_is_rejected(vdoc_path):
         open_vdoc(vdoc_path)
     assert any(f.code == "catalog" and "twice" in f.message
                for f in verify_vdoc(vdoc_path))
+
+
+@pytest.mark.parametrize("swap", ["short", "extra", "missing"])
+def test_vectors_must_match_the_skeleton(tmp_path, swap):
+    """A vector whose value count disagrees with the skeleton used to save,
+    pass fsck (``--deep`` included: the chain holds what the catalog says)
+    and then fail every reader with a bare ``IndexError``.  Open and fsck
+    now check the vectors against the skeleton's text-path totals."""
+    from repro.core.vectors import Vector
+
+    doc = VectorizedDocument.from_xml(xmark_like_xml(8, seed=5))
+    vpath = ("site", "people", "person", "name", "#")
+    values = doc.vectors[vpath].tolist()
+    if swap == "short":
+        doc.vectors[vpath] = Vector.encode(vpath, values[:-1])
+        want = r"vector site/people/person/name/# holds 7 values, the " \
+            r"skeleton 8 text nodes"
+    elif swap == "extra":
+        doc.vectors[("site", "nope", "#")] = Vector.encode(
+            ("site", "nope", "#"), ["x"])
+        want = "vector site/nope/# is not a text path of the skeleton"
+    else:
+        del doc.vectors[vpath]
+        want = "text path site/people/person/name/# has no vector"
+    path = str(tmp_path / "bad.vdoc")
+    doc.save(path, page_size=PAGE_SIZE)
+    for deep in (False, True):
+        findings = verify_vdoc(path, deep=deep)
+        assert [f.code for f in findings] == ["vector"], findings
+        assert want in findings[0].message
+    with pytest.raises(CorruptDataError, match=f"bad.vdoc: {want}"):
+        open_vdoc(path)
+
+
+@pytest.mark.parametrize("counts", [(1, 2 ** 63 - 1), (2 ** 32, 2 ** 32)])
+def test_skeleton_size_overflow_is_corrupt(tmp_path, counts):
+    """Run counts are int64 on disk, so a crafted pair of them (CRCs
+    restamped) can make a node stand for more than ``2**62`` nodes: the
+    largest count wraps its parent's int64 size negative, and ``(2**32,
+    2**32)`` wraps the root's back to a small, plausible size.  Open
+    raises a located ``CorruptDataError`` and fsck reports a ``skeleton``
+    finding, never a raw numpy error or a wrapped total."""
+    path = str(tmp_path / "big.vdoc")
+    doc = VectorizedDocument.from_xml(
+        "<r>" + ("<b>" + "<a/>" * 5 + "</b>") * 3 + "</r>")
+    store = doc.store
+    (b, three), = store.children(doc.root)
+    (a, five), = store.children(b)
+    assert (three, five) == (3, 5)
+    doc.save(path, page_size=PAGE_SIZE)
+    swaps = [(_RUN.pack(b, 3), _RUN.pack(b, counts[0])),
+             (_RUN.pack(a, 5), _RUN.pack(a, counts[1]))]
+    with PageFile.open(path) as pf:
+        n_pages = pf.n_pages
+
+    def substitute(buf):
+        for old, new in swaps:
+            buf[:] = bytes(buf).replace(old, new)
+    for pid in range(n_pages):
+        _patch_page(path, pid, substitute)
+    node = b if counts[0] == 1 else doc.root
+    want = f"skeleton node {node} stands for more than 2\\*\\*62 nodes"
+    with pytest.raises(CorruptDataError, match=f"big.vdoc: {want}"):
+        open_vdoc(path)
+    for deep in (False, True):
+        findings = verify_vdoc(path, deep=deep)
+        assert [f.code for f in findings] == ["skeleton"], findings
 
 
 def test_invalid_utf8_value_is_deep_only(vdoc_path):

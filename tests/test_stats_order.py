@@ -38,7 +38,7 @@ def test_occ_column_matches_definition(seed):
     nodes = sorted(store.reachable(vdoc.root))
     rels = {g[d:] for g in catalog.dataguide() for d in range(len(g))}
     for rel in sorted(rels):
-        col = store.occ_column(rel)
+        col = store.occ_column(rel, len(store))
         assert col.dtype == np.int64 and len(col) == len(store)
         for nid in nodes:
             assert col[nid] == _occ_ref(store, nid, rel), (nid, rel)
@@ -58,17 +58,18 @@ def test_occ_column_beyond_recursion_limit():
 def test_occ_column_extends_after_store_growth():
     vdoc = VectorizedDocument.from_xml("<a><b><c>1</c></b><b><c>2</c></b></a>")
     store = vdoc.store
-    col = store.occ_column(("b", "c"))
+    col = store.occ_column(("b", "c"), len(store))
     assert col[vdoc.root] == 2
     # result construction interns new nodes later; cached columns must
     # cover them on the next request
-    b = store.occ_column(("c",))
+    b = store.occ_column(("c",), len(store))
     new = store.intern_list("wrap", [vdoc.root, vdoc.root])
-    grown = store.occ_column(("b", "c"))
+    grown = store.occ_column(("b", "c"), len(store))
     assert len(grown) == len(store)
     assert store.occ(new, ("a", "b", "c")) == 4
     assert list(grown[: len(col)]) == list(col)
-    assert len(store.occ_column(("c",))) == len(store) and b is not None
+    assert len(store.occ_column(("c",), len(store))) == len(store)
+    assert b is not None
 
 
 def _expected_ranks(tree):
