@@ -1,14 +1,14 @@
 """Result construction (paper §4.3): instantiate ``Gr`` into a vectorized
 result *without decompressing* either document.
 
-The output document shares the input's :class:`NodeStore`: splicing a
-source subtree into the result is a single id reuse — the run-length index
-maps each spliced occurrence ordinal back to its skeleton node
-(``run_nodes[run_of(ord)]``), uniformly for elements, attributes and text.
-Fresh template elements are interned per row bottom-up, so identical rows
-collapse immediately — result compression happens *stepwise during
-construction* (hash-consing), never as a separate pass over a materialized
-tree.
+The output document's :class:`NodeStore` overlays the input's, which it
+never writes: splicing a source subtree into the result is a single id
+reuse — the run-length index maps each spliced occurrence ordinal back to
+its skeleton node (``run_nodes[run_of(ord)]``), uniformly for elements,
+attributes and text. Fresh template elements are interned into the overlay
+per row bottom-up, so identical rows collapse immediately — result
+compression happens *stepwise during construction* (hash-consing), never
+as a separate pass over a materialized tree.
 
 Output data vectors are assembled columnar: for each spliced path, the
 text paths below it are enumerated on the dataguide, their value ranges
@@ -24,6 +24,7 @@ import numpy as np
 from .paths import ranges_to_ordinals
 from .qgraph import ResultSkeleton
 from .reduction import ReducedTable
+from .skeleton import NodeStore
 from .vdoc import VectorizedDocument
 from .vectors import Vector
 from .xquery.ast import TElem, TSplice, TText
@@ -75,7 +76,7 @@ def build_result(vdoc, gr: ResultSkeleton, table: ReducedTable,
     ``ctx`` (an :class:`~repro.core.context.EvalContext`) shares the
     query's per-document vector cache, so value copies here and scans in
     the reduction count against the same scan-once budget."""
-    store = vdoc.store
+    store = NodeStore(base=vdoc.store)
     catalog = vdoc.catalog
     cache = ctx.cache(vdoc)
     leaves = _template_leaves(gr)

@@ -92,8 +92,8 @@ class XQTreeResult:
 
 
 class XQVXResult:
-    """Vectorized XQ result: a result VectorizedDocument (sharing the
-    input's node store), plus the plan and tuple table for inspection."""
+    """Vectorized XQ result: a result VectorizedDocument (its store overlays
+    the input's), plus the plan and tuple table for inspection."""
 
     def __init__(self, out, plan, table):
         self.vdoc = out

@@ -208,7 +208,7 @@ class PathsCatalog:
     def __init__(self, store: NodeStore, root: int):
         self.store = store
         self.root = root
-        self.skel = store.skeleton(root + 1)   # the prefix [0, root]
+        self.skel = store.skeleton()
         self._idx: dict[tuple, PathIndex] = {}
         self._ext: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._order: dict[int, np.ndarray] = {0: np.zeros(1, np.int64)}
@@ -222,8 +222,7 @@ class PathsCatalog:
         group, numbered in sorted order — a run's group sequence tiled
         over its count where it interleaves with other labels (else the
         count multiplies), and a diff mask merging equal neighbours."""
-        skel, root = self.skel, self.root
-        names = skel.names[:]   # the store may intern new labels meanwhile
+        skel, root, names = self.skel, self.root, self.skel.names
         nl = len(names)
         rank = np.empty(nl, dtype=np.int64)
         rank[sorted(range(nl), key=names.__getitem__)] = np.arange(nl)
@@ -352,7 +351,7 @@ class PathsCatalog:
         assert pidx is not None
         # Bulk per-node statistics: one column lookup instead of per-run
         # memoized recursion.
-        counts = self.store.occ_column(rel, self.root + 1)[pidx.run_nodes]
+        counts = self.store.occ_column(rel)[pidx.run_nodes]
         weighted = pidx.run_counts * counts
         base = np.cumsum(weighted) - weighted  # exclusive prefix sum
         self._ext[key] = (counts, base)

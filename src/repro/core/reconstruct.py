@@ -67,11 +67,14 @@ def reconstruct(store: NodeStore, root_id: int, vectors) -> Element:
     # Frames: (node_id, element, label path); children are expanded in
     # document order, so per-path cursor order equals document order.
     stack: list[tuple[int, Element, tuple]] = [(root_id, root, (root_label,))]
+    # a hash-consed node recurs: read its runs and their labels once
+    runs: dict[int, list[tuple[int, int, str]]] = {}
     while stack:
         nid, elem, path = stack.pop()
         pending: list[tuple[int, Element, tuple]] = []
-        for child, count in store.children(nid):
-            label = store.label(child)
+        if nid not in runs:
+            runs[nid] = [(c, k, store.label(c)) for c, k in store.children(nid)]
+        for child, count, label in runs[nid]:
             if label == TEXT_LABEL:
                 for _ in range(count):
                     elem.append(Text(read((*path, "#"))))

@@ -10,19 +10,19 @@ exponentially smaller than the tree it represents.
 The text marker is the unique node with label ``#`` and no children;
 attributes appear as ``@name`` nodes whose single child is the text marker.
 
+A store is written only while its document is built; a query's result
+interns into an *overlay* store over the input's (paper §4.3), so the input
+store never changes and readers take no lock.
+
 The store also exposes the skeleton as arrays (:class:`Skeleton`, CSR
-child runs).  Node ids are topological (a child is interned before its
-parents), so a document reads the immutable prefix ``[0, root]``, and the
-store grows by publishing longer arrays, never by mutating published
-ones.  ``occ(node, relative-label-path)`` — the occurrences of a label
-path under *one* instance of a node, shared by a run's occurrences — is
-one masked segment sum over the CSR edges per suffix, for every node at
-once (:meth:`NodeStore.occ_column`).
+child runs), built once on first use.  ``occ(node, relative-label-path)``
+— the occurrences of a label path under *one* instance of a node, shared
+by a run's occurrences — is one masked segment sum over the CSR edges per
+suffix, for every node at once (:meth:`NodeStore.occ_column`).
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import chain
 
 import numpy as np
@@ -52,12 +52,11 @@ def segment_sums(ptr: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class Skeleton:
-    """The first ``n`` nodes of a store as arrays, never mutated once
-    published (the shared ``names`` list only grows).  Node ``i`` is
-    labelled ``names[label[i]]``; its runs are ``child_id`` and
-    ``child_count`` at ``child_ptr[i]:child_ptr[i + 1]``, its subtree
-    size ``size[i]``; ``offset`` is a run's preorder offset in its
-    parent (``1 +`` the ``count * size`` before it)."""
+    """A store's nodes as arrays, never mutated.  Node ``i`` is labelled
+    ``names[label[i]]``; its runs are ``child_id`` and ``child_count`` at
+    ``child_ptr[i]:child_ptr[i + 1]``, its subtree size ``size[i]``;
+    ``offset`` is a run's preorder offset in its parent (``1 +`` the
+    ``count * size`` before it)."""
 
     __slots__ = ("n", "names", "label", "child_ptr", "child_id",
                  "child_count", "size", "offset")
@@ -73,12 +72,15 @@ class Skeleton:
         self.size = size
         self.offset = offset
 
-    def extend(self, label: np.ndarray, runs: list[Runs]) -> "Skeleton":
-        """This view plus the nodes ``(label[i], runs[i])`` interned after
+    def extend(self, labels: list[str], runs: list[Runs]) -> "Skeleton":
+        """This view plus the nodes ``(labels[i], runs[i])`` interned after
         it.  New sizes settle by relaxation: pass ``h`` fixes the new
         nodes of height ``h``.  A node standing for more than ``2**62``
         nodes raises :class:`OverflowError` (only a crafted count can ask
         for one), so no size, count or offset derived from a view wraps."""
+        ids = dict(zip(self.names, range(len(self.names))))
+        label = np.fromiter((ids.setdefault(x, len(ids)) for x in labels),
+                            np.int32, len(labels))
         deg = np.fromiter(map(len, runs), np.int64, len(runs))
         ptr = np.zeros(len(runs) + 1, dtype=np.int64)
         np.cumsum(deg, out=ptr[1:])
@@ -101,53 +103,55 @@ class Skeleton:
         np.cumsum(cnt * size[cid], out=before[1:])
         offset = 1 + before[:-1] - np.repeat(before[ptr[:-1]], deg)
         return Skeleton(
-            self.names, np.concatenate([self.label, label]),
+            tuple(ids), np.concatenate([self.label, label]),
             np.concatenate([self.child_ptr, self.child_ptr[-1] + ptr[1:]]),
             np.concatenate([self.child_id, cid]),
             np.concatenate([self.child_count, cnt]), size,
             np.concatenate([self.offset, offset]))
 
 
+_EMPTY = Skeleton((), np.empty(0, np.int32), np.zeros(1, np.int64),
+                  *[np.empty(0, np.int64)] * 4)
+
+
 class NodeStore:
     """Interning store for skeleton nodes.
 
-    Ids are dense ints; node 0 is always the text marker ``#``.  The store is
-    append-only and may be shared between documents (input and output of a
-    query share one store so result construction can reuse subtree ids).
+    Ids are dense ints; node 0 is always the text marker ``#``.  A store is
+    complete before its :meth:`skeleton` is first read and never written
+    after.  An overlay ``NodeStore(base)`` holds a query result's nodes:
+    its ids start at ``len(base)``, its runs may point into the base, and
+    a node already in the base keeps its base id.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, base: NodeStore | None = None) -> None:
+        self.base = base
+        self._start = 0 if base is None else len(base)
         self._labels: list[str] = []
         self._children: list[Runs] = []
         self._intern: dict[tuple[str, Runs], int] = {}
         self._occ_cols: dict[tuple[str, ...], np.ndarray] = {}
-        self._intern_lock = threading.Lock()
-        self._label_ids: dict[str, int] = {}
-        self._skel = Skeleton([], np.empty(0, np.int32), np.zeros(1, np.int64),
-                              *[np.empty(0, np.int64)] * 4)
-        self._skel_lock = threading.Lock()
+        self._skel: Skeleton | None = None
         self.text_id = self.intern(TEXT_LABEL, ())
 
     # -- construction -----------------------------------------------------
 
-    def intern(self, label: str, children: Runs) -> int:
-        """Intern ``(label, children)``; safe under concurrent result
-        construction (a repository member's store is shared by every
-        request evaluating it).  The fast path is a lock-free dict hit; a
-        miss appends under the lock, ``_children`` before ``_labels`` and
-        the intern entry last, so lock-free readers iterating up to
-        ``len(self._labels)`` never see a node whose children are missing.
-        """
-        key = (label, children)
+    def _lookup(self, key: tuple[str, Runs]) -> int | None:
         nid = self._intern.get(key)
+        if nid is None and self.base is not None:
+            return self.base._lookup(key)
+        return nid
+
+    def intern(self, label: str, children: Runs) -> int:
+        """Intern ``(label, children)``: a node of this store or of its
+        (frozen) bases keeps its id, so each node is in one store only."""
+        key = (label, children)
+        nid = self._lookup(key)
         if nid is None:
-            with self._intern_lock:
-                nid = self._intern.get(key)
-                if nid is None:
-                    nid = len(self._labels)
-                    self._children.append(children)
-                    self._labels.append(label)
-                    self._intern[key] = nid
+            assert self._skel is None, "a read store is frozen"
+            nid = self._intern[key] = len(self)
+            self._labels.append(label)
+            self._children.append(children)
         return nid
 
     def intern_list(self, label: str, child_ids: list[int]) -> int:
@@ -156,55 +160,46 @@ class NodeStore:
     # -- accessors --------------------------------------------------------
 
     def label(self, nid: int) -> str:
-        return self._labels[nid]
+        if nid < self._start:
+            return self.base.label(nid)
+        return self._labels[nid - self._start]
 
     def children(self, nid: int) -> Runs:
-        return self._children[nid]
+        if nid < self._start:
+            return self.base.children(nid)
+        return self._children[nid - self._start]
 
     def __len__(self) -> int:
-        """Total interned nodes (across all documents sharing the store)."""
-        return len(self._labels)
+        """Total nodes, the base's included."""
+        return self._start + len(self._labels)
 
-    def skeleton(self, upto: int) -> Skeleton:
-        """The array view of at least the first ``upto`` nodes; a shorter
-        published view is replaced by one extended to every node interned
-        so far."""
-        skel = self._skel
-        if skel.n < upto:
-            with self._skel_lock:
-                skel, n = self._skel, len(self._labels)
-                if skel.n < n:
-                    labels = self._labels[skel.n:n]
-                    for name in labels:
-                        if name not in self._label_ids:
-                            self._label_ids[name] = len(skel.names)
-                            skel.names.append(name)
-                    skel = self._skel = skel.extend(
-                        np.fromiter(map(self._label_ids.__getitem__, labels),
-                                    np.int32, len(labels)),
-                        self._children[skel.n:n])
-        return skel
+    def skeleton(self) -> Skeleton:
+        """The array view of every node, built on first use: an overlay's
+        is its base's extended by its own nodes."""
+        if self._skel is None:
+            base = _EMPTY if self.base is None else self.base.skeleton()
+            self._skel = base.extend(self._labels, self._children)
+        return self._skel
 
     # -- statistics -------------------------------------------------------
 
-    def occ_column(self, relpath: tuple[str, ...], upto: int) -> np.ndarray:
-        """Bulk statistics: ``occ(n, relpath)`` for every node of
-        :meth:`skeleton` ``(upto)``, as one int64 column indexed by node id
-        — per suffix (shortest first), the segment sum of ``count *
-        previous column[child]`` over the CSR edges whose child carries the
-        suffix's head label.  Columns are cached per suffix (one shorter
-        than the view is recomputed), so a document pays O(edges *
-        |relpath|) once."""
-        skel = self.skeleton(upto)
+    def occ_column(self, relpath: tuple[str, ...]) -> np.ndarray:
+        """Bulk statistics: ``occ(n, relpath)`` for every node, as one int64
+        column indexed by node id — per suffix (shortest first), the
+        segment sum of ``count * previous column[child]`` over the CSR
+        edges whose child carries the suffix's head label.  Columns are
+        cached per suffix, so a document pays O(edges * |relpath|) once."""
+        skel = self.skeleton()
         sub = np.ones(skel.n, dtype=np.int64)  # occ of the empty suffix
         for k in range(len(relpath) - 1, -1, -1):
             col = self._occ_cols.get(relpath[k:])
-            if col is None or len(col) < skel.n:
-                cid = skel.child_id[:skel.child_ptr[skel.n]]
-                w = skel.child_count[:len(cid)] * sub[cid]
-                w[skel.label[cid] != self._label_ids.get(relpath[k], -1)] = 0
+            if col is None:
+                head = relpath[k]
+                lab = skel.names.index(head) if head in skel.names else -1
+                w = skel.child_count * sub[skel.child_id]
+                w[skel.label[skel.child_id] != lab] = 0
                 col = self._occ_cols[relpath[k:]] = \
-                    segment_sums(skel.child_ptr[:skel.n + 1], w)
+                    segment_sums(skel.child_ptr, w)
             sub = col
         return sub
 
@@ -215,11 +210,11 @@ class NodeStore:
         occ(child, rest)`` over child runs labelled ``l``.  Backed by the
         bulk columns of :meth:`occ_column`.
         """
-        return int(self.occ_column(relpath, nid + 1)[nid])
+        return int(self.occ_column(relpath)[nid])
 
     def node_count(self, nid: int) -> int:
         """Size of the *decompressed* tree rooted at ``nid``."""
-        return int(self.skeleton(nid + 1).size[nid])
+        return int(self.skeleton().size[nid])
 
     def reachable(self, root: int) -> set[int]:
         """Skeleton node ids reachable from ``root`` (DAG nodes, not tree)."""
@@ -230,5 +225,5 @@ class NodeStore:
             if cur in seen:
                 continue
             seen.add(cur)
-            stack.extend(c for c, _ in self._children[cur] if c not in seen)
+            stack.extend(c for c, _ in self.children(cur) if c not in seen)
         return seen

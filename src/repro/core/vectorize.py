@@ -17,9 +17,9 @@ from .skeleton import NodeStore, collapse_runs
 from .vectors import Vector
 
 
-def vectorize_events(events, store: NodeStore | None = None):
+def vectorize_events(events):
     """Consume parse events; return ``(store, root_id, vectors)``."""
-    store = store or NodeStore()
+    store = NodeStore()
     text_id = store.text_id
     path: list[str] = []  # current label path (root .. open element)
     frames: list[list[int]] = []  # child-id accumulator per open element
@@ -55,11 +55,11 @@ def vectorize_events(events, store: NodeStore | None = None):
     return store, root_id, vectors
 
 
-def vectorize_xml(text: str, store: NodeStore | None = None):
+def vectorize_xml(text: str):
     """Vectorize XML text directly from the streaming parser."""
-    return vectorize_events(iterparse(text), store)
+    return vectorize_events(iterparse(text))
 
 
-def vectorize_tree(root, store: NodeStore | None = None):
+def vectorize_tree(root):
     """Vectorize an existing node tree (re-emits its event stream)."""
-    return vectorize_events(tree_events(root), store)
+    return vectorize_events(tree_events(root))

@@ -33,11 +33,11 @@ heals the collection without reopening the repository.
 Concurrent requests (``repro.serve``) may evaluate the **same member at
 the same time**: per-query accounting lives in each request's
 :class:`~repro.core.context.EvalContext` (not on the shared document),
-lazy column/index materialization and skeleton interning are internally
-locked, and the buffer pool is concurrency-safe — so the repository
-needs no per-member evaluation lock, and the engine's invariants
-(scan-once, bounded physical I/O, zero leaked pins) are still asserted
-per request.  An optional byte-bounded LRU **result cache**
+lazy column/index materialization is internally locked, a member's
+skeleton store is read-only after open, and the buffer pool is
+concurrency-safe — so the repository needs no per-member evaluation
+lock, and the engine's invariants (scan-once, bounded physical I/O, zero
+leaked pins) are still asserted per request.  An optional byte-bounded LRU **result cache**
 (:class:`~repro.repo.rescache.ResultCache`) short-circuits repeat
 queries per member, keyed on the member file's identity (name, mtime,
 size) + normalized query text + evaluation flags, and is cleared on
@@ -266,8 +266,8 @@ class Repository:
         # Concurrency (repro.serve): any number of requests may evaluate
         # the *same* member at once — per-query accounting (scan counts,
         # physical-I/O windows) lives in each request's EvalContext, lazy
-        # column/index materialization is internally locked, and the
-        # shared NodeStore interns under its own lock — so there is no
+        # column/index materialization is internally locked, and a
+        # member's NodeStore is read-only after open — so there is no
         # per-member evaluation lock.  ``_open_lock`` protects only the
         # open-document table; the open I/O itself runs outside it behind
         # a per-member opening latch, so one slow open never blocks opens

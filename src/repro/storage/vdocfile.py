@@ -439,7 +439,7 @@ def _replay_skeleton(pool, meta: dict, path: str) -> NodeStore:
                 f"{path}: skeleton records out of interning order "
                 f"(node {nid} interned as {interned})")
     try:
-        store.skeleton(len(store))
+        store.skeleton()
     except OverflowError as exc:
         raise CorruptDataError(f"{path}: {exc}") from exc
     if len(store) != meta["n_nodes"]:

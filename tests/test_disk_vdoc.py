@@ -237,10 +237,24 @@ def test_open_rejects_xml(tmp_path, xml):
 
 
 def test_save_result_document_roundtrip(tmp_path, mem):
-    """A constructed XQ *result* document (shared store) saves and reopens
-    byte-identically too."""
+    """A constructed XQ *result* document (an overlay store over the
+    input's) saves and reopens byte-identically too."""
     out = eval_xq(mem, XQ_JOIN).vdoc
     path = str(tmp_path / "result.vdoc")
     out.save(path, page_size=256)
     with VectorizedDocument.open(path, pool_pages=4) as disk:
         assert disk.to_xml() == out.to_xml()
+
+
+def test_save_does_not_depend_on_query_history(tmp_path):
+    """Results intern into overlays, never into the queried document's
+    store: saving after twenty distinct queries writes the same bytes."""
+    vdoc = VectorizedDocument.from_xml(xmark_like_xml(100, seed=3))
+    first, second = str(tmp_path / "first.vdoc"), str(tmp_path / "second.vdoc")
+    vdoc.save(first)
+    for i in range(20):
+        eval_xq(vdoc, f"for $p in //person where $p/profile/age > '{20 + i}' "
+                      f"return <w{i}>{{$p/name}}<k/>{{$p/@id}}</w{i}>")
+    vdoc.save(second)
+    with open(first, "rb") as a, open(second, "rb") as b:
+        assert a.read() == b.read()

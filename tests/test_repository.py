@@ -300,6 +300,20 @@ def test_collection_query_matches_concatenated_per_doc(tmp_path):
         assert res3.to_xml() == expected_concat(tmp_path, eq_xq)
 
 
+def test_member_store_is_frozen_after_open(tmp_path):
+    """A served member answers many distinct queries without its skeleton
+    store growing: every result interns into its own overlay."""
+    with make_repo(tmp_path) as repo:
+        name = repo.members()[0]
+        store = repo.member(name).store
+        n, n_interned = len(store), len(store._intern)
+        for i in range(100):
+            repo.xq(f"for $p in //person where $p/profile/age > '{i % 60}' "
+                    f"return <w{i}>{{$p/name}}<k{i % 7}/></w{i}>")
+        assert repo.member(name).store is store
+        assert (len(store), len(store._intern)) == (n, n_interned)
+
+
 def test_collection_xpath(tmp_path):
     with make_repo(tmp_path) as repo:
         out = repo.xpath("/site/people/person")

@@ -255,7 +255,7 @@ def test_extension_ranges_equal_the_walks(name):
     for path in _sample(paths, 40) if name == "chain" else paths:
         rels = [g[len(path):] for g in catalog.guide.below(path)]
         for rel in _sample(rels, 6):
-            occ = store.occ_column(rel, len(store))
+            occ = store.occ_column(rel)
             want_s, want_l = ref.extension_ranges(path, rel, occ)
             starts, lengths = catalog.extension_ranges(path, None, rel)
             assert starts.tolist() == want_s and lengths.tolist() == want_l
@@ -274,7 +274,7 @@ def test_occ_columns_and_sizes_equal_the_walks(name):
     rels = {g[d:] for g in vdoc.catalog.dataguide()
             for d in range(max(0, len(g) - 40), len(g))}
     for rel in _sample(sorted(rels), 80):
-        assert store.occ_column(rel, len(store)).tolist() == \
+        assert store.occ_column(rel).tolist() == \
             ref_occ_column(store, rel)
     memo = {}
     assert [store.node_count(n) for n in range(len(store))] == \
@@ -287,7 +287,7 @@ def test_chain_statistics_without_recursion():
     depth = len(store) - 1            # '#' plus one node per <a>
     assert store.node_count(vdoc.root) == depth + 1
     rel = ("a",) * (depth - 1) + ("#",)
-    assert store.occ_column(rel, len(store))[vdoc.root] == 1
+    assert store.occ_column(rel)[vdoc.root] == 1
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import eval_query
+from repro.core.skeleton import NodeStore
 from repro.core.vdoc import VectorizedDocument
 from repro.xmldata.model import node_label, xpath_children
 
@@ -38,7 +39,7 @@ def test_occ_column_matches_definition(seed):
     nodes = sorted(store.reachable(vdoc.root))
     rels = {g[d:] for g in catalog.dataguide() for d in range(len(g))}
     for rel in sorted(rels):
-        col = store.occ_column(rel, len(store))
+        col = store.occ_column(rel)
         assert col.dtype == np.int64 and len(col) == len(store)
         for nid in nodes:
             assert col[nid] == _occ_ref(store, nid, rel), (nid, rel)
@@ -55,21 +56,24 @@ def test_occ_column_beyond_recursion_limit():
     assert lengths.tolist() == [1]
 
 
-def test_occ_column_extends_after_store_growth():
+def test_occ_column_of_an_overlay_leaves_the_base_alone():
     vdoc = VectorizedDocument.from_xml("<a><b><c>1</c></b><b><c>2</c></b></a>")
     store = vdoc.store
-    col = store.occ_column(("b", "c"), len(store))
+    col = store.occ_column(("b", "c"))
     assert col[vdoc.root] == 2
-    # result construction interns new nodes later; cached columns must
-    # cover them on the next request
-    b = store.occ_column(("c",), len(store))
-    new = store.intern_list("wrap", [vdoc.root, vdoc.root])
-    grown = store.occ_column(("b", "c"), len(store))
-    assert len(grown) == len(store)
-    assert store.occ(new, ("a", "b", "c")) == 4
-    assert list(grown[: len(col)]) == list(col)
-    assert len(store.occ_column(("c",), len(store))) == len(store)
-    assert b is not None
+    skel, c = store.skeleton(), store.occ_column(("c",))
+    # a result's nodes live in an overlay whose runs point into the base
+    overlay = NodeStore(base=store)
+    new = overlay.intern_list("wrap", [vdoc.root, vdoc.root])
+    assert new == len(store) and len(overlay) == len(store) + 1
+    assert overlay.occ(new, ("a", "b", "c")) == 4
+    assert overlay.occ_column(("b", "c"))[: len(col)].tolist() == col.tolist()
+    # the base's arrays and cached columns are the very same objects
+    assert store.skeleton() is skel and len(store) == new
+    assert store.occ_column(("b", "c")) is col
+    assert store.occ_column(("c",)) is c
+    with pytest.raises(AssertionError, match="frozen"):
+        store.intern_list("wrap", [vdoc.root])
 
 
 def _expected_ranks(tree):

@@ -179,17 +179,33 @@ def test_xq_result_shares_store_and_compresses_stepwise():
     res = eval_xq(vdoc, "for $p in /site/people/person "
                         "return <r><tag/>{$p/profile/education}</r>")
     out = res.vdoc
-    # the result document shares the input's node store (subtree splices
-    # are id reuse, not copies) ...
-    assert out.store is vdoc.store
+    # the result's node store is an overlay over the input's (subtree
+    # splices are id reuse, not copies), which it never writes ...
+    assert out.store.base is vdoc.store
+    assert len(vdoc.store) == before
     assert res.n_tuples == 60
     # ... and hash-consing during construction collapses the 60 structurally
     # similar rows to a handful of fresh skeleton nodes
-    fresh = len(vdoc.store) - before
+    fresh = len(out.store) - len(vdoc.store)
     assert fresh < 12, fresh
     stats = out.stats()
     assert stats["document_nodes"] >= 60
     assert stats["skeleton_nodes"] < 20
+
+
+def test_xq_over_an_xq_result_matches_naive():
+    """A result is a document like any other: XQ over it (an overlay over
+    an overlay once it constructs) agrees with naive evaluation."""
+    vdoc = VectorizedDocument.from_xml(xmark_like_xml(40, seed=3))
+    mid = _assert_same(vdoc, "for $p in /site/people/person "
+                             "where $p/profile/age > '30' "
+                             "return <r>{$p/@id}{$p/name}{$p/profile}</r>")
+    res = _assert_same(mid.vdoc, "for $r in /result/r "
+                                 "where $r/profile/age < '50' "
+                                 "return <s>{$r/name}{$r/profile/interest}</s>")
+    assert res.vdoc.store.base is mid.vdoc.store
+    assert mid.vdoc.store.base is vdoc.store
+    assert res.n_tuples > 0
 
 
 def test_xq_vx_forbids_decompression_and_counts_scans():
