@@ -15,10 +15,11 @@ interns into an *overlay* store over the input's (paper §4.3), so the input
 store never changes and readers take no lock.
 
 The store also exposes the skeleton as arrays (:class:`Skeleton`, CSR
-child runs), built once on first use.  ``occ(node, relative-label-path)``
-— the occurrences of a label path under *one* instance of a node, shared
-by a run's occurrences — is one masked segment sum over the CSR edges per
-suffix, for every node at once (:meth:`NodeStore.occ_column`).
+child runs), built once on first use or loaded as a file holds them.
+``occ(node, relative-label-path)`` — the occurrences of a label path
+under *one* instance of a node, shared by a run's occurrences — is one
+masked segment sum over the CSR edges per suffix, for every node at once
+(:meth:`NodeStore.occ_column`).
 """
 
 from __future__ import annotations
@@ -72,30 +73,24 @@ class Skeleton:
         self.size = size
         self.offset = offset
 
-    def extend(self, labels: list[str], runs: list[Runs]) -> "Skeleton":
-        """This view plus the nodes ``(labels[i], runs[i])`` interned after
-        it.  New sizes settle by relaxation: pass ``h`` fixes the new
-        nodes of height ``h``.  A node standing for more than ``2**62``
-        nodes raises :class:`OverflowError` (only a crafted count can ask
-        for one), so no size, count or offset derived from a view wraps."""
-        ids = dict(zip(self.names, range(len(self.names))))
-        label = np.fromiter((ids.setdefault(x, len(ids)) for x in labels),
-                            np.int32, len(labels))
-        deg = np.fromiter(map(len, runs), np.int64, len(runs))
-        ptr = np.zeros(len(runs) + 1, dtype=np.int64)
-        np.cumsum(deg, out=ptr[1:])
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(runs)),
-                           np.int64, 2 * int(ptr[-1])).reshape(-1, 2)
-        cid, cnt = flat[:, 0], flat[:, 1]
-        size = np.concatenate([self.size, np.ones(len(runs), np.int64)])
+    def extend(self, names: tuple, label, ptr, cid, cnt) -> "Skeleton":
+        """This view plus the nodes whose label ids (into ``names``, which
+        extends ``self.names``) are ``label`` and whose runs are ``cid``
+        and ``cnt`` at their own ``ptr[i]:ptr[i + 1]``.  New sizes settle
+        by relaxation: pass ``h`` fixes the new nodes of height ``h``.  A
+        node standing for more than ``2**62`` nodes raises
+        :class:`OverflowError` (only a crafted count can ask for one), so
+        no size, count or offset derived from a view wraps."""
+        deg = np.diff(ptr)
+        size = np.concatenate([self.size, np.ones(len(label), np.int64)])
         while not np.array_equal(
                 new := 1 + segment_sums(ptr, cnt * size[cid]), size[self.n:]):
             size[self.n:] = new
         # int64 wraps silently, but the lowest node that overflows has
         # children that do not, and their float sum exposes it
         over = np.flatnonzero(1 + np.bincount(
-            np.repeat(np.arange(len(runs)), deg),
-            cnt * size[cid].astype(float), len(runs)) > 2.0 ** 62)
+            np.repeat(np.arange(len(label)), deg),
+            cnt * size[cid].astype(float), len(label)) > 2.0 ** 62)
         if len(over):
             raise OverflowError(f"skeleton node {self.n + int(over[0])} "
                                 f"stands for more than 2**62 nodes")
@@ -103,7 +98,7 @@ class Skeleton:
         np.cumsum(cnt * size[cid], out=before[1:])
         offset = 1 + before[:-1] - np.repeat(before[ptr[:-1]], deg)
         return Skeleton(
-            tuple(ids), np.concatenate([self.label, label]),
+            tuple(names), np.concatenate([self.label, label]),
             np.concatenate([self.child_ptr, self.child_ptr[-1] + ptr[1:]]),
             np.concatenate([self.child_id, cid]),
             np.concatenate([self.child_count, cnt]), size,
@@ -127,12 +122,31 @@ class NodeStore:
     def __init__(self, base: NodeStore | None = None) -> None:
         self.base = base
         self._start = 0 if base is None else len(base)
-        self._labels: list[str] = []
-        self._children: list[Runs] = []
-        self._intern: dict[tuple[str, Runs], int] = {}
+        #: node ``_start + i`` is ``_keys[i]``, a ``(label, runs)`` key of
+        #: ``_intern``; a root store starts with the text marker, node 0
+        self._keys = [(TEXT_LABEL, ())] if base is None else []
+        self._intern = dict.fromkeys(self._keys, 0)
         self._occ_cols: dict[tuple[str, ...], np.ndarray] = {}
         self._skel: Skeleton | None = None
-        self.text_id = self.intern(TEXT_LABEL, ())
+        self.text_id = 0
+
+    @classmethod
+    def load(cls, names: tuple, label, ptr, cid, cnt) -> NodeStore:
+        """The frozen store whose arrays are these (as
+        :meth:`Skeleton.extend` takes them; child ids below their parent's,
+        node 0 the text marker).  Raises :class:`ValueError` for a node
+        stored twice and :class:`OverflowError` as ``extend`` does."""
+        store = cls()
+        store._skel = _EMPTY.extend(names, label, ptr, cid, cnt)
+        runs, at = list(zip(cid.tolist(), cnt.tolist())), ptr.tolist()
+        keys = store._keys = [(names[x], tuple(runs[lo:hi])) for x, lo, hi
+                              in zip(label.tolist(), at, at[1:])]
+        ids = store._intern = dict(zip(keys, range(len(keys))))
+        if len(ids) < len(keys):
+            nid = next(i for i, key in enumerate(keys) if ids[key] != i)
+            raise ValueError(f"skeleton node {ids[keys[nid]]} is stored "
+                             f"twice (first as node {nid})")
+        return store
 
     # -- construction -----------------------------------------------------
 
@@ -150,8 +164,7 @@ class NodeStore:
         if nid is None:
             assert self._skel is None, "a read store is frozen"
             nid = self._intern[key] = len(self)
-            self._labels.append(label)
-            self._children.append(children)
+            self._keys.append(key)
         return nid
 
     def intern_list(self, label: str, child_ids: list[int]) -> int:
@@ -162,23 +175,31 @@ class NodeStore:
     def label(self, nid: int) -> str:
         if nid < self._start:
             return self.base.label(nid)
-        return self._labels[nid - self._start]
+        return self._keys[nid - self._start][0]
 
     def children(self, nid: int) -> Runs:
         if nid < self._start:
             return self.base.children(nid)
-        return self._children[nid - self._start]
+        return self._keys[nid - self._start][1]
 
     def __len__(self) -> int:
         """Total nodes, the base's included."""
-        return self._start + len(self._labels)
+        return self._start + len(self._keys)
 
     def skeleton(self) -> Skeleton:
-        """The array view of every node, built on first use: an overlay's
-        is its base's extended by its own nodes."""
+        """The array view of every node (built on first use unless loaded):
+        an overlay's is its base's extended by its own nodes."""
         if self._skel is None:
             base = _EMPTY if self.base is None else self.base.skeleton()
-            self._skel = base.extend(self._labels, self._children)
+            ids = dict(zip(base.names, range(len(base.names))))
+            label = np.array([ids.setdefault(x, len(ids))
+                              for x, _ in self._keys], np.int32)
+            runs = [r for _, r in self._keys]
+            ptr = np.cumsum([0, *map(len, runs)], dtype=np.int64)
+            flat = np.fromiter(chain.from_iterable(chain.from_iterable(runs)),
+                               np.int64).reshape(-1, 2)
+            self._skel = base.extend(tuple(ids), label, ptr,
+                                     flat[:, 0], flat[:, 1])
         return self._skel
 
     # -- statistics -------------------------------------------------------

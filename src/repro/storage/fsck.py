@@ -11,16 +11,15 @@ page/slot location for each.  Checks, in dependency order:
 3. page structure: slot directory within the page, ``free_ptr`` bounds,
    every slot entry inside the record area, fragments contiguous and
    consistent with ``free_ptr``;
-4. catalog: the meta heap chain walks without cycles, decodes as JSON
-   and passes the strict schema — by calling the open path's own reader
-   (:func:`~repro.storage.vdocfile._read_catalog`), so the two cannot
-   drift;
-5. skeleton: every node record decodes, child runs stay inside the
-   already-interned prefix, hash-cons replay reproduces the ids, and the
-   node count matches the catalog (again the open path's own
-   :func:`~repro.storage.vdocfile._replay_skeleton`); the cataloged
-   vectors are exactly the skeleton's text paths, each ``n`` its path's
-   total (:func:`~repro.storage.vdocfile._check_vectors`);
+4. catalog: the catalog chain walks without cycles, its first record
+   decodes as JSON and passes the strict schema — by calling the open
+   path's own reader (:func:`~repro.storage.vdocfile._read_catalog`), so
+   the two cannot drift;
+5. skeleton: the catalog chain's label table and CSR arrays pass the
+   open path's own whole-array checks (again shared:
+   :func:`~repro.storage.vdocfile._load_skeleton`); the cataloged vectors
+   are exactly the skeleton's text paths, each ``n`` its path's total
+   (:func:`~repro.storage.vdocfile._check_vectors`);
 6. vectors: every chain walks acyclically to exactly its cataloged
    length and holds exactly the record count its storage codec implies
    (``n`` UTF-8 records for identity, the fixed header/blob layout for
@@ -33,7 +32,8 @@ page/slot location for each.  Checks, in dependency order:
    :func:`repro.index.check_segment`'s semantic checks (numeric
    sub-index vs ``parse_float``), with the key count matched against
    the catalog entry;
-8. cross-checks: no page is claimed by two chains.
+8. cross-checks: no page is claimed by two chains (the catalog's, a
+   vector's, an index segment's).
 
 ``deep`` additionally decodes every vector chain through its codec —
 exercising the full :meth:`~repro.storage.codecs.Codec.decode` trust
@@ -64,8 +64,8 @@ from .codecs import CODECS, utf8_bytes
 from .disk import FILE_HEADER, PageFile
 from .heap import HeapFile
 from .pages import PAGE_HEADER, SlottedPage, page_crc, stored_crc
-from .vdocfile import (UNOWNED, _check_vectors, _read_catalog,
-                       _replay_skeleton)
+from .vdocfile import (UNOWNED, _check_vectors, _load_skeleton,
+                       _read_catalog)
 
 
 @dataclass
@@ -130,8 +130,7 @@ def _check_page_structure(out: _Check, page: SlottedPage, pid: int) -> None:
 
 
 def _walk_chain(out: _Check, code: str, what: str, heap: HeapFile,
-                expected_pages: int | None, expected_n: int | None,
-                count_records: bool = True,
+                expected_pages: int, expected_n: int,
                 records_sink: list | None = None) -> list[int] | None:
     """Walk one heap chain, record findings; returns its page ids or
     None when the walk itself failed.  ``records_sink`` collects the raw
@@ -142,11 +141,9 @@ def _walk_chain(out: _Check, code: str, what: str, heap: HeapFile,
         out.add("chain", f"{what}: {exc}",
                 page=getattr(exc, "page", None))
         return None
-    if expected_pages is not None and len(pages) != expected_pages:
+    if len(pages) != expected_pages:
         out.add("chain", f"{what}: chain is {len(pages)} pages, catalog "
                          f"says {expected_pages}", page=pages[-1])
-        return pages
-    if not count_records:
         return pages
     count = 0
     try:
@@ -158,7 +155,7 @@ def _walk_chain(out: _Check, code: str, what: str, heap: HeapFile,
         out.add(code, f"{what}: {exc}", page=getattr(exc, "page", None),
                 slot=getattr(exc, "slot", None))
         return pages
-    if expected_n is not None and count != expected_n:
+    if count != expected_n:
         out.add(code, f"{what}: {count} records on disk, catalog says "
                       f"{expected_n}", page=pages[0] if pages else None)
     return pages
@@ -214,36 +211,22 @@ def verify_vdoc(path: str, deep: bool = False) -> list[Finding]:
 
         # -- catalog -------------------------------------------------------
         try:
-            meta = _read_catalog(pool, path, meta_page, n_pages)
+            meta, skeleton = _read_catalog(pool, path, meta_page, n_pages)
         except StorageError as exc:   # also rejects unknown formats
             out.add("catalog", str(exc), page=getattr(exc, "page", None))
             return out.findings
         claimed = dict.fromkeys(HeapFile(pool, meta_page).pages(), "catalog")
 
         # -- skeleton ------------------------------------------------------
-        skel = HeapFile(pool, meta["skeleton"]["head"],
-                        n_pages=meta["skeleton"]["pages"])
-        skel_pages = _walk_chain(out, "skeleton", "skeleton chain", skel,
-                                 meta["skeleton"]["pages"], None,
-                                 count_records=False)
-        if skel_pages is not None:
+        try:
+            store = _load_skeleton(skeleton, meta, path)
+        except StorageError as exc:
+            out.add("skeleton", str(exc))
+        else:
             try:
-                store = _replay_skeleton(pool, meta, path)
+                _check_vectors(store, meta, path)
             except StorageError as exc:
-                out.add("skeleton", str(exc),
-                        page=getattr(exc, "page", None),
-                        slot=getattr(exc, "slot", None))
-            else:
-                try:
-                    _check_vectors(store, meta, path)
-                except StorageError as exc:
-                    out.add("vector", str(exc))
-        if skel_pages:
-            for pid in skel_pages:
-                prev = claimed.setdefault(pid, "skeleton")
-                if prev != "skeleton":
-                    out.add("cross", f"page claimed by both {prev} and "
-                                     f"the skeleton chain", page=pid)
+                out.add("vector", str(exc))
 
         # -- vectors -------------------------------------------------------
         #: deep-decoded columns, reused by the index staleness check

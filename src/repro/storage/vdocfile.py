@@ -15,14 +15,13 @@ one catalog format, :data:`VDOC_FORMAT`; any other number is refused:
 * optionally, one more heap chain per vector holding its value-index
   segment (:mod:`repro.index.segment`), announced by an ``"index"``
   object ``{head, pages, distinct}`` on the vector's catalog entry;
-* one heap for the skeleton — one record per interned node, in id order:
-  ``label UTF-8 bytes, NUL, then (child_id, count) int64 pairs``.  Node
-  ids are interning order, so replaying ``intern()`` record by record
-  reproduces the identical hash-consed store (ids are asserted);
-* one heap holding a single JSON catalog record: format tag, root id,
-  and per-vector ``{path, n, head page, chain length, codec, logical
-  bytes, encoded bytes}``; its head page id is stored in the page-file
-  header.
+* one catalog heap, its head page id stored in the page-file header:
+  a JSON record (format tag, root id, node count, and per-vector
+  ``{path, n, head page, chain length, codec, logical bytes, encoded
+  bytes}``), then the skeleton as the store holds it in memory — the
+  label table (UTF-8, NUL-joined) and one record each of little-endian
+  ``label`` (int32), ``child_ptr``, ``child_id`` and ``child_count``
+  (int64) — so opening reads the arrays back, interning nothing.
 
 ``save_vdoc`` is atomic and durable: it writes to a temp file in the
 destination directory, fsyncs it, ``os.replace``\\ s it into place and
@@ -30,12 +29,13 @@ fsyncs the directory — a crash at any point leaves either the old file
 or the new file at ``path``, never a partial one (machine-checked by the
 crash-point sweep in the test suite, via :mod:`repro.storage.faults`).
 
-Opening reads *only* the catalog and skeleton (the paper's premise that
-the skeleton lives in main memory), after validating the catalog against
-a strict schema and the vector entries against the skeleton's text-path
-totals — every malformed byte pattern at this boundary surfaces
-as :class:`StorageError`/:class:`CorruptDataError`, never as a raw
-``json``/``unicode``/``KeyError``.  It returns the one
+Opening reads *only* the catalog chain (the paper's premise that the
+skeleton lives in main memory), after validating the catalog against a
+strict schema, the skeleton arrays with whole-array checks and the vector
+entries against the skeleton's text-path totals — every malformed byte
+pattern at this boundary surfaces as :class:`StorageError`/
+:class:`CorruptDataError`, never as a raw ``json``/``unicode``/
+``KeyError``.  It returns the one
 :class:`~repro.core.vdoc.VectorizedDocument` (``file``/``pool``/``view``
 set) whose vectors have their heap chains as the source of their
 records: a chain is read in one sequential pass on first access, its
@@ -51,9 +51,10 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import tempfile
 import threading
+
+import numpy as np
 
 from ..core.paths import PathsCatalog
 from ..core.skeleton import NodeStore
@@ -71,30 +72,14 @@ from .pages import DEFAULT_PAGE_SIZE
 
 #: the one catalog format written and read.  Earlier numbers (2: no
 #: indexes; 3: uncoded vectors; 4: a hash directory and two chains per
-#: index) have no reader: such a file is rejected as unsupported.
-VDOC_FORMAT = 5
+#: index; 5: a skeleton heap of one record per node) have no reader: such
+#: a file is rejected as unsupported.
+VDOC_FORMAT = 6
 
-_RUN = struct.Struct("<qq")
-
-
-def _encode_node(label: str, children) -> bytes:
-    parts = [label.encode("utf-8"), b"\x00"]
-    for child, count in children:
-        parts.append(_RUN.pack(child, count))
-    return b"".join(parts)
-
-
-def _decode_node(record: bytes) -> tuple[str, tuple]:
-    nul = record.find(b"\x00")
-    if nul < 0 or (len(record) - nul - 1) % _RUN.size:
-        raise CorruptDataError("corrupt skeleton node record")
-    try:
-        label = record[:nul].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptDataError(
-            f"skeleton node label is not valid UTF-8 ({exc})") from exc
-    runs = tuple(_RUN.iter_unpack(record[nul + 1:]))
-    return label, runs
+#: the skeleton's arrays after the label table in the catalog chain, each
+#: one record of little-endian integers
+_ARRAYS = (("label", "<i4"), ("child_ptr", "<i8"), ("child_id", "<i8"),
+           ("child_count", "<i8"))
 
 
 def _read_chain(unit, heap: HeapFile, ctx):
@@ -242,19 +227,18 @@ def _write_vdoc(vdoc: VectorizedDocument, file: PageFile,
             entry["index"] = {"head": iheap.head, "pages": iheap.n_pages,
                               "distinct": int(vi.distinct)}
         catalog.append(entry)
-    store = vdoc.store
-    skel = HeapFile.create(pool)
-    for nid in range(len(store)):
-        skel.append(_encode_node(store.label(nid), store.children(nid)))
+    skel = vdoc.store.skeleton()
     meta = {
         "format": VDOC_FORMAT,
         "root": vdoc.root,
-        "n_nodes": len(store),
-        "skeleton": {"head": skel.head, "pages": skel.n_pages},
+        "n_nodes": skel.n,
         "vectors": catalog,
     }
     meta_heap = HeapFile.create(pool)
     meta_heap.append(json.dumps(meta, separators=(",", ":")).encode("utf-8"))
+    meta_heap.append("\0".join(skel.names).encode("utf-8"))
+    for name, dtype in _ARRAYS:
+        meta_heap.append(getattr(skel, name).astype(dtype).tobytes())
     pool.flush()
     file.set_meta(meta_heap.head)
     return meta
@@ -336,12 +320,6 @@ def _check_catalog(meta, path: str, n_pages: int) -> None:
             f"{path}: unsupported vdoc format {meta.get('format')!r}")
     _req_int(meta.get("root"), "root node id", lo=1)
     _req_int(meta.get("n_nodes"), "skeleton node count", lo=1)
-    skel = meta.get("skeleton")
-    if not isinstance(skel, dict):
-        raise CorruptDataError(f"{path}: vdoc catalog has no skeleton entry")
-    _req_int(skel.get("head"), "skeleton head page", lo=0, hi=n_pages)
-    _req_int(skel.get("pages"), "skeleton chain length", lo=1,
-             hi=n_pages + 1)
     vectors = meta.get("vectors")
     if not isinstance(vectors, list):
         raise CorruptDataError(f"{path}: vdoc catalog has no vector list")
@@ -386,11 +364,11 @@ def _check_catalog(meta, path: str, n_pages: int) -> None:
                  lo=0, hi=n + 1)
 
 
-def _read_catalog(pool, path: str, meta_page: int, n_pages: int) -> dict:
-    """Read, decode and schema-check the catalog record whose heap starts
-    at ``meta_page`` — the one validating catalog reader, shared by
-    :func:`open_vdoc` (which lets the error propagate) and fsck (which
-    turns it into a ``catalog`` finding)."""
+def _read_catalog(pool, path: str, meta_page: int, n_pages: int) -> tuple:
+    """Read the catalog chain at ``meta_page``: its schema-checked JSON
+    record and its remaining (skeleton) records — the one validating
+    catalog reader, shared by :func:`open_vdoc` (which lets the error
+    propagate) and fsck (which turns it into a ``catalog`` finding)."""
     if meta_page < 0:
         raise StorageError(f"{path}: page file has no vdoc catalog")
     if meta_page >= n_pages:
@@ -408,54 +386,70 @@ def _read_catalog(pool, path: str, meta_page: int, n_pages: int) -> dict:
             f"{path}: vdoc catalog is not valid JSON ({exc})",
             page=meta_page) from exc
     _check_catalog(meta, path, n_pages)
-    return meta
+    return meta, meta_records[1:]
 
 
-def _replay_skeleton(pool, meta: dict, path: str) -> NodeStore:
-    """Rebuild the hash-consed skeleton from its heap, validating every
-    record on the way, and publish its array view (a node whose
+def _load_skeleton(records: list[bytes], meta: dict, path: str) -> NodeStore:
+    """The frozen store read off the catalog chain's label table and
+    arrays, every record checked with whole-array tests (a node whose
     decompressed size overflows is corrupt) — the one skeleton reader,
     shared like :func:`_read_catalog`; fsck reports a failure as
     ``skeleton``."""
-    store = NodeStore()
-    skel = HeapFile(pool, meta["skeleton"]["head"],
-                    n_pages=meta["skeleton"]["pages"])
-    for nid, record in enumerate(skel.records(UNOWNED.checkpoint)):
-        label, runs = _decode_node(record)
-        if nid == 0:
-            if label != "#" or runs:
-                raise CorruptDataError(
-                    f"{path}: node 0 is not the text marker")
-            continue
-        for child, count in runs:
-            if not 0 <= child < nid or count < 1:
-                raise CorruptDataError(
-                    f"{path}: skeleton node {nid} has child run "
-                    f"({child}, {count}) outside the already-interned "
-                    f"prefix")
-        interned = store.intern(label, runs)
-        if interned != nid:
-            raise CorruptDataError(
-                f"{path}: skeleton records out of interning order "
-                f"(node {nid} interned as {interned})")
+    def corrupt(message: str) -> CorruptDataError:
+        return CorruptDataError(f"{path}: {message}")
+
+    if len(records) != 1 + len(_ARRAYS):
+        raise corrupt(f"catalog chain holds {len(records)} skeleton "
+                      f"records, expected {1 + len(_ARRAYS)}")
     try:
-        store.skeleton()
-    except OverflowError as exc:
-        raise CorruptDataError(f"{path}: {exc}") from exc
-    if len(store) != meta["n_nodes"]:
-        raise CorruptDataError(
-            f"{path}: catalog says {meta['n_nodes']} skeleton nodes, "
-            f"file holds {len(store)}")
-    if not 1 <= meta["root"] < len(store):
-        raise CorruptDataError(
-            f"{path}: root id {meta['root']} outside the skeleton "
-            f"({len(store)} nodes)")
-    return store
+        names = tuple(records[0].decode("utf-8").split("\0"))
+    except UnicodeDecodeError as exc:
+        raise corrupt(f"skeleton label table is not valid UTF-8 "
+                      f"({exc})") from exc
+    if len(set(names)) != len(names):
+        raise corrupt("skeleton label table lists a label twice")
+    arrays = []
+    for (name, dtype), record in zip(_ARRAYS, records[1:]):
+        if len(record) % np.dtype(dtype).itemsize:
+            raise corrupt(f"skeleton {name} record of {len(record)} bytes "
+                          f"is not a whole number of {dtype} items")
+        arrays.append(np.frombuffer(record, dtype))
+    label, ptr, cid, cnt = arrays
+    n = meta["n_nodes"]
+    if len(label) != n or len(ptr) != n + 1:
+        raise corrupt(f"catalog says {n} skeleton nodes, file holds "
+                      f"{len(label)} labels and {len(ptr)} child_ptr entries")
+    if not 1 <= meta["root"] < n:
+        raise corrupt(f"root id {meta['root']} outside the skeleton "
+                      f"({n} nodes)")
+    if ptr[0] != 0 or not ptr[-1] == len(cid) == len(cnt):
+        raise corrupt(f"skeleton child_ptr runs {ptr[0]}..{ptr[-1]} over "
+                      f"{len(cid)} child ids and {len(cnt)} counts")
+    down = np.flatnonzero(ptr[1:] < ptr[:-1])
+    if len(down):
+        raise corrupt(f"skeleton child_ptr decreases at node {down[0]}")
+    bad = np.flatnonzero((label < 0) | (label >= len(names)))
+    if len(bad):
+        raise corrupt(f"skeleton node {bad[0]} has label id "
+                      f"{label[bad[0]]}, outside the {len(names)} labels")
+    if names[label[0]] != "#" or ptr[1]:
+        raise corrupt("node 0 is not the text marker")
+    parent = np.repeat(np.arange(n), np.diff(ptr))
+    bad = np.flatnonzero((cid < 0) | (cid >= parent) | (cnt < 1))
+    if len(bad):
+        e = bad[0]
+        raise corrupt(f"skeleton node {parent[e]} has child run "
+                      f"({cid[e]}, {cnt[e]}) outside the already-interned "
+                      f"prefix")
+    try:
+        return NodeStore.load(names, label, ptr, cid, cnt)
+    except (ValueError, OverflowError) as exc:
+        raise corrupt(str(exc)) from exc
 
 
 def _check_vectors(store: NodeStore, meta: dict, path: str) -> PathsCatalog:
     """The skeleton's path catalog, checked against the vector entries
-    (shared like :func:`_replay_skeleton`; fsck reports a failure as
+    (shared like :func:`_load_skeleton`; fsck reports a failure as
     ``vector``): the vectors are exactly the text paths, each holding
     its path's total — else a query or reconstruction would index past
     a column."""
@@ -492,8 +486,9 @@ def open_vdoc(path: str, pool_pages: int | None = None,
         if pool is None:
             pool = BufferPool(capacity=pool_pages)
         view = pool.attach(file)
-        meta = _read_catalog(view, path, file.meta_page, file.n_pages)
-        store = _replay_skeleton(view, meta, path)
+        meta, skeleton = _read_catalog(view, path, file.meta_page,
+                                       file.n_pages)
+        store = _load_skeleton(skeleton, meta, path)
         catalog = _check_vectors(store, meta, path)
 
         vectors: dict[tuple, Vector] = {}

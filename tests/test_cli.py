@@ -297,7 +297,7 @@ def test_cli_save_format_and_index_ls_compression(tmp_path, capsys,
 
     assert main(["save", str(f), coded, "--page-size", "512"]) == 0
     out = capsys.readouterr().out
-    assert "format           5" in out
+    assert "format           6" in out
     assert "compression_ratio" in out and "codecs" in out
 
     # the uncompressed twin is a test-only fixture (identity codec forced)

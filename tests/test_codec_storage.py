@@ -64,7 +64,7 @@ def saved(tmp_path_factory, mem, identity_doc):
 
 def test_save_summary_and_codec_mix(saved, mem):
     v4, _, s4, s3 = saved
-    assert s4["format"] == s3["format"] == 5
+    assert s4["format"] == s3["format"] == 6
     assert s4["compression_ratio"] < 0.8        # the doc is compressible
     assert 0 < s4["physical_bytes"] < s4["logical_bytes"]
     assert s4["codecs"].get("dict") and s4["codecs"].get("delta") \

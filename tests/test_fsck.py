@@ -2,6 +2,7 @@
 locations, exit codes, and the deep-is-a-superset-of-shallow contract."""
 
 import os
+import re
 import struct
 
 import pytest
@@ -11,11 +12,11 @@ from repro.core.vdoc import VectorizedDocument
 from repro.datasets.synth import xmark_like_xml
 from repro.errors import CorruptDataError, StorageError
 from repro.repo import Repository
-from repro.storage import PageFile
+from repro.storage import PageFile, vdocfile
 from repro.storage.disk import FILE_HEADER, _header_bytes
 from repro.storage.fsck import verify_vdoc
 from repro.storage.pages import SlottedPage, stamp_crc
-from repro.storage.vdocfile import _RUN, _check_catalog, open_vdoc
+from repro.storage.vdocfile import _check_catalog, open_vdoc
 
 PAGE_SIZE = 256
 
@@ -109,14 +110,14 @@ def _edit_catalog(path, old: bytes, new: bytes):
     _patch_page(path, meta_page, substitute)
 
 
-@pytest.mark.parametrize("fmt", [2, 3, 4])
+@pytest.mark.parametrize("fmt", [2, 3, 4, 5])
 def test_older_format_catalog_is_rejected_as_unsupported(vdoc_path, fmt,
                                                          tmp_path, capsys):
-    """Formats 2, 3 and 4 have no writer and no reader any more: a real
+    """Formats 2 to 5 have no writer and no reader any more: a real
     catalog re-stamped with one fails with the typed error on open, is a
     catalog finding for fsck and ``repro-xq check``, and cannot be added
     to a repository — never a silent best-effort read."""
-    _edit_catalog(vdoc_path, b'"format":5', b'"format":%d' % fmt)
+    _edit_catalog(vdoc_path, b'"format":6', b'"format":%d' % fmt)
     unsupported = f"unsupported vdoc format {fmt}"
     with pytest.raises(StorageError, match=unsupported):
         open_vdoc(vdoc_path)
@@ -139,8 +140,7 @@ def test_duplicate_vector_path_is_rejected(vdoc_path):
     the same name); it is a located schema error now."""
     entry = {"path": ["a", "#"], "n": 0, "head": 0, "pages": 1,
              "codec": "identity", "lbytes": 0, "pbytes": 0}
-    meta = {"format": 5, "root": 1, "n_nodes": 2,
-            "skeleton": {"head": 1, "pages": 1}, "vectors": [entry]}
+    meta = {"format": 6, "root": 1, "n_nodes": 2, "vectors": [entry]}
     _check_catalog(meta, "x.vdoc", 4)
     meta["vectors"].append(dict(entry))
     with pytest.raises(CorruptDataError, match="x.vdoc.*lists vector a/# twice"):
@@ -186,9 +186,25 @@ def test_vectors_must_match_the_skeleton(tmp_path, swap):
         open_vdoc(path)
 
 
+def _replace_bytes(path, old: bytes, new: bytes):
+    """Same-length substitution of the one page span holding ``old``
+    (CRC restamped)."""
+    assert len(old) == len(new)
+    with PageFile.open(path) as pf:
+        n_pages = pf.n_pages
+    found = []
+
+    def substitute(buf):
+        found.append(old in buf)
+        buf[:] = bytes(buf).replace(old, new)
+    for pid in range(n_pages):
+        _patch_page(path, pid, substitute)
+    assert found.count(True) == 1
+
+
 @pytest.mark.parametrize("counts", [(1, 2 ** 63 - 1), (2 ** 32, 2 ** 32)])
 def test_skeleton_size_overflow_is_corrupt(tmp_path, counts):
-    """Run counts are int64 on disk, so a crafted pair of them (CRCs
+    """Run counts are an int64 array on disk, so crafted counts (CRCs
     restamped) can make a node stand for more than ``2**62`` nodes: the
     largest count wraps its parent's int64 size negative, and ``(2**32,
     2**32)`` wraps the root's back to a small, plausible size.  Open
@@ -201,17 +217,10 @@ def test_skeleton_size_overflow_is_corrupt(tmp_path, counts):
     (b, three), = store.children(doc.root)
     (a, five), = store.children(b)
     assert (three, five) == (3, 5)
+    assert (a, b) == (1, 2)   # so child_count holds b's run, then the root's
     doc.save(path, page_size=PAGE_SIZE)
-    swaps = [(_RUN.pack(b, 3), _RUN.pack(b, counts[0])),
-             (_RUN.pack(a, 5), _RUN.pack(a, counts[1]))]
-    with PageFile.open(path) as pf:
-        n_pages = pf.n_pages
-
-    def substitute(buf):
-        for old, new in swaps:
-            buf[:] = bytes(buf).replace(old, new)
-    for pid in range(n_pages):
-        _patch_page(path, pid, substitute)
+    _replace_bytes(path, struct.pack("<2q", 5, 3),
+                   struct.pack("<2q", *counts[::-1]))
     node = b if counts[0] == 1 else doc.root
     want = f"skeleton node {node} stands for more than 2\\*\\*62 nodes"
     with pytest.raises(CorruptDataError, match=f"big.vdoc: {want}"):
@@ -219,6 +228,79 @@ def test_skeleton_size_overflow_is_corrupt(tmp_path, counts):
     for deep in (False, True):
         findings = verify_vdoc(path, deep=deep)
         assert [f.code for f in findings] == ["skeleton"], findings
+
+
+def _set(field, i, value):
+    return lambda skel, m: getattr(skel, field).__setitem__(i, value)
+
+
+#: (edit, message): ``edit(skeleton, monkeypatch)`` runs before the save
+#: and may return a same-length byte substitution to make after it
+CRAFTED = {
+    "forward-child": (_set("child_id", 0, 2),
+                      r"skeleton node 1 has child run \(2, 1\) outside the "
+                      r"already-interned prefix"),
+    "self-child": (_set("child_id", 1, 2),
+                   r"skeleton node 2 has child run \(2, 1\) outside"),
+    "zero-count": (_set("child_count", 2, 0),
+                   r"skeleton node 4 has child run \(1, 0\) outside"),
+    "ptr-decreases": (_set("child_ptr", 2, 3),
+                      "skeleton child_ptr decreases at node 2"),
+    "ptr-start": (_set("child_ptr", 0, 1),
+                  "skeleton child_ptr runs 1..5 over 5 child ids"),
+    "ptr-end": (_set("child_ptr", 5, 4),
+                "skeleton child_ptr runs 0..4 over 5 child ids"),
+    "label-range": (_set("label", 3, 5),
+                    "skeleton node 3 has label id 5, outside the 5 labels"),
+    "node-0": (_set("label", 0, 1), "node 0 is not the text marker"),
+    "stored-twice": (_set("label", 2, 1),
+                     r"skeleton node 2 is stored twice \(first as node 1\)"),
+    "torn-record": (lambda skel, m: m.setattr(vdocfile, "_ARRAYS", (
+        *vdocfile._ARRAYS[:2], ("child_id", "<i4"), vdocfile._ARRAYS[3])),
+        "skeleton child_id record of 20 bytes is not a whole number of "
+        "<i8 items"),
+    "record-count": (lambda skel, m: m.setattr(
+        vdocfile, "_ARRAYS", vdocfile._ARRAYS[:3]),
+        "catalog chain holds 4 skeleton records, expected 5"),
+    "duplicate-label": (lambda skel, m: setattr(
+        skel, "names", ("#", "a", "b", "a", "r")),
+        "skeleton label table lists a label twice"),
+    "label-utf8": (lambda skel, m: (b"b\0c\0r", b"b\0\xff\0r"),
+                   "skeleton label table is not valid UTF-8"),
+    "length": (lambda skel, m: setattr(skel, "label", skel.label[:-1]),
+               "catalog says 5 skeleton nodes, file holds 4 labels and 6 "
+               "child_ptr entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED))
+def test_crafted_skeleton_arrays_are_corrupt(tmp_path, monkeypatch, capsys,
+                                             case):
+    """Open reads the skeleton arrays with whole-array checks, not an
+    interning replay; each crafted array (pages intact, CRCs valid) is a
+    ``CorruptDataError`` naming the file, one ``skeleton`` finding
+    (shallow and deep) and a failed ``repro-xq check``."""
+    edit, want = CRAFTED[case]
+    doc = VectorizedDocument.from_xml("<r><a>x</a><b>y</b><c/></r>")
+    skel = doc.store.skeleton()
+    assert skel.names == ("#", "a", "b", "c", "r")
+    assert skel.label.tolist() == [0, 1, 2, 3, 4]
+    assert skel.child_ptr.tolist() == [0, 0, 1, 2, 2, 5]
+    assert skel.child_id.tolist() == [0, 0, 1, 2, 3]
+    path = str(tmp_path / "bad.vdoc")
+    with monkeypatch.context() as m:
+        swap = edit(skel, m)
+        doc.save(path, page_size=PAGE_SIZE)
+    if swap:
+        _replace_bytes(path, *swap)
+    with pytest.raises(CorruptDataError, match=f"bad.vdoc: {want}"):
+        open_vdoc(path)
+    for deep in (False, True):
+        findings = verify_vdoc(path, deep=deep)
+        assert [f.code for f in findings] == ["skeleton"], findings
+        assert re.search(want, findings[0].message)
+    assert main(["check", path]) == 1
+    assert "skeleton: " in capsys.readouterr().out
 
 
 def test_invalid_utf8_value_is_deep_only(vdoc_path):

@@ -20,6 +20,7 @@ from repro.core.engine import eval_xq
 from repro.core.paths import Dataguide
 from repro.core.planner import plan_query
 from repro.core.qgraph import compile_query
+from repro.core.skeleton import NodeStore
 from repro.core.vdoc import VectorizedDocument
 from repro.core.xquery import parse_xq
 from repro.datasets.synth import xmark_like_xml
@@ -323,3 +324,50 @@ def test_irregular_answers_follow_document_order():
     vdoc = _doc("irregular")
     q = "for $b in //b return <v>{$b/text()}</v>"
     assert eval_xq(vdoc, q).to_xml() == eval_xq(vdoc, q, mode="naive").to_xml()
+
+
+# -- an opened document is its arrays, read -------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_opened_arrays_equal_the_twin(name, tmp_path, monkeypatch):
+    """A saved file holds the skeleton arrays and open reads them back,
+    interning nothing: the opened store's arrays and keys are its
+    in-memory twin's."""
+    vdoc = _doc(name)
+    path = str(tmp_path / "doc.vdoc")
+    vdoc.save(path)
+    want = vdoc.store.skeleton()
+    with monkeypatch.context() as m:
+        m.setattr(NodeStore, "intern", None)   # any call raises TypeError
+        disk = VectorizedDocument.open(path)
+    with disk:
+        got = disk.store.skeleton()
+        assert got.names == want.names and got.n == want.n == len(disk.store)
+        for field in ("label", "child_ptr", "child_id", "child_count",
+                      "size", "offset"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert all(disk.store.label(n) == vdoc.store.label(n) and
+                   disk.store.children(n) == vdoc.store.children(n)
+                   for n in range(len(vdoc.store)))
+
+
+def test_rebuilt_input_node_keeps_its_id_when_opened(tmp_path):
+    """A template that rebuilds an input node (``<name>`` over one text
+    child) finds it in the opened store's intern dict, as in memory: the
+    overlay holds only the result root, and the result is the same."""
+    vdoc = VectorizedDocument.from_xml(xmark_like_xml(25, seed=5))
+    path = str(tmp_path / "doc.vdoc")
+    vdoc.save(path)
+    q = ("for $p in /site/people/person "
+         "return <name>{$p/name/text()}</name>")
+    name = vdoc.store.intern("name", ((vdoc.store.text_id, 1),))
+    mem = eval_xq(vdoc, q)
+    with VectorizedDocument.open(path) as disk:
+        res = eval_xq(disk, q)
+        for r in (mem, res):
+            store = r.vdoc.store
+            assert len(store) == len(vdoc.store) + 1 == r.vdoc.root + 1
+            assert store.children(r.vdoc.root) == ((name, 25),)
+        assert res.vdoc.stats() == mem.vdoc.stats()
+        assert res.to_xml() == mem.to_xml()
