@@ -12,8 +12,7 @@ import threading
 
 from ..xmldata.model import Element
 from ..xmldata.parser import iterparse
-from ..xmldata.serializer import serialize
-from .reconstruct import reconstruct
+from .reconstruct import reconstruct, write_xml
 from .skeleton import NodeStore
 from .vectorize import vectorize_events, vectorize_tree
 from .vectors import Vector
@@ -86,7 +85,7 @@ class VectorizedDocument:
         return reconstruct(self.store, self.root, self.vectors)
 
     def to_xml(self) -> str:
-        return serialize(self.to_tree())
+        return write_xml(self.store, self.root, self.vectors)
 
     # -- query support ----------------------------------------------------
 

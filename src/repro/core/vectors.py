@@ -299,4 +299,4 @@ class Vector:
 
     def tolist(self) -> list[str]:
         """Every value in document order."""
-        return [str(v) for v in self._col()]
+        return self._col().tolist()

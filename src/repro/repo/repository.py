@@ -240,8 +240,8 @@ class RepoXQResult:
 
     def to_xml(self) -> str:
         # assembled from per-member *fragments* (an evaluated member
-        # serializes its own small output tree; a cache hit is already a
-        # fragment) spliced under one shared root in member order —
+        # writes its own small result from its DAG; a cache hit is already
+        # a fragment) spliced under one shared root in member order —
         # byte-identical to serializing the assembled tree, because
         # serialization of an element is its start tag + the
         # concatenation of its children's serializations + its end tag
